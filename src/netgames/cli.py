@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import random
@@ -98,34 +99,33 @@ def _flatten(report: dict) -> list:
     return [{"key": k, "value": v} for k, v in sorted(report.items())]
 
 
+def _read(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except OSError as exc:
+        raise NetgamesError(f"cannot read {path}: {exc.strerror}") from exc
+
+
 def _load_instance(args) -> GameInstance:
-    with open(args.instance, encoding="utf-8") as f:
-        inst = instances.parse_instance(f.read())
+    inst = instances.parse_instance(_read(args.instance))
     if args.cap_support is not None:
-        inst = GameInstance(
-            kind=inst.kind,
-            players=inst.players,
-            graph=inst.graph,
-            node_costs=inst.node_costs,
-            support_cap=args.cap_support,
-            strategy_cap=inst.strategy_cap,
-        )
+        inst = dataclasses.replace(inst, support_cap=args.cap_support)
     if args.cap_strategies is not None:
-        inst = GameInstance(
-            kind=inst.kind,
-            players=inst.players,
-            graph=inst.graph,
-            node_costs=inst.node_costs,
-            support_cap=inst.support_cap,
-            strategy_cap=args.cap_strategies,
-        )
+        inst = dataclasses.replace(inst, strategy_cap=args.cap_strategies)
+    return inst
+
+
+def _load_multicast(args, command: str) -> GameInstance:
+    inst = _load_instance(args)
+    if inst.kind != "multicast":
+        raise NetgamesError(f"{command} needs a multicast (rooted) instance")
     return inst
 
 
 def cmd_eval(args) -> int:
     inst = _load_instance(args)
-    with open(args.strategy, encoding="utf-8") as f:
-        s = parse_strategy(inst, f.read())
+    s = parse_strategy(inst, _read(args.strategy))
     report = {
         "expected_social_cost": _frac_str(games.expected_social_cost(inst, s)),
         "expected_potential": _frac_str(games.expected_potential(inst, s)),
@@ -190,9 +190,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_scheme_check(args) -> int:
-    inst = _load_instance(args)
-    if inst.kind != "multicast":
-        raise NetgamesError("scheme-check needs a multicast (rooted) instance")
+    inst = _load_multicast(args, "scheme-check")
     scheme = costsharing.steiner_scheme(inst.graph)
     rng = random.Random(args.seed)
     nodes = [n for n in inst.graph.nodes if n != inst.graph.root]
@@ -234,7 +232,7 @@ def cmd_scheme_check(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    inst = _load_instance(args)
+    inst = _load_multicast(args, "sample")
     scheme = costsharing.steiner_scheme(inst.graph)
     if args.samples:
         rep = sampling.evaluate_construction_mc(

@@ -17,12 +17,14 @@ from .errors import (
 from .games import (
     GameInstance,
     Action,
+    action_cost,
     expected_opt,
     expected_potential,
     expected_social_cost,
     feasible_actions,
     harmonic,
-    player_cost,
+    use_probabilities,
+    use_row,
 )
 
 DEFAULT_STRATEGY_CAP = 10 ** 7
@@ -89,42 +91,27 @@ def all_strategy_profiles(inst: GameInstance, cap: int = DEFAULT_STRATEGY_CAP):
         yield tuple(combo)
 
 
-def _opponent_profiles(inst: GameInstance, i: int):
-    supports = [spec.distribution for j, spec in enumerate(inst.players) if j != i]
-    for combo in itertools.product(*supports):
-        types = [t for t, _ in combo]
-        w = Fraction(1)
-        for _, p in combo:
-            w *= p
-        yield types, w
-
-
-def interim_cost(inst: GameInstance, s: tuple, i: int, t, action: Action) -> Fraction:
+def interim_cost(
+    inst: GameInstance, s: tuple, i: int, t, action: Action, *, uses=None
+) -> Fraction:
     """Player i's expected cost at type t playing `action`, with opponents
-    following s on their realized types."""
-    total = Fraction(0)
-    for others, w in _opponent_profiles(inst, i):
-        profile = []
-        k = 0
-        for j in range(inst.n):
-            if j == i:
-                profile.append(action)
-            else:
-                profile.append(s[j][others[k]])
-                k += 1
-        total += w * player_cost(inst, tuple(profile), i)
-    return total
+    following s on their realized types.  Types are independent, so t
+    matters only through `action`.  `uses` is s's use-probability table
+    (`games.use_probabilities`) when the caller already holds it."""
+    q = use_probabilities(inst, s) if uses is None else uses
+    return action_cost(inst, q, i, action)
 
 
 def verify_bne(inst: GameInstance, s: tuple) -> EquilibriumReport:
     """Check the interim best-response inequality for every player, support
     type, and feasible deviation.  Weak inequality with exact rationals."""
+    q = use_probabilities(inst, s)
     worst = None
     for i, spec in enumerate(inst.players):
         for t, _ in spec.distribution:
-            current = interim_cost(inst, s, i, t, s[i][t])
+            current = interim_cost(inst, s, i, t, s[i][t], uses=q)
             for alt in feasible_actions(inst, i, t):
-                gap = current - interim_cost(inst, s, i, t, alt)
+                gap = current - interim_cost(inst, s, i, t, alt, uses=q)
                 if gap > 0 and (worst is None or gap > worst[3]):
                     worst = (i, t, alt, gap)
     return EquilibriumReport(profile=s, is_bne=worst is None, worst_violation=worst)
@@ -164,6 +151,7 @@ def best_response_dynamics(
     strictly decreases the expected potential, so this terminates at a BNE
     on exact-rational instances.  Ties keep the incumbent action."""
     s = tuple(dict(p) for p in s0)
+    q = use_probabilities(inst, s)
     trace = [expected_potential(inst, s)]
     for _ in range(max_rounds):
         changed = False
@@ -171,13 +159,14 @@ def best_response_dynamics(
             for t, _ in spec.distribution:
                 incumbent = s[i][t]
                 best_act = incumbent
-                best_val = interim_cost(inst, s, i, t, incumbent)
+                best_val = interim_cost(inst, s, i, t, incumbent, uses=q)
                 for alt in feasible_actions(inst, i, t):
-                    val = interim_cost(inst, s, i, t, alt)
+                    val = interim_cost(inst, s, i, t, alt, uses=q)
                     if val < best_val:
                         best_act, best_val = alt, val
                 if best_act != incumbent:
                     s[i][t] = best_act
+                    q[i] = use_row(spec, s[i])
                     changed = True
                     trace.append(expected_potential(inst, s))
         if not changed:

@@ -2,6 +2,10 @@
 fair-share player costs, the harmonic congestion potential, and exact
 expectations over finite independent type distributions.
 
+Expected cost, expected potential and interim costs are closed-form sums
+over elements of the exact law of each element's use count; they never
+enumerate type profiles, so `support_cap` bounds only `expected_opt`.
+
 Game kinds
 ----------
 multicast        players connect a private source to the graph's root
@@ -12,10 +16,13 @@ hypergraph-cover players hit a private size-d hyperedge by buying one node
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional
 
 from .errors import NoFeasibleActionError, SupportTooLargeError, ValidationError
 from . import graphs
@@ -29,6 +36,7 @@ DEFAULT_SUPPORT_CAP = 10 ** 6
 EMPTY_ELEMENTS = frozenset()
 
 
+@functools.lru_cache(maxsize=None)
 def harmonic(n: int) -> Fraction:
     """H_n = 1 + 1/2 + ... + 1/n (H_0 = 0)."""
     return sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))
@@ -132,22 +140,26 @@ class GameInstance:
             self._validate_cover_nodes(i, t)
 
     def _validate_cover_nodes(self, i, t):
-        known = {n for n, _ in self.node_costs}
         for n in t:
-            if n not in known:
+            if n not in self._cover_costs:
                 raise ValidationError(f"players[{i}]", f"unknown cover node {n!r}")
 
     @property
     def n(self) -> int:
         return len(self.players)
 
+    @functools.cached_property
+    def _cover_costs(self) -> dict:
+        return dict(self.node_costs)
+
     def element_cost(self, e) -> Fraction:
         if self.kind in GRAPH_KINDS:
             return self.graph.cost(e)
-        return dict(self.node_costs)[e]
+        return self._cover_costs[e]
 
-    def cover_cost_map(self) -> dict:
-        return dict(self.node_costs)
+    def cover_cost_map(self) -> Mapping:
+        """Read-only node -> cost map of a cover instance."""
+        return MappingProxyType(self._cover_costs)
 
     def support_size(self) -> int:
         size = 1
@@ -253,14 +265,6 @@ def potential_difference_check(
 # Bayesian strategies and exact expectations
 
 
-def strategy_action(strategy: dict, t) -> Action:
-    return strategy[t]
-
-
-def profile_actions(s: tuple, type_profile: tuple) -> tuple:
-    return tuple(s[i][t] for i, t in enumerate(type_profile))
-
-
 def type_profiles(inst: GameInstance, cap: Optional[int] = None):
     """Yield (type_profile, weight) over the full product support, in
     canonical order.  Weights are exact and sum to 1."""
@@ -278,29 +282,74 @@ def type_profiles(inst: GameInstance, cap: Optional[int] = None):
         yield tp, w
 
 
-def expected_social_cost(inst: GameInstance, s: tuple) -> Fraction:
+def use_row(spec: PlayerSpec, strategy: dict) -> dict:
+    """Element -> probability that the player uses it under `strategy`."""
+    row: dict = {}
+    for t, p in spec.distribution:
+        for e in strategy[t].elements:
+            row[e] = row.get(e, 0) + p
+    return row
+
+
+def use_probabilities(inst: GameInstance, s: tuple) -> list[dict]:
+    """The table q of profile s: row j is player j's `use_row`."""
+    return [use_row(spec, strategy) for spec, strategy in zip(inst.players, s)]
+
+
+def count_law(q: list[dict], e, skip: Optional[int] = None) -> list[Fraction]:
+    """Exact law of the number of players other than `skip` using e, each
+    player j independently with probability q[j][e]: entry k is the
+    probability of k users (Poisson-binomial DP, O(n^2))."""
+    law = [Fraction(1)]
+    for j, row in enumerate(q):
+        p = row.get(e, 0)
+        if p and j != skip:
+            law = [a * (1 - p) + b * p for a, b in zip(law + [0], [0] + law)]
+    return law
+
+
+def action_cost(inst: GameInstance, q: list[dict], i: int, action: Action) -> Fraction:
+    """Expected fair-share cost to player i of `action` when the others use
+    elements with the probabilities q: sum of c_e * E[1/(1 + N_{-i,e})]."""
     return sum(
-        (w * social_cost(inst, profile_actions(s, tp)) for tp, w in type_profiles(inst)),
+        (
+            inst.element_cost(e)
+            * sum(w / (k + 1) for k, w in enumerate(count_law(q, e, skip=i)))
+            for e in action.elements
+        ),
+        Fraction(0),
+    )
+
+
+def expected_social_cost(inst: GameInstance, s: tuple) -> Fraction:
+    """Sum over elements e of c_e * P(some player uses e)."""
+    q = use_probabilities(inst, s)
+    return sum(
+        (
+            inst.element_cost(e) * (1 - math.prod(1 - row.get(e, 0) for row in q))
+            for e in set().union(*q)
+        ),
         Fraction(0),
     )
 
 
 def expected_potential(inst: GameInstance, s: tuple) -> Fraction:
+    """Sum over elements e of c_e * E[H_N], N the number of users of e."""
+    q = use_probabilities(inst, s)
     return sum(
         (
-            w * rosenthal_potential(inst, profile_actions(s, tp))
-            for tp, w in type_profiles(inst)
+            inst.element_cost(e)
+            * sum(w * harmonic(k) for k, w in enumerate(count_law(q, e)))
+            for e in set().union(*q)
         ),
         Fraction(0),
     )
 
 
 def expected_player_cost(inst: GameInstance, s: tuple, i: int) -> Fraction:
+    q = use_probabilities(inst, s)
     return sum(
-        (
-            w * player_cost(inst, profile_actions(s, tp), i)
-            for tp, w in type_profiles(inst)
-        ),
+        (p * action_cost(inst, q, i, s[i][t]) for t, p in inst.players[i].distribution),
         Fraction(0),
     )
 

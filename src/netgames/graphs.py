@@ -33,10 +33,6 @@ def edge_key(u: str, v: str) -> Edge:
     return (u, v) if u <= v else (v, u)
 
 
-def edge_set_sort_key(edges: Iterable[Edge]) -> tuple:
-    return tuple(sorted(edges))
-
-
 @dataclass(frozen=True)
 class Graph:
     nodes: tuple[str, ...]

@@ -121,8 +121,9 @@ def construct_strategy_noniid(
     )
 
 
-def _draw_support(inst: GameInstance, variant: str):
-    """Enumerate all draws D with their exact probabilities."""
+def _draw_support(inst: GameInstance, variant: str, cap: int):
+    """All draws D with their exact probabilities; more than `cap` draws
+    raise SupportTooLargeError before any is enumerated."""
     if variant == "iid":
         _require_iid(inst)
         dists = [inst.players[0].distribution] * (inst.n - 1)
@@ -130,12 +131,13 @@ def _draw_support(inst: GameInstance, variant: str):
         dists = [spec.distribution for spec in inst.players]
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    for combo in itertools.product(*dists):
-        types = tuple(t for t, _ in combo)
-        w = Fraction(1)
-        for _, p in combo:
-            w *= p
-        yield types, w
+    size = math.prod(len(d) for d in dists)
+    if size > cap:
+        raise SupportTooLargeError(f"draw support {size} exceeds cap {cap}")
+    return (
+        (tuple(t for t, _ in combo), math.prod((p for _, p in combo), start=Fraction(1)))
+        for combo in itertools.product(*dists)
+    )
 
 
 def _construct(inst, scheme, variant, types) -> tuple:
@@ -155,21 +157,13 @@ def evaluate_construction_exact(
     constructed profile's social cost, compared with (alpha+beta) times the
     expected optimum."""
     _require_multicast(inst)
-    cap = inst.support_cap if cap is None else cap
-    draw_count = 1
-    for spec in (
-        [inst.players[0]] * (inst.n - 1) if variant == "iid" else list(inst.players)
-    ):
-        draw_count *= len(spec.distribution)
-    if draw_count * inst.support_size() > cap:
-        raise SupportTooLargeError("draw x type product support exceeds cap")
-
+    draws = _draw_support(inst, variant, inst.support_cap if cap is None else cap)
     opt = expected_opt(inst)
     total = Fraction(0)
     first_stage = Fraction(0)
     augmentation = Fraction(0)
     best_ratio = None
-    for types, w in _draw_support(inst, variant):
+    for types, w in draws:
         base = scheme.approx(_clients(inst, types))
         s = _construct(inst, scheme, variant, types)
         cost = expected_social_cost(inst, s)
@@ -273,9 +267,8 @@ def derandomize(
     """Pick the draw D whose constructed profile has the smallest exact
     expected cost (min over draws is at most the draw-averaged cost)."""
     _require_multicast(inst)
-    cap = inst.support_cap if cap is None else cap
     best = None
-    for types, _ in _draw_support(inst, variant):
+    for types, _ in _draw_support(inst, variant, inst.support_cap if cap is None else cap):
         s = _construct(inst, scheme, variant, types)
         cost = expected_social_cost(inst, s)
         key = (cost, types)

@@ -26,6 +26,11 @@ def uniform(types):
     return PlayerSpec(distribution=tuple((t, p) for t in types))
 
 
+def profile_actions(s, type_profile):
+    """The actions profile s plays on one realized type profile."""
+    return tuple(s[i][t] for i, t in enumerate(type_profile))
+
+
 def multicast(graph, *specs):
     return GameInstance(kind="multicast", players=tuple(specs), graph=graph)
 

@@ -23,10 +23,10 @@ from netgames import (
     type_profiles,
 )
 from netgames.errors import SupportTooLargeError, ValidationError
-from netgames.games import GameInstance, PlayerSpec, profile_actions
+from netgames.games import GameInstance, PlayerSpec
 from netgames.instances import gen_instance
 
-from conftest import multicast, point_mass, uniform
+from conftest import multicast, point_mass, profile_actions, uniform
 
 
 def shared_edge_instance(n=2):

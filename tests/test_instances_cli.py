@@ -180,3 +180,21 @@ class TestCli:
         inst_path.write_text(MINIMAL)
         assert main(["bpos", "--instance", str(inst_path)]) == 0
         assert json.loads(capsys.readouterr().out) == {"bpos": "1"}
+
+    @pytest.mark.parametrize("kind", ["vertex-cover", "source-sink"])
+    def test_sample_rejects_non_multicast(self, tmp_path, capsys, kind):
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(serialize_instance(gen_instance(kind, seed=1)))
+        assert main(["sample", "--instance", str(inst_path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "sample needs a multicast (rooted) instance"}
+
+    def test_missing_input_file(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        assert main(["bpos", "--instance", str(missing)]) == 1
+        assert "cannot read" in json.loads(capsys.readouterr().err)["error"]
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(MINIMAL)
+        argv = ["eval", "--instance", str(inst_path), "--strategy", str(missing)]
+        assert main(argv) == 1
+        assert "cannot read" in json.loads(capsys.readouterr().err)["error"]

@@ -16,6 +16,7 @@ from netgames import (
     shortest_path,
     steiner_scheme,
 )
+from netgames.errors import SupportTooLargeError
 from netgames.games import GameInstance, PlayerSpec
 from netgames.instances import gen_instance
 
@@ -203,3 +204,14 @@ class TestGuards:
         inst = multicast(triangle, point_mass("a"), point_mass("b"))
         with pytest.raises(ValueError):
             construct_strategy_iid(inst, scheme_for(inst), enumerated(["a"]))
+
+    def test_cap_bounds_the_draws_only(self, triangle):
+        """Expectations are closed-form, so the cap bounds the number of
+        draws (and the support of expected_opt), not draws x support."""
+        inst = multicast(triangle, uniform(["a", "b"]), uniform(["a", "r"]))
+        scheme = scheme_for(inst)
+        rep = evaluate_construction_exact(inst, scheme, "noniid", cap=4)
+        assert rep.total == evaluate_construction_exact(inst, scheme, "noniid").total
+        for run in (evaluate_construction_exact, derandomize):
+            with pytest.raises(SupportTooLargeError):
+                run(inst, scheme, "noniid", cap=3)
