@@ -11,7 +11,6 @@ from .graphs import (
     graph_from_costs,
     shortest_path,
     metric_closure,
-    mst_over_terminals,
     steiner_tree_exact,
     steiner_forest_exact,
     cover_exact,

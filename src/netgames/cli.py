@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import costsharing, equilibria, games, instances, sampling
-from .errors import NetgamesError
+from .errors import NetgamesError, ParseError, PreconditionError, ValidationError
 from .games import GameInstance, feasible_actions
 
 
@@ -55,14 +55,25 @@ def encode_profile(inst: GameInstance, s: tuple) -> list:
     return out
 
 
+def _field(doc, key: str, where: str):
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValidationError(where, f"missing {key!r}")
+    return doc[key]
+
+
 def parse_strategy(inst: GameInstance, text: str) -> tuple:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"strategy line {exc.lineno}: {exc.msg}")
     profile = []
-    for i, pdoc in enumerate(doc["players"]):
+    for i, pdoc in enumerate(_field(doc, "players", "strategy")):
         strat = {}
-        for entry in pdoc["strategies"]:
-            t = instances._decode_type(inst.kind, entry["type"])
-            elements = frozenset(_decode_element(inst, e) for e in entry["action"])
+        for entry in _field(pdoc, "strategies", f"players[{i}]"):
+            where = f"players[{i}].strategies"
+            t = instances._decode_type(inst.kind, _field(entry, "type", where))
+            action = _field(entry, "action", where)
+            elements = frozenset(_decode_element(inst, e) for e in action)
             menu = {a.elements: a for a in feasible_actions(inst, i, t)}
             if elements not in menu:
                 raise NetgamesError(
@@ -139,7 +150,7 @@ def cmd_eval(args) -> int:
 
 def cmd_bne(args) -> int:
     inst = _load_instance(args)
-    s = equilibria.min_potential_profile(inst, inst.strategy_cap)
+    s = equilibria.min_potential_profile(inst)
     rep = equilibria.verify_bne(inst, s)
     report = {
         "is_bne": rep.is_bne,
@@ -153,25 +164,21 @@ def cmd_bne(args) -> int:
 
 def cmd_bpos(args) -> int:
     inst = _load_instance(args)
-    report = {"bpos": _frac_str(equilibria.bpos_exact(inst, inst.strategy_cap))}
+    report = {"bpos": _frac_str(equilibria.bpos_exact(inst))}
     _emit(report, args.format, args.out)
     return 0
 
 
 def cmd_ig(args) -> int:
     inst = _load_instance(args)
-    report = {
-        "information_gap": _frac_str(
-            equilibria.information_gap_exact(inst, inst.strategy_cap)
-        )
-    }
+    report = {"information_gap": _frac_str(equilibria.information_gap_exact(inst))}
     _emit(report, args.format, args.out)
     return 0
 
 
 def cmd_certify(args) -> int:
     inst = _load_instance(args)
-    cert = equilibria.potential_method_certificate(inst, inst.strategy_cap)
+    cert = equilibria.potential_method_certificate(inst)
     report = {
         "links": [
             {
@@ -194,6 +201,10 @@ def cmd_scheme_check(args) -> int:
     scheme = costsharing.steiner_scheme(inst.graph)
     rng = random.Random(args.seed)
     nodes = [n for n in inst.graph.nodes if n != inst.graph.root]
+    if not nodes:
+        raise PreconditionError("scheme-check needs a node other than the root")
+    if args.samples < 0:
+        raise PreconditionError("--samples must not be negative")
     rows = []
     all_pass = True
     cases = args.samples if args.samples else 50

@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from . import graphs
-from .errors import DisconnectedError
-from .graphs import EdgeSet, Graph, Metric
+from .errors import DisconnectedError, PreconditionError
+from .graphs import EdgeSet, Graph
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,6 @@ class CostSharingScheme:
     approx: Callable[[frozenset], EdgeSet]  # A
     augment: Callable[[EdgeSet, object], EdgeSet]  # B
     share: Callable[[frozenset, object], Fraction]  # xi
-    optimum: Callable[[frozenset], EdgeSet]  # exact OPT handle
     is_solution: Callable[[frozenset, frozenset], bool]  # Sol(U) membership
     cross_monotone: bool = False
 
@@ -46,7 +45,7 @@ def steiner_scheme(g: Graph) -> CostSharingScheme:
     """Rooted Steiner-tree scheme with alpha = 1 and beta = 2.  Clients are
     graph nodes; a solution for U connects U and the root."""
     if g.root is None:
-        raise ValueError("steiner scheme needs a rooted graph")
+        raise PreconditionError("steiner scheme needs a rooted graph")
     if not g.is_connected():
         raise DisconnectedError("graph is not connected")
     root = g.root
@@ -77,11 +76,8 @@ def steiner_scheme(g: Graph) -> CostSharingScheme:
             return Fraction(0)
         return metric.d_to_set(others, x) / 2
 
-    def optimum(clients: frozenset) -> EdgeSet:
-        return approx(clients)
-
     def is_solution(elements: frozenset, clients: frozenset) -> bool:
-        comp = _components_with(g, elements)
+        comp = graphs._components(g.nodes, elements)
         return all(comp[c] == comp[root] for c in clients)
 
     return CostSharingScheme(
@@ -91,33 +87,17 @@ def steiner_scheme(g: Graph) -> CostSharingScheme:
         approx=approx,
         augment=augment,
         share=share,
-        optimum=optimum,
         is_solution=is_solution,
         cross_monotone=True,
     )
 
 
-def _components_with(g: Graph, elements: frozenset) -> dict:
-    parent = {n: n for n in g.nodes}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in elements:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    return {n: find(n) for n in g.nodes}
-
-
 def check_competitiveness(scheme: CostSharingScheme, clients: Iterable) -> SchemeCheck:
-    """Sum of shares over the client set versus the exact optimum cost."""
+    """Sum of shares over the client set versus the cost of A on it, which is
+    the exact optimum for the shipped Steiner scheme (alpha = 1)."""
     U = frozenset(clients)
     lhs = sum((scheme.share(U, x) for x in U), Fraction(0))
-    rhs = scheme.optimum(U).cost
+    rhs = scheme.approx(U).cost
     return SchemeCheck(lhs=lhs, rhs=rhs)
 
 
@@ -137,7 +117,7 @@ def check_cross_monotonicity(
     U = frozenset(clients)
     U_sup = frozenset(clients_sup)
     if not U <= U_sup:
-        raise ValueError("first client set must be contained in the second")
+        raise PreconditionError("first client set must be contained in the second")
     if x not in U:
-        raise ValueError("client must belong to the smaller set")
+        raise PreconditionError("client must belong to the smaller set")
     return SchemeCheck(lhs=scheme.share(U_sup, x), rhs=scheme.share(U, x))

@@ -27,8 +27,6 @@ from .games import (
     use_row,
 )
 
-DEFAULT_STRATEGY_CAP = 10 ** 7
-
 
 @dataclass(frozen=True)
 class EquilibriumReport:
@@ -82,10 +80,12 @@ def player_strategies(inst: GameInstance, i: int):
         yield dict(zip(types, combo))
 
 
-def all_strategy_profiles(inst: GameInstance, cap: int = DEFAULT_STRATEGY_CAP):
+def all_strategy_profiles(inst: GameInstance):
     size = strategy_space_size(inst)
-    if size > cap:
-        raise StrategySpaceTooLargeError(f"strategy space {size} exceeds cap {cap}")
+    if size > inst.strategy_cap:
+        raise StrategySpaceTooLargeError(
+            f"strategy space {size} exceeds cap {inst.strategy_cap}"
+        )
     spaces = [list(player_strategies(inst, i)) for i in range(inst.n)]
     for combo in itertools.product(*spaces):
         yield tuple(combo)
@@ -117,24 +117,24 @@ def verify_bne(inst: GameInstance, s: tuple) -> EquilibriumReport:
     return EquilibriumReport(profile=s, is_bne=worst is None, worst_violation=worst)
 
 
-def min_potential_profile(inst: GameInstance, cap: int = DEFAULT_STRATEGY_CAP) -> tuple:
+def min_potential_profile(inst: GameInstance) -> tuple:
     """Exact minimizer of the expected potential over all pure Bayesian
     strategy profiles; first minimizer in canonical order on ties."""
     best = None
     best_val = None
-    for s in all_strategy_profiles(inst, cap):
+    for s in all_strategy_profiles(inst):
         val = expected_potential(inst, s)
         if best_val is None or val < best_val:
             best, best_val = s, val
     return best
 
 
-def min_cost_profile(inst: GameInstance, cap: int = DEFAULT_STRATEGY_CAP) -> tuple:
+def min_cost_profile(inst: GameInstance) -> tuple:
     """Exact minimizer of the expected social cost (no equilibrium
     constraint); realizes the numerator of the information gap."""
     best = None
     best_val = None
-    for s in all_strategy_profiles(inst, cap):
+    for s in all_strategy_profiles(inst):
         val = expected_social_cost(inst, s)
         if best_val is None or val < best_val:
             best, best_val = s, val
@@ -174,45 +174,37 @@ def best_response_dynamics(
     raise NoConvergenceError(max_rounds)
 
 
-def enumerate_pure_bne(inst: GameInstance, cap: int = DEFAULT_STRATEGY_CAP) -> list:
-    return [
-        s for s in all_strategy_profiles(inst, cap) if verify_bne(inst, s).is_bne
-    ]
+def enumerate_pure_bne(inst: GameInstance) -> list:
+    return [s for s in all_strategy_profiles(inst) if verify_bne(inst, s).is_bne]
 
 
-def bpos_exact(inst: GameInstance, cap: int = DEFAULT_STRATEGY_CAP) -> Fraction:
+def bpos_exact(inst: GameInstance) -> Fraction:
     """Bayesian price of stability: best pure BNE expected cost over the
     expected full-information optimum."""
     opt = expected_opt(inst)
     if opt == 0:
         raise ZeroOptimumError("expected optimum is zero; ratio undefined")
-    best = min(
-        expected_social_cost(inst, s) for s in enumerate_pure_bne(inst, cap)
-    )
+    best = min(expected_social_cost(inst, s) for s in enumerate_pure_bne(inst))
     return best / opt
 
 
-def information_gap_exact(inst: GameInstance, cap: int = DEFAULT_STRATEGY_CAP) -> Fraction:
+def information_gap_exact(inst: GameInstance) -> Fraction:
     """Best expected cost achievable with private-information strategies,
     over the expected full-information optimum."""
     opt = expected_opt(inst)
     if opt == 0:
         raise ZeroOptimumError("expected optimum is zero; ratio undefined")
-    best = min(
-        expected_social_cost(inst, s) for s in all_strategy_profiles(inst, cap)
-    )
+    best = min(expected_social_cost(inst, s) for s in all_strategy_profiles(inst))
     return best / opt
 
 
-def potential_method_certificate(
-    inst: GameInstance, cap: int = DEFAULT_STRATEGY_CAP
-) -> CertificateReport:
+def potential_method_certificate(inst: GameInstance) -> CertificateReport:
     """Verify the potential-method inequality chain link by link, with
     closeness constants lam = 1 and mu = H_n."""
     lam = Fraction(1)
     mu = harmonic(inst.n)
-    s_star = min_potential_profile(inst, cap)
-    s_tilde = min_cost_profile(inst, cap)
+    s_star = min_potential_profile(inst)
+    s_tilde = min_cost_profile(inst)
     k_star = expected_social_cost(inst, s_star)
     psi_star = expected_potential(inst, s_star)
     psi_tilde = expected_potential(inst, s_tilde)
@@ -221,7 +213,7 @@ def potential_method_certificate(
     if opt == 0:
         raise ZeroOptimumError("expected optimum is zero; ratio undefined")
     ig = k_tilde / opt
-    bpos = bpos_exact(inst, cap)
+    bpos = bpos_exact(inst)
     links = (
         CertificateLink("cost_below_potential", k_star, psi_star / lam),
         CertificateLink("potential_minimizer", psi_star / lam, psi_tilde / lam),

@@ -46,6 +46,11 @@ class NoConvergenceError(NetgamesError):
         self.max_rounds = max_rounds
 
 
+class PreconditionError(NetgamesError, ValueError):
+    """An argument outside a function's domain, such as an unknown variant or
+    a sample count below one."""
+
+
 class ParseError(NetgamesError):
     pass
 

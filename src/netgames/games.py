@@ -4,7 +4,9 @@ expectations over finite independent type distributions.
 
 Expected cost, expected potential and interim costs are closed-form sums
 over elements of the exact law of each element's use count; they never
-enumerate type profiles, so `support_cap` bounds only `expected_opt`.
+enumerate type profiles, so here `support_cap` bounds only `expected_opt`.
+`weighted_product` is the one capped product enumeration, shared with the
+draw enumerations of `sampling`.
 
 Game kinds
 ----------
@@ -32,6 +34,7 @@ GRAPH_KINDS = ("multicast", "source-sink")
 COVER_KINDS = ("vertex-cover", "hypergraph-cover")
 
 DEFAULT_SUPPORT_CAP = 10 ** 6
+DEFAULT_STRATEGY_CAP = 10 ** 7
 
 EMPTY_ELEMENTS = frozenset()
 
@@ -77,7 +80,7 @@ class GameInstance:
     graph: Optional[Graph] = None
     node_costs: Optional[tuple] = None  # ((node, Fraction), ...) for cover kinds
     support_cap: int = DEFAULT_SUPPORT_CAP
-    strategy_cap: int = 10 ** 7
+    strategy_cap: int = DEFAULT_STRATEGY_CAP
 
     def __post_init__(self):
         if self.kind not in GRAPH_KINDS + COVER_KINDS:
@@ -97,6 +100,9 @@ class GameInstance:
                 "node_costs",
                 tuple(sorted((n, Fraction(c)) for n, c in self.node_costs)),
             )
+            for n, c in self.node_costs:
+                if c < 0:
+                    raise ValidationError(f"node_costs.{n}", f"negative cost {c}")
         self._validate_players()
 
     def _validate_players(self):
@@ -265,21 +271,25 @@ def potential_difference_check(
 # Bayesian strategies and exact expectations
 
 
-def type_profiles(inst: GameInstance, cap: Optional[int] = None):
-    """Yield (type_profile, weight) over the full product support, in
-    canonical order.  Weights are exact and sum to 1."""
-    cap = inst.support_cap if cap is None else cap
-    if inst.support_size() > cap:
-        raise SupportTooLargeError(
-            f"product support {inst.support_size()} exceeds cap {cap}"
-        )
-    supports = [spec.distribution for spec in inst.players]
-    for combo in itertools.product(*supports):
-        tp = tuple(t for t, _ in combo)
-        w = Fraction(1)
-        for _, p in combo:
-            w *= p
-        yield tp, w
+def weighted_product(inst: GameInstance, distributions, what: str):
+    """(types, exact weight) over the product of `distributions`, in
+    `itertools.product` order.  A product larger than `inst.support_cap`
+    raises SupportTooLargeError before anything is enumerated."""
+    size = math.prod(len(d) for d in distributions)
+    if size > inst.support_cap:
+        raise SupportTooLargeError(f"{what} {size} exceeds cap {inst.support_cap}")
+    return (
+        (tuple(t for t, _ in combo), math.prod((p for _, p in combo), start=Fraction(1)))
+        for combo in itertools.product(*distributions)
+    )
+
+
+def type_profiles(inst: GameInstance):
+    """(type_profile, weight) over the full product support, in canonical
+    order.  Weights are exact and sum to 1."""
+    return weighted_product(
+        inst, [spec.distribution for spec in inst.players], "product support"
+    )
 
 
 def use_row(spec: PlayerSpec, strategy: dict) -> dict:

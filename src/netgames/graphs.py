@@ -1,5 +1,5 @@
 """Weighted undirected graphs with exact rational costs, plus the exact
-combinatorial solvers (shortest paths, metric closure, MST, Steiner tree and
+combinatorial solvers (shortest paths, metric closure, Steiner tree and
 forest, hitting sets) that the game layer uses as its optimum.
 
 All costs are `fractions.Fraction`; every argmin is broken lexicographically
@@ -200,34 +200,6 @@ def _dijkstra_costs(g: Graph, source: str) -> dict[str, Fraction]:
                 dist[nxt] = nd
                 heapq.heappush(heap, (nd, nxt))
     return dist
-
-
-def mst_over_terminals(m: Metric, terminals: Iterable[str]) -> tuple[EdgeSet, Fraction]:
-    """Kruskal on the metric-closure clique restricted to `terminals`."""
-    terms = sorted(set(terminals))
-    if not terms:
-        raise ValueError("terminal set must be nonempty")
-    pairs = sorted(
-        ((m.d(a, b), (a, b)) for a, b in itertools.combinations(terms, 2))
-    )
-    parent = {t: t for t in terms}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    chosen = []
-    total = Fraction(0)
-    for d, (a, b) in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            chosen.append((a, b))
-            total += d
-    es = EdgeSet(edges=frozenset(chosen), cost=total)
-    return es, total
 
 
 def _candidate_key(cost: Fraction, edges: frozenset) -> tuple:

@@ -26,11 +26,11 @@ from fractions import Fraction
 
 from .errors import ParseError, ValidationError
 from .games import (
+    DEFAULT_STRATEGY_CAP,
     DEFAULT_SUPPORT_CAP,
     GameInstance,
     PlayerSpec,
 )
-from .equilibria import DEFAULT_STRATEGY_CAP
 from .graphs import Graph
 
 FORMAT_VERSION = 1
@@ -41,6 +41,14 @@ def _rational(value, field: str) -> Fraction:
         return Fraction(str(value))
     except (ValueError, ZeroDivisionError):
         raise ValidationError(field, f"not a rational: {value!r}")
+
+
+def _cap(caps: dict, name: str, default: int) -> int:
+    value = caps.get(name, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"caps.{name}", f"not an integer: {value!r}")
 
 
 def _decode_type(kind: str, raw):
@@ -74,8 +82,10 @@ def parse_instance(text: str) -> GameInstance:
         raise ValidationError("version", f"expected {FORMAT_VERSION}")
     kind = doc.get("kind")
     caps = doc.get("caps") or {}
-    support_cap = int(caps.get("support", DEFAULT_SUPPORT_CAP))
-    strategy_cap = int(caps.get("strategies", DEFAULT_STRATEGY_CAP))
+    if not isinstance(caps, dict):
+        raise ValidationError("caps", f"not an object: {caps!r}")
+    support_cap = _cap(caps, "support", DEFAULT_SUPPORT_CAP)
+    strategy_cap = _cap(caps, "strategies", DEFAULT_STRATEGY_CAP)
 
     graph = None
     node_costs = None
@@ -83,9 +93,9 @@ def parse_instance(text: str) -> GameInstance:
         gdoc = doc["graph"]
         edges = []
         for e in gdoc.get("edges", []):
+            if "u" not in e or "v" not in e:
+                raise ValidationError("graph.edges", f"edge without u or v: {e!r}")
             cost = _rational(e.get("cost"), "graph.edges.cost")
-            if cost < 0:
-                raise ValidationError("graph.edges.cost", f"negative cost {cost}")
             edges.append(((e["u"], e["v"]), cost))
         try:
             graph = Graph(
@@ -101,9 +111,6 @@ def parse_instance(text: str) -> GameInstance:
             (n, _rational(c, f"cover.node_costs.{n}"))
             for n, c in cdoc.get("node_costs", {}).items()
         )
-        for n, c in node_costs:
-            if c < 0:
-                raise ValidationError(f"cover.node_costs.{n}", f"negative cost {c}")
 
     players = []
     for i, pdoc in enumerate(doc.get("players", [])):

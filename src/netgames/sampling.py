@@ -6,7 +6,6 @@ derandomization over the draw are provided."""
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -14,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .costsharing import CostSharingScheme
-from .errors import SupportTooLargeError
+from .errors import PreconditionError
 from .games import (
     EMPTY_ACTION,
     Action,
@@ -22,6 +21,7 @@ from .games import (
     expected_opt,
     expected_social_cost,
     social_cost,
+    weighted_product,
 )
 from .graphs import Graph, EdgeSet
 from . import graphs
@@ -49,7 +49,7 @@ class ConstructionReport:
 
 def _require_multicast(inst: GameInstance):
     if inst.kind != "multicast":
-        raise ValueError(
+        raise PreconditionError(
             "sampling constructions are implemented for multicast games only"
         )
 
@@ -58,7 +58,29 @@ def _require_iid(inst: GameInstance):
     first = inst.players[0].distribution
     for spec in inst.players[1:]:
         if spec.distribution != first:
-            raise ValueError("i.i.d. construction needs identical distributions")
+            raise PreconditionError("i.i.d. construction needs identical distributions")
+
+
+def _draw_distributions(inst: GameInstance, variant: str) -> list:
+    """The distributions the shared draw D samples: n - 1 copies of the
+    common one (i.i.d.) or one per player (non-i.i.d.)."""
+    if variant == "iid":
+        _require_iid(inst)
+        return [inst.players[0].distribution] * (inst.n - 1)
+    if variant == "noniid":
+        return [spec.distribution for spec in inst.players]
+    raise PreconditionError(f"unknown variant {variant!r}")
+
+
+def _draws(inst: GameInstance, variant: str):
+    """All draws D with their exact probabilities; more than
+    `inst.support_cap` draws raise SupportTooLargeError."""
+    return weighted_product(inst, _draw_distributions(inst, variant), "draw support")
+
+
+def _support_types(inst: GameInstance) -> list:
+    """Every type of some player's support, once, in first-seen order."""
+    return list(dict.fromkeys(t for spec in inst.players for t in spec.support()))
 
 
 def _restricted_action(g: Graph, allowed: frozenset, source: str) -> Action:
@@ -75,21 +97,32 @@ def _restricted_action(g: Graph, allowed: frozenset, source: str) -> Action:
     return Action(elements=p.edges, cost=p.cost)
 
 
-def _strategy_map(
-    inst: GameInstance, scheme: CostSharingScheme, base: EdgeSet, support
-) -> dict:
-    g = inst.graph
-    out = {}
-    for t in support:
-        aug = scheme.augment(base, t)
-        allowed = base.edges | aug.edges
-        out[t] = _restricted_action(g, allowed, t)
-    return out
-
-
 def _clients(inst: GameInstance, D: tuple) -> frozenset:
     # Duplicates collapse; the root is never a client of the base solution.
     return frozenset(t for t in D if t != inst.graph.root)
+
+
+def _draw_step(
+    inst: GameInstance, scheme: CostSharingScheme, D: tuple, types
+) -> tuple[EdgeSet, dict]:
+    """The base solution A(D), solved once, and per type t of `types` the
+    pair (B(A(D), t), cheapest action inside A(D) | B(A(D), t))."""
+    base = scheme.approx(_clients(inst, D))
+    menu = {}
+    for t in types:
+        aug = scheme.augment(base, t)
+        menu[t] = (aug, _restricted_action(inst.graph, base.edges | aug.edges, t))
+    return base, menu
+
+
+def _profile(inst: GameInstance, menu: dict) -> tuple:
+    """The shared-draw strategy profile: each player plays the menu action
+    of her realized type."""
+    return tuple({t: menu[t][1] for t in spec.support()} for spec in inst.players)
+
+
+def _constructed(inst: GameInstance, scheme: CostSharingScheme, D: tuple):
+    return _profile(inst, _draw_step(inst, scheme, D, _support_types(inst))[1])
 
 
 def construct_strategy_iid(
@@ -100,11 +133,8 @@ def construct_strategy_iid(
     _require_multicast(inst)
     _require_iid(inst)
     if len(D.types) != inst.n - 1:
-        raise ValueError(f"expected {inst.n - 1} samples, got {len(D.types)}")
-    base = scheme.approx(_clients(inst, D.types))
-    support = inst.players[0].support()
-    shared = _strategy_map(inst, scheme, base, support)
-    return tuple(dict(shared) for _ in range(inst.n))
+        raise PreconditionError(f"expected {inst.n - 1} samples, got {len(D.types)}")
+    return _constructed(inst, scheme, D.types)
 
 
 def construct_strategy_noniid(
@@ -114,64 +144,32 @@ def construct_strategy_noniid(
     one sample per player distribution, all players see the same draw."""
     _require_multicast(inst)
     if len(D.types) != inst.n:
-        raise ValueError(f"expected {inst.n} samples, got {len(D.types)}")
-    base = scheme.approx(_clients(inst, D.types))
-    return tuple(
-        _strategy_map(inst, scheme, base, spec.support()) for spec in inst.players
-    )
-
-
-def _draw_support(inst: GameInstance, variant: str, cap: int):
-    """All draws D with their exact probabilities; more than `cap` draws
-    raise SupportTooLargeError before any is enumerated."""
-    if variant == "iid":
-        _require_iid(inst)
-        dists = [inst.players[0].distribution] * (inst.n - 1)
-    elif variant == "noniid":
-        dists = [spec.distribution for spec in inst.players]
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    size = math.prod(len(d) for d in dists)
-    if size > cap:
-        raise SupportTooLargeError(f"draw support {size} exceeds cap {cap}")
-    return (
-        (tuple(t for t, _ in combo), math.prod((p for _, p in combo), start=Fraction(1)))
-        for combo in itertools.product(*dists)
-    )
-
-
-def _construct(inst, scheme, variant, types) -> tuple:
-    D = SampleProfile(types=types, provenance="enumerated")
-    if variant == "iid":
-        return construct_strategy_iid(inst, scheme, D)
-    return construct_strategy_noniid(inst, scheme, D)
+        raise PreconditionError(f"expected {inst.n} samples, got {len(D.types)}")
+    return _constructed(inst, scheme, D.types)
 
 
 def evaluate_construction_exact(
-    inst: GameInstance,
-    scheme: CostSharingScheme,
-    variant: str,
-    cap: Optional[int] = None,
+    inst: GameInstance, scheme: CostSharingScheme, variant: str
 ) -> ConstructionReport:
     """Exact expectation over all (draw, type-profile) pairs of the
     constructed profile's social cost, compared with (alpha+beta) times the
     expected optimum."""
     _require_multicast(inst)
-    draws = _draw_support(inst, variant, inst.support_cap if cap is None else cap)
+    draws = _draws(inst, variant)
     opt = expected_opt(inst)
+    types = _support_types(inst)
     total = Fraction(0)
     first_stage = Fraction(0)
     augmentation = Fraction(0)
     best_ratio = None
-    for types, w in draws:
-        base = scheme.approx(_clients(inst, types))
-        s = _construct(inst, scheme, variant, types)
-        cost = expected_social_cost(inst, s)
+    for D, w in draws:
+        base, menu = _draw_step(inst, scheme, D, types)
+        cost = expected_social_cost(inst, _profile(inst, menu))
         total += w * cost
         first_stage += w * base.cost
-        for i, spec in enumerate(inst.players):
+        for spec in inst.players:
             for t, p in spec.distribution:
-                augmentation += w * p * scheme.augment(base, t).cost
+                augmentation += w * p * menu[t][0].cost
         if opt > 0:
             ratio = cost / opt
             if best_ratio is None or ratio < best_ratio:
@@ -209,34 +207,21 @@ def evaluate_construction_mc(
     given the seed."""
     _require_multicast(inst)
     if samples < 1:
-        raise ValueError("need at least one sample")
+        raise PreconditionError("need at least one sample")
+    dists = _draw_distributions(inst, variant)
     rng = random.Random(seed)
-    dists = (
-        [inst.players[0].distribution] * (inst.n - 1)
-        if variant == "iid"
-        else [spec.distribution for spec in inst.players]
-    )
-    if variant == "iid":
-        _require_iid(inst)
     values = []
     first_vals = []
     aug_vals = []
     for _ in range(samples):
-        types = tuple(_sample_type(rng, d) for d in dists)
-        base = scheme.approx(_clients(inst, types))
+        D = tuple(_sample_type(rng, d) for d in dists)
         realized = tuple(
             _sample_type(rng, spec.distribution) for spec in inst.players
         )
-        actions = []
-        aug_total = Fraction(0)
-        for t in realized:
-            aug = scheme.augment(base, t)
-            aug_total += aug.cost
-            allowed = base.edges | aug.edges
-            actions.append(_restricted_action(inst.graph, allowed, t))
-        values.append(social_cost(inst, tuple(actions)))
+        base, menu = _draw_step(inst, scheme, D, dict.fromkeys(realized))
+        values.append(social_cost(inst, tuple(menu[t][1] for t in realized)))
         first_vals.append(base.cost)
-        aug_vals.append(aug_total)
+        aug_vals.append(sum((menu[t][0].cost for t in realized), Fraction(0)))
     mean = sum(values, Fraction(0)) / samples
     if samples > 1:
         var = sum((float(v - mean) ** 2 for v in values)) / (samples - 1)
@@ -259,49 +244,30 @@ def evaluate_construction_mc(
 
 
 def derandomize(
-    inst: GameInstance,
-    scheme: CostSharingScheme,
-    variant: str,
-    cap: Optional[int] = None,
+    inst: GameInstance, scheme: CostSharingScheme, variant: str
 ) -> tuple[SampleProfile, tuple]:
     """Pick the draw D whose constructed profile has the smallest exact
     expected cost (min over draws is at most the draw-averaged cost)."""
     _require_multicast(inst)
-    best = None
-    for types, _ in _draw_support(inst, variant, inst.support_cap if cap is None else cap):
-        s = _construct(inst, scheme, variant, types)
-        cost = expected_social_cost(inst, s)
-        key = (cost, types)
-        if best is None or key < best[0]:
-            best = (key, types, s)
-    if best is None:
-        raise SupportTooLargeError("empty draw support")
-    return SampleProfile(types=best[1], provenance="enumerated"), best[2]
+    built = ((D, _constructed(inst, scheme, D)) for D, _ in _draws(inst, variant))
+    D, s = min(built, key=lambda c: (expected_social_cost(inst, c[1]), c[0]))
+    return SampleProfile(types=D, provenance="enumerated"), s
 
 
 def regrouping_sides(inst: GameInstance, scheme: CostSharingScheme):
     """Both sides of the share-regrouping identity for identical
     distributions: n * E[xi(D|{t}, t)] over (D ~ rho^(n-1), t ~ rho) versus
-    E[sum over positions of xi(R, r_j)] over R ~ rho^n."""
+    E[sum over positions of xi(R, r_j)] over R ~ rho^n.  Writing R = D + (t,)
+    puts both expectations on one enumeration of rho^n, capped by
+    `inst.support_cap`."""
     _require_multicast(inst)
     _require_iid(inst)
     rho = inst.players[0].distribution
-    n = inst.n
     lhs = Fraction(0)
-    for combo in itertools.product(rho, repeat=n - 1):
-        w = Fraction(1)
-        for _, p in combo:
-            w *= p
-        Dtypes = tuple(t for t, _ in combo)
-        for t, p in rho:
-            lhs += w * p * scheme.share(_clients(inst, Dtypes + (t,)), t)
-    lhs *= n
     rhs = Fraction(0)
-    for combo in itertools.product(rho, repeat=n):
-        w = Fraction(1)
-        for _, p in combo:
-            w *= p
-        R = tuple(t for t, _ in combo)
+    for R, w in weighted_product(inst, [rho] * inst.n, "regrouping support"):
         clients = _clients(inst, R)
-        rhs += w * sum((scheme.share(clients, t) for t in R), Fraction(0))
-    return lhs, rhs
+        shares = [scheme.share(clients, t) for t in R]
+        lhs += w * shares[-1]
+        rhs += w * sum(shares, Fraction(0))
+    return inst.n * lhs, rhs

@@ -6,6 +6,7 @@ import pytest
 
 from netgames import graph_from_costs
 from netgames.games import GameInstance, PlayerSpec
+from netgames.graphs import EdgeSet, Metric
 
 
 @pytest.fixture
@@ -29,6 +30,35 @@ def uniform(types):
 def profile_actions(s, type_profile):
     """The actions profile s plays on one realized type profile."""
     return tuple(s[i][t] for i, t in enumerate(type_profile))
+
+
+def mst_over_terminals(m: Metric, terminals) -> tuple[EdgeSet, Fraction]:
+    """Kruskal on the metric-closure clique restricted to `terminals`: a
+    reference bound between the Steiner optimum and twice it."""
+    terms = sorted(set(terminals))
+    if not terms:
+        raise ValueError("terminal set must be nonempty")
+    pairs = sorted(
+        ((m.d(a, b), (a, b)) for a, b in itertools.combinations(terms, 2))
+    )
+    parent = {t: t for t in terms}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    chosen = []
+    total = Fraction(0)
+    for d, (a, b) in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            chosen.append((a, b))
+            total += d
+    es = EdgeSet(edges=frozenset(chosen), cost=total)
+    return es, total
 
 
 def multicast(graph, *specs):

@@ -36,7 +36,9 @@ def _weighted(inst, s, value):
     return sum(
         (
             w * value(profile_actions(s, tp))
-            for tp, w in type_profiles(inst, cap=inst.support_size())
+            for tp, w in type_profiles(
+                dataclasses.replace(inst, support_cap=inst.support_size())
+            )
         ),
         Fraction(0),
     )

@@ -9,13 +9,13 @@ from netgames import (
     check_strictness,
     graph_from_costs,
     metric_closure,
-    mst_over_terminals,
+    min_feasible_subset_bruteforce,
     steiner_scheme,
     steiner_tree_exact,
 )
 from netgames.errors import DisconnectedError
 
-from conftest import random_connected_graph
+from conftest import mst_over_terminals, random_connected_graph
 
 
 @pytest.fixture
@@ -72,7 +72,10 @@ class TestSteinerScheme:
     def test_alpha_approximation(self):
         for g, U, _, _ in random_rooted_graphs(20, seed=37):
             scheme = steiner_scheme(g)
-            assert scheme.approx(U).cost == scheme.optimum(U).cost
+            brute = min_feasible_subset_bruteforce(
+                g, lambda edges: scheme.is_solution(edges, U)
+            )
+            assert scheme.approx(U).cost == brute.cost
 
 
 class TestCompetitiveness:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -17,7 +18,11 @@ from netgames import (
     potential_method_certificate,
     verify_bne,
 )
-from netgames.equilibria import all_strategy_profiles, min_cost_profile
+from netgames.equilibria import (
+    all_strategy_profiles,
+    min_cost_profile,
+    strategy_space_size,
+)
 from netgames.errors import StrategySpaceTooLargeError, ZeroOptimumError
 from netgames.games import GameInstance
 from netgames.instances import gen_instance
@@ -110,7 +115,7 @@ class TestMinPotentialProfile:
     def test_strategy_cap(self):
         inst = frozen_gap_instance()
         with pytest.raises(StrategySpaceTooLargeError):
-            min_potential_profile(inst, cap=1)
+            min_potential_profile(dataclasses.replace(inst, strategy_cap=1))
 
 
 class TestBestResponseDynamics:
@@ -189,6 +194,17 @@ class TestRatios:
             expected_social_cost(inst, s) for s in enumerate_pure_bne(inst)
         )
         assert bpos_exact(inst) == best_eq / opt
+
+    @pytest.mark.parametrize(
+        "analysis",
+        [bpos_exact, information_gap_exact, potential_method_certificate],
+    )
+    def test_strategy_cap_is_read_from_the_instance(self, analysis):
+        inst = frozen_gap_instance()
+        capped = dataclasses.replace(inst, strategy_cap=strategy_space_size(inst) - 1)
+        with pytest.raises(StrategySpaceTooLargeError):
+            analysis(capped)
+        analysis(dataclasses.replace(capped, strategy_cap=strategy_space_size(inst)))
 
     def test_ig_point_mass_is_one(self):
         assert information_gap_exact(shared_vs_private(Fraction(3, 4))) == 1

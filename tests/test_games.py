@@ -319,6 +319,14 @@ class TestExPostOpt:
 
 
 class TestValidation:
+    def test_negative_node_cost_rejected(self):
+        with pytest.raises(ValidationError):
+            GameInstance(
+                kind="vertex-cover",
+                players=(point_mass(("a", "b")),),
+                node_costs=(("a", -1), ("b", 1)),
+            )
+
     def test_probs_must_sum_to_one(self, triangle):
         with pytest.raises(ValidationError):
             GameInstance(

@@ -9,7 +9,6 @@ from netgames import (
     graph_from_costs,
     metric_closure,
     min_feasible_subset_bruteforce,
-    mst_over_terminals,
     shortest_path,
     steiner_forest_exact,
     steiner_tree_exact,
@@ -22,7 +21,7 @@ from netgames.errors import (
 )
 from netgames.graphs import _components
 
-from conftest import random_connected_graph
+from conftest import mst_over_terminals, random_connected_graph
 
 
 def path_graph():

@@ -198,3 +198,95 @@ class TestCli:
         argv = ["eval", "--instance", str(inst_path), "--strategy", str(missing)]
         assert main(argv) == 1
         assert "cannot read" in json.loads(capsys.readouterr().err)["error"]
+
+
+def _minimal_with(edit) -> str:
+    doc = json.loads(MINIMAL)
+    edit(doc)
+    return json.dumps(doc)
+
+
+ROOT_ONLY = json.dumps(
+    {
+        "version": 1,
+        "kind": "multicast",
+        "graph": {"nodes": ["r"], "root": "r", "edges": []},
+        "players": [{"distribution": [{"type": "r", "prob": "1"}]}],
+    }
+)
+
+NEGATIVE_NODE_COST = json.dumps(
+    {
+        "version": 1,
+        "kind": "vertex-cover",
+        "cover": {"node_costs": {"a": "-1", "b": "1"}},
+        "players": [{"distribution": [{"type": ["a", "b"], "prob": "1"}]}],
+    }
+)
+
+TWO_POINT_MASSES = _minimal_with(
+    lambda d: d["players"].append({"distribution": [{"type": "b", "prob": "1"}]})
+)
+
+
+@pytest.mark.parametrize(
+    "instance, strategy, argv",
+    [
+        pytest.param(
+            _minimal_with(lambda d: d.update(caps={"support": "1.5"})),
+            None, ["bpos"], id="cap-not-an-integer",
+        ),
+        pytest.param(
+            _minimal_with(lambda d: d.update(caps=[1])),
+            None, ["bpos"], id="caps-not-an-object",
+        ),
+        pytest.param(
+            _minimal_with(lambda d: d["graph"]["edges"][0].pop("u")),
+            None, ["bpos"], id="edge-without-u",
+        ),
+        pytest.param(
+            _minimal_with(lambda d: d["graph"]["edges"][0].pop("v")),
+            None, ["bpos"], id="edge-without-v",
+        ),
+        pytest.param(NEGATIVE_NODE_COST, None, ["bpos"], id="negative-node-cost"),
+        pytest.param(MINIMAL, "{not json", ["eval"], id="strategy-not-json"),
+        pytest.param(MINIMAL, "{}", ["eval"], id="strategy-without-players"),
+        pytest.param(
+            MINIMAL, '{"players": [{}]}', ["eval"], id="strategy-without-strategies"
+        ),
+        pytest.param(
+            MINIMAL, '{"players": [{"strategies": [{"action": []}]}]}', ["eval"],
+            id="strategy-without-type",
+        ),
+        pytest.param(
+            MINIMAL, '{"players": [{"strategies": [{"type": "a"}]}]}', ["eval"],
+            id="strategy-without-action",
+        ),
+        pytest.param(ROOT_ONLY, None, ["scheme-check"], id="scheme-check-root-only"),
+        pytest.param(
+            MINIMAL, None, ["scheme-check", "--samples", "-1", "--format", "csv"],
+            id="scheme-check-negative-samples",
+        ),
+        pytest.param(
+            TWO_POINT_MASSES, None, ["sample", "--variant", "iid"],
+            id="iid-sample-on-different-distributions",
+        ),
+        pytest.param(MINIMAL, None, ["sample", "--samples", "-1"], id="negative-samples"),
+    ],
+)
+def test_bad_input_exits_1_with_an_error_line(tmp_path, instance, strategy, argv):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(instance)
+    argv = [*argv, "--instance", str(inst_path)]
+    if strategy is not None:
+        strat_path = tmp_path / "strat.json"
+        strat_path.write_text(strategy)
+        argv += ["--strategy", str(strat_path)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "netgames.cli", *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert set(json.loads(proc.stderr.splitlines()[-1])) == {"error"}

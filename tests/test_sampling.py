@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,23 @@ def iid_triangle(triangle):
 
 def enumerated(types):
     return SampleProfile(types=tuple(types), provenance="enumerated")
+
+
+def counting_scheme(scheme):
+    """`scheme` with `approx` and `augment` counting their calls."""
+    calls = {"approx": 0, "augment": 0}
+
+    def counted(name):
+        inner = getattr(scheme, name)
+
+        def call(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return call
+
+    fields = {name: counted(name) for name in calls}
+    return dataclasses.replace(scheme, **fields), calls
 
 
 class TestConstructIid:
@@ -140,6 +158,38 @@ class TestEvaluateExact:
             assert lhs == rhs
 
 
+class TestOneSolvePerDraw:
+    """A(D) is solved once per draw and B(A(D), t) once per draw and support
+    type, however many players share the type."""
+
+    def test_exact_evaluation(self):
+        inst = gen_instance("multicast", 6, 3, 3, seed=3)
+        scheme, calls = counting_scheme(scheme_for(inst))
+        rep = evaluate_construction_exact(inst, scheme, "noniid")
+        assert rep == evaluate_construction_exact(inst, scheme_for(inst), "noniid")
+        draws = inst.support_size()
+        types = {t for spec in inst.players for t in spec.support()}
+        assert calls == {"approx": draws, "augment": draws * len(types)}
+
+    def test_derandomize(self, triangle):
+        inst = iid_triangle(triangle)
+        scheme, calls = counting_scheme(scheme_for(inst))
+        assert derandomize(inst, scheme, "iid") == derandomize(
+            inst, scheme_for(inst), "iid"
+        )
+        assert calls == {"approx": 2, "augment": 2 * 2}
+
+    def test_monte_carlo_augments_realized_types(self, triangle):
+        inst = iid_triangle(triangle)
+        scheme, calls = counting_scheme(scheme_for(inst))
+        rep = evaluate_construction_mc(inst, scheme, "iid", samples=30, seed=5)
+        assert rep == evaluate_construction_mc(
+            inst, scheme_for(inst), "iid", samples=30, seed=5
+        )
+        assert calls["approx"] == 30
+        assert 30 <= calls["augment"] <= 30 * inst.n
+
+
 class TestEvaluateMc:
     def test_deterministic_given_seed(self, triangle):
         inst = iid_triangle(triangle)
@@ -166,6 +216,13 @@ class TestEvaluateMc:
         inst = iid_triangle(triangle)
         with pytest.raises(ValueError):
             evaluate_construction_mc(inst, scheme_for(inst), "iid", samples=0)
+
+    def test_unknown_variant_rejected(self, triangle):
+        inst = iid_triangle(triangle)
+        for run in (evaluate_construction_exact, evaluate_construction_mc):
+            args = (10,) if run is evaluate_construction_mc else ()
+            with pytest.raises(ValueError, match="unknown variant"):
+                run(inst, scheme_for(inst), "mixed", *args)
 
 
 class TestDerandomize:
@@ -210,8 +267,19 @@ class TestGuards:
         draws (and the support of expected_opt), not draws x support."""
         inst = multicast(triangle, uniform(["a", "b"]), uniform(["a", "r"]))
         scheme = scheme_for(inst)
-        rep = evaluate_construction_exact(inst, scheme, "noniid", cap=4)
+        capped = dataclasses.replace(inst, support_cap=4)
+        rep = evaluate_construction_exact(capped, scheme, "noniid")
         assert rep.total == evaluate_construction_exact(inst, scheme, "noniid").total
+        capped = dataclasses.replace(inst, support_cap=3)
         for run in (evaluate_construction_exact, derandomize):
             with pytest.raises(SupportTooLargeError):
-                run(inst, scheme, "noniid", cap=3)
+                run(capped, scheme, "noniid")
+
+    def test_cap_bounds_regrouping(self, triangle):
+        """Regrouping enumerates rho^n: 2^2 = 4 profiles here."""
+        inst = iid_triangle(triangle)
+        scheme = scheme_for(inst)
+        lhs, rhs = regrouping_sides(dataclasses.replace(inst, support_cap=4), scheme)
+        assert lhs == rhs
+        with pytest.raises(SupportTooLargeError):
+            regrouping_sides(dataclasses.replace(inst, support_cap=3), scheme)
