@@ -27,15 +27,16 @@ def _frac_str(x) -> str:
 
 
 def _encode_element(inst: GameInstance, e):
-    if inst.kind in games.GRAPH_KINDS:
-        return [e[0], e[1]]
-    return e
+    return [e[0], e[1]] if inst.kind in games.GRAPH_KINDS else e
 
 
 def _decode_element(inst: GameInstance, raw):
-    if inst.kind in games.GRAPH_KINDS:
+    pair = isinstance(raw, list) and len(raw) == 2 and all(isinstance(n, str) for n in raw)
+    if inst.kind in games.GRAPH_KINDS and pair:
         return tuple(sorted(raw))
-    return raw
+    if inst.kind in games.COVER_KINDS and isinstance(raw, str):
+        return raw
+    raise ValidationError("action", f"not a {inst.kind} element: {raw!r}")
 
 
 def encode_profile(inst: GameInstance, s: tuple) -> list:
@@ -66,13 +67,19 @@ def parse_strategy(inst: GameInstance, text: str) -> tuple:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"strategy line {exc.lineno}: {exc.msg}")
+    players = instances._expect(_field(doc, "players", "strategy"), list, "players")
+    if len(players) != inst.n:
+        raise ValidationError("players", f"{len(players)} strategies for {inst.n} players")
     profile = []
-    for i, pdoc in enumerate(_field(doc, "players", "strategy")):
+    for i, pdoc in enumerate(players):
         strat = {}
-        for entry in _field(pdoc, "strategies", f"players[{i}]"):
-            where = f"players[{i}].strategies"
+        where = f"players[{i}].strategies"
+        entries = _field(pdoc, "strategies", f"players[{i}]")
+        for entry in instances._expect(entries, list, where):
             t = instances._decode_type(inst.kind, _field(entry, "type", where))
-            action = _field(entry, "action", where)
+            if t not in inst.players[i].support():
+                raise NetgamesError(f"player {i}: type {t!r} not in its support")
+            action = instances._expect(_field(entry, "action", where), list, where)
             elements = frozenset(_decode_element(inst, e) for e in action)
             menu = {a.elements: a for a in feasible_actions(inst, i, t)}
             if elements not in menu:
@@ -116,6 +123,8 @@ def _read(path: str) -> str:
             return f.read()
     except OSError as exc:
         raise NetgamesError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text") from exc
 
 
 def _load_instance(args) -> GameInstance:

@@ -5,9 +5,10 @@ link-by-link certificate of the potential-method inequality chain."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     NoConvergenceError,
@@ -58,35 +59,34 @@ class CertificateReport:
 
 def _action_menu(inst: GameInstance) -> list[list[tuple]]:
     """Per player: list of (type, [feasible actions]) in support order."""
-    menu = []
-    for i, spec in enumerate(inst.players):
-        menu.append([(t, feasible_actions(inst, i, t)) for t, _ in spec.distribution])
-    return menu
+    return [
+        [(t, feasible_actions(inst, i, t)) for t, _ in spec.distribution]
+        for i, spec in enumerate(inst.players)
+    ]
+
+
+def _space_size(menu: list[list[tuple]]) -> int:
+    return math.prod(len(acts) for entries in menu for _, acts in entries)
 
 
 def strategy_space_size(inst: GameInstance) -> int:
-    size = 1
-    for entries in _action_menu(inst):
-        for _, acts in entries:
-            size *= len(acts)
-    return size
-
-
-def player_strategies(inst: GameInstance, i: int):
-    """All pure Bayesian strategies of player i, canonical order."""
-    entries = _action_menu(inst)[i]
-    types = [t for t, _ in entries]
-    for combo in itertools.product(*[acts for _, acts in entries]):
-        yield dict(zip(types, combo))
+    return _space_size(_action_menu(inst))
 
 
 def all_strategy_profiles(inst: GameInstance):
-    size = strategy_space_size(inst)
+    """All pure Bayesian strategy profiles in canonical order: the product
+    of the players' strategies, each the product of its per-type menus."""
+    menu = _action_menu(inst)
+    size = _space_size(menu)
     if size > inst.strategy_cap:
         raise StrategySpaceTooLargeError(
             f"strategy space {size} exceeds cap {inst.strategy_cap}"
         )
-    spaces = [list(player_strategies(inst, i)) for i in range(inst.n)]
+    spaces = [
+        [dict(zip([t for t, _ in entries], combo))
+         for combo in itertools.product(*[acts for _, acts in entries])]
+        for entries in menu
+    ]
     for combo in itertools.product(*spaces):
         yield tuple(combo)
 
@@ -117,28 +117,59 @@ def verify_bne(inst: GameInstance, s: tuple) -> EquilibriumReport:
     return EquilibriumReport(profile=s, is_bne=worst is None, worst_violation=worst)
 
 
+class _Row(NamedTuple):
+    cost: Fraction
+    potential: Fraction
+    index: int  # position in canonical order
+    profile: tuple
+
+
+class _Sweep(NamedTuple):
+    min_potential: _Row  # s*, the first potential minimizer
+    min_cost: _Row  # the first cost minimizer
+    candidates: list  # rows that may be the cheapest BNE, in (cost, index) order
+
+
+def _sweep(inst: GameInstance) -> _Sweep:
+    """One pass over the strategy space that prices every profile once.
+    s* is a BNE and C(s*) <= Phi(s*), so the cheapest BNE costs at most the
+    running minimum potential; only rows within it are kept as candidates."""
+    s_star = s_tilde = None
+    candidates = []
+    for index, s in enumerate(all_strategy_profiles(inst)):
+        row = _Row(expected_social_cost(inst, s), expected_potential(inst, s), index, s)
+        if s_star is None or row.potential < s_star.potential:
+            s_star = row
+        if s_tilde is None or row.cost < s_tilde.cost:
+            s_tilde = row
+        if row.cost <= s_star.potential:
+            candidates.append(row)
+    candidates.sort(key=lambda r: (r.cost, r.index))
+    return _Sweep(s_star, s_tilde, candidates)
+
+
+def _best_bne_cost(inst: GameInstance, sweep: _Sweep) -> Fraction:
+    """Cost of the first BNE in (cost, index) order; s* ends the search."""
+    return next(r.cost for r in sweep.candidates if verify_bne(inst, r.profile).is_bne)
+
+
+def _nonzero_opt(inst: GameInstance) -> Fraction:
+    opt = expected_opt(inst)
+    if opt == 0:
+        raise ZeroOptimumError("expected optimum is zero; ratio undefined")
+    return opt
+
+
 def min_potential_profile(inst: GameInstance) -> tuple:
     """Exact minimizer of the expected potential over all pure Bayesian
     strategy profiles; first minimizer in canonical order on ties."""
-    best = None
-    best_val = None
-    for s in all_strategy_profiles(inst):
-        val = expected_potential(inst, s)
-        if best_val is None or val < best_val:
-            best, best_val = s, val
-    return best
+    return _sweep(inst).min_potential.profile
 
 
 def min_cost_profile(inst: GameInstance) -> tuple:
     """Exact minimizer of the expected social cost (no equilibrium
     constraint); realizes the numerator of the information gap."""
-    best = None
-    best_val = None
-    for s in all_strategy_profiles(inst):
-        val = expected_social_cost(inst, s)
-        if best_val is None or val < best_val:
-            best, best_val = s, val
-    return best
+    return _sweep(inst).min_cost.profile
 
 
 def best_response_dynamics(
@@ -181,21 +212,15 @@ def enumerate_pure_bne(inst: GameInstance) -> list:
 def bpos_exact(inst: GameInstance) -> Fraction:
     """Bayesian price of stability: best pure BNE expected cost over the
     expected full-information optimum."""
-    opt = expected_opt(inst)
-    if opt == 0:
-        raise ZeroOptimumError("expected optimum is zero; ratio undefined")
-    best = min(expected_social_cost(inst, s) for s in enumerate_pure_bne(inst))
-    return best / opt
+    opt = _nonzero_opt(inst)
+    return _best_bne_cost(inst, _sweep(inst)) / opt
 
 
 def information_gap_exact(inst: GameInstance) -> Fraction:
     """Best expected cost achievable with private-information strategies,
     over the expected full-information optimum."""
-    opt = expected_opt(inst)
-    if opt == 0:
-        raise ZeroOptimumError("expected optimum is zero; ratio undefined")
-    best = min(expected_social_cost(inst, s) for s in all_strategy_profiles(inst))
-    return best / opt
+    opt = _nonzero_opt(inst)
+    return _sweep(inst).min_cost.cost / opt
 
 
 def potential_method_certificate(inst: GameInstance) -> CertificateReport:
@@ -203,17 +228,12 @@ def potential_method_certificate(inst: GameInstance) -> CertificateReport:
     closeness constants lam = 1 and mu = H_n."""
     lam = Fraction(1)
     mu = harmonic(inst.n)
-    s_star = min_potential_profile(inst)
-    s_tilde = min_cost_profile(inst)
-    k_star = expected_social_cost(inst, s_star)
-    psi_star = expected_potential(inst, s_star)
-    psi_tilde = expected_potential(inst, s_tilde)
-    k_tilde = expected_social_cost(inst, s_tilde)
-    opt = expected_opt(inst)
-    if opt == 0:
-        raise ZeroOptimumError("expected optimum is zero; ratio undefined")
+    sweep = _sweep(inst)
+    k_star, psi_star = sweep.min_potential.cost, sweep.min_potential.potential
+    k_tilde, psi_tilde = sweep.min_cost.cost, sweep.min_cost.potential
+    opt = _nonzero_opt(inst)
     ig = k_tilde / opt
-    bpos = bpos_exact(inst)
+    bpos = _best_bne_cost(inst, sweep) / opt
     links = (
         CertificateLink("cost_below_potential", k_star, psi_star / lam),
         CertificateLink("potential_minimizer", psi_star / lam, psi_tilde / lam),

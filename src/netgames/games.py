@@ -66,12 +66,6 @@ class PlayerSpec:
     def support(self) -> list:
         return [t for t, _ in self.distribution]
 
-    def prob(self, t) -> Fraction:
-        for u, p in self.distribution:
-            if u == t:
-                return p
-        return Fraction(0)
-
 
 @dataclass(frozen=True)
 class GameInstance:
@@ -222,8 +216,7 @@ def feasible_actions(inst: GameInstance, i: int, t) -> list[Action]:
         acts = [
             Action(elements=frozenset([n]), cost=costs[n]) for n in sorted(set(t))
         ]
-    acts = sorted(set(acts), key=Action.sort_key)
-    return acts
+    return sorted(set(acts), key=Action.sort_key)
 
 
 def congestion(profile: Iterable[Action]) -> dict:

@@ -110,9 +110,6 @@ class EdgeSet:
     edges: frozenset
     cost: Fraction
 
-    def sort_key(self) -> tuple:
-        return tuple(sorted(self.edges))
-
 
 class Metric:
     """All-pairs shortest-path distance table over a connected graph."""
@@ -309,11 +306,7 @@ def min_feasible_subset_bruteforce(
         raise TooLargeError(f"{len(keys)} edges exceeds enumeration cap {cap}")
     # Integer-scaled costs keep the inner enumeration loop cheap; the scale
     # factor is exact so comparisons stay exact.
-    denom_lcm = 1
-    for k in keys:
-        denom_lcm = denom_lcm * g.cost(k).denominator // math.gcd(
-            denom_lcm, g.cost(k).denominator
-        )
+    denom_lcm = math.lcm(*(g.cost(k).denominator for k in keys))
     scaled = [int(g.cost(k) * denom_lcm) for k in keys]
     best = None  # (scaled cost, sorted edge tuple, frozenset)
     for mask in range(1 << len(keys)):

@@ -47,28 +47,35 @@ def _cap(caps: dict, name: str, default: int) -> int:
     value = caps.get(name, default)
     try:
         return int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"caps.{name}", f"not an integer: {value!r}")
+
+
+_JSON_NAMES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _expect(value, cls: type, field: str):
+    """`value` if it is a JSON value of type `cls`, else a ValidationError."""
+    if not isinstance(value, cls):
+        raise ValidationError(field, f"not {_JSON_NAMES[cls]}: {value!r}")
+    return value
 
 
 def _decode_type(kind: str, raw):
     if kind == "multicast":
-        if not isinstance(raw, str):
-            raise ValidationError("players", f"multicast type must be a node id: {raw!r}")
-        return raw
+        return _expect(raw, str, "players")
+    nodes = isinstance(raw, list) and all(isinstance(n, str) for n in raw)
     if kind == "source-sink":
-        if not (isinstance(raw, list) and len(raw) == 2):
+        if not (nodes and len(raw) == 2):
             raise ValidationError("players", f"source-sink type must be a pair: {raw!r}")
         return (raw[0], raw[1])
-    if not isinstance(raw, list) or not raw:
+    if not (nodes and raw):
         raise ValidationError("players", f"cover type must be a node list: {raw!r}")
     return tuple(sorted(raw))
 
 
 def _encode_type(kind: str, t):
-    if kind == "multicast":
-        return t
-    return list(t)
+    return t if kind == "multicast" else list(t)
 
 
 def parse_instance(text: str) -> GameInstance:
@@ -81,41 +88,42 @@ def parse_instance(text: str) -> GameInstance:
     if doc.get("version") != FORMAT_VERSION:
         raise ValidationError("version", f"expected {FORMAT_VERSION}")
     kind = doc.get("kind")
-    caps = doc.get("caps") or {}
-    if not isinstance(caps, dict):
-        raise ValidationError("caps", f"not an object: {caps!r}")
+    caps = _expect(doc.get("caps") or {}, dict, "caps")
     support_cap = _cap(caps, "support", DEFAULT_SUPPORT_CAP)
     strategy_cap = _cap(caps, "strategies", DEFAULT_STRATEGY_CAP)
 
     graph = None
     node_costs = None
     if "graph" in doc:
-        gdoc = doc["graph"]
+        gdoc = _expect(doc["graph"], dict, "graph")
         edges = []
-        for e in gdoc.get("edges", []):
-            if "u" not in e or "v" not in e:
+        for e in _expect(gdoc.get("edges", []), list, "graph.edges"):
+            if not isinstance(e, dict) or "u" not in e or "v" not in e:
                 raise ValidationError("graph.edges", f"edge without u or v: {e!r}")
-            cost = _rational(e.get("cost"), "graph.edges.cost")
-            edges.append(((e["u"], e["v"]), cost))
+            u, v = (_expect(e[k], str, f"graph.edges.{k}") for k in "uv")
+            edges.append(((u, v), _rational(e.get("cost"), "graph.edges.cost")))
+        nodes = _expect(gdoc.get("nodes", []), list, "graph.nodes")
         try:
             graph = Graph(
-                nodes=tuple(gdoc.get("nodes", [])),
+                nodes=tuple(_expect(n, str, "graph.nodes") for n in nodes),
                 edges=tuple(edges),
                 root=gdoc.get("root"),
             )
         except ValueError as exc:
             raise ValidationError("graph", str(exc))
     if "cover" in doc:
-        cdoc = doc["cover"]
+        cdoc = _expect(doc["cover"], dict, "cover")
+        costs = _expect(cdoc.get("node_costs", {}), dict, "cover.node_costs")
         node_costs = tuple(
-            (n, _rational(c, f"cover.node_costs.{n}"))
-            for n, c in cdoc.get("node_costs", {}).items()
+            (n, _rational(c, f"cover.node_costs.{n}")) for n, c in costs.items()
         )
 
     players = []
-    for i, pdoc in enumerate(doc.get("players", [])):
+    for i, pdoc in enumerate(_expect(doc.get("players", []), list, "players")):
         dist = []
-        for entry in pdoc.get("distribution", []):
+        pdoc = _expect(pdoc, dict, f"players[{i}]")
+        for entry in _expect(pdoc.get("distribution", []), list, f"players[{i}]"):
+            entry = _expect(entry, dict, f"players[{i}].distribution")
             t = _decode_type(kind, entry.get("type"))
             p = _rational(entry.get("prob"), f"players[{i}].prob")
             dist.append((t, p))
@@ -192,56 +200,32 @@ def gen_instance(
     `root_mass` generates two-point distributions with residual mass on the
     root (the independent-decisions model)."""
     rng = random.Random(seed)
+    graph = node_costs = None
     if kind in ("multicast", "source-sink"):
         graph = _random_graph(rng, n_nodes, rooted=(kind == "multicast"))
         nodes = list(graph.nodes)
-
-        def random_dist():
-            if kind == "multicast":
-                if root_mass:
-                    node = rng.choice([n for n in nodes if n != graph.root])
-                    p = Fraction(rng.randint(1, 5), 6)
-                    return ((node, p), (graph.root, 1 - p))
-                k = min(n_types, len(nodes))
-                support = rng.sample(nodes, k)
-                probs = _random_probs(rng, k)
-                return tuple(zip(support, probs))
-            pairs = [
-                (a, b) for a in nodes for b in nodes if a < b
-            ]
-            k = min(n_types, len(pairs))
-            support = rng.sample(pairs, k)
-            probs = _random_probs(rng, k)
-            return tuple(zip(support, probs))
-
-        if iid:
-            shared = random_dist()
-            players = tuple(PlayerSpec(distribution=shared) for _ in range(n_players))
-        else:
-            players = tuple(
-                PlayerSpec(distribution=random_dist()) for _ in range(n_players)
-            )
-        return GameInstance(kind=kind, players=players, graph=graph)
-
-    if kind != "vertex-cover":
+    elif kind == "vertex-cover":
+        nodes = [f"v{j}" for j in range(n_nodes)]
+        node_costs = tuple(
+            (n, Fraction(rng.randint(1, 10), rng.randint(1, 4))) for n in nodes
+        )
+    else:
         raise ValueError(f"generator does not support kind {kind!r}")
-    nodes = [f"v{j}" for j in range(n_nodes)]
-    node_costs = tuple(
-        (n, Fraction(rng.randint(1, 10), rng.randint(1, 4))) for n in nodes
-    )
     pairs = [(a, b) for a in nodes for b in nodes if a < b]
 
-    def random_pair_dist():
-        k = min(n_types, len(pairs))
-        support = rng.sample(pairs, k)
-        probs = _random_probs(rng, k)
-        return tuple(zip(support, probs))
+    def random_dist():
+        if kind == "multicast" and root_mass:
+            node = rng.choice([n for n in nodes if n != graph.root])
+            p = Fraction(rng.randint(1, 5), 6)
+            return ((node, p), (graph.root, 1 - p))
+        types = nodes if kind == "multicast" else pairs
+        k = min(n_types, len(types))
+        support = rng.sample(types, k)
+        return tuple(zip(support, _random_probs(rng, k)))
 
     if iid:
-        shared = random_pair_dist()
+        shared = random_dist()
         players = tuple(PlayerSpec(distribution=shared) for _ in range(n_players))
     else:
-        players = tuple(
-            PlayerSpec(distribution=random_pair_dist()) for _ in range(n_players)
-        )
-    return GameInstance(kind="vertex-cover", players=players, node_costs=node_costs)
+        players = tuple(PlayerSpec(distribution=random_dist()) for _ in range(n_players))
+    return GameInstance(kind=kind, players=players, graph=graph, node_costs=node_costs)

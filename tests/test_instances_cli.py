@@ -199,6 +199,12 @@ class TestCli:
         assert main(argv) == 1
         assert "cannot read" in json.loads(capsys.readouterr().err)["error"]
 
+    def test_non_utf8_input_file(self, tmp_path, capsys):
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_bytes(b"\xff\xfe{")
+        assert main(["bpos", "--instance", str(inst_path)]) == 1
+        assert "not UTF-8" in json.loads(capsys.readouterr().err)["error"]
+
 
 def _minimal_with(edit) -> str:
     doc = json.loads(MINIMAL)
@@ -223,6 +229,13 @@ NEGATIVE_NODE_COST = json.dumps(
         "players": [{"distribution": [{"type": ["a", "b"], "prob": "1"}]}],
     }
 )
+
+def _cover_with(edit) -> str:
+    doc = json.loads(NEGATIVE_NODE_COST)
+    doc["cover"]["node_costs"]["a"] = "1"
+    edit(doc)
+    return json.dumps(doc)
+
 
 TWO_POINT_MASSES = _minimal_with(
     lambda d: d["players"].append({"distribution": [{"type": "b", "prob": "1"}]})
@@ -249,6 +262,48 @@ TWO_POINT_MASSES = _minimal_with(
             None, ["bpos"], id="edge-without-v",
         ),
         pytest.param(NEGATIVE_NODE_COST, None, ["bpos"], id="negative-node-cost"),
+        pytest.param(
+            _minimal_with(lambda d: d.update(players=[1])),
+            None, ["bpos"], id="player-not-an-object",
+        ),
+        pytest.param(
+            _minimal_with(lambda d: d.update(players=5)),
+            None, ["bpos"], id="players-not-a-list",
+        ),
+        pytest.param(
+            _minimal_with(lambda d: d["players"][0].update(distribution=[1])),
+            None, ["bpos"], id="distribution-entry-not-an-object",
+        ),
+        pytest.param(
+            _minimal_with(lambda d: d["graph"]["edges"].append(1)),
+            None, ["bpos"], id="edge-not-an-object",
+        ),
+        pytest.param(
+            _minimal_with(lambda d: d["graph"]["edges"][0].update(u=1)),
+            None, ["bpos"], id="edge-end-not-a-string",
+        ),
+        pytest.param(
+            _minimal_with(lambda d: d["graph"]["nodes"].append(["c"])),
+            None, ["bpos"], id="node-not-a-string",
+        ),
+        pytest.param(
+            _minimal_with(lambda d: d.update(graph=[1])),
+            None, ["bpos"], id="graph-not-an-object",
+        ),
+        pytest.param(
+            _cover_with(lambda d: d.update(cover=[1])),
+            None, ["bpos"], id="cover-not-an-object",
+        ),
+        pytest.param(
+            _cover_with(
+                lambda d: d["players"][0]["distribution"][0].update(type=["a", ["b"]])
+            ),
+            None, ["bpos"], id="cover-type-with-a-list",
+        ),
+        pytest.param(
+            MINIMAL.replace('"version": 1,', '"version": 1, "caps": {"support": 1e999},'),
+            None, ["bpos"], id="infinite-cap",
+        ),
         pytest.param(MINIMAL, "{not json", ["eval"], id="strategy-not-json"),
         pytest.param(MINIMAL, "{}", ["eval"], id="strategy-without-players"),
         pytest.param(
@@ -261,6 +316,24 @@ TWO_POINT_MASSES = _minimal_with(
         pytest.param(
             MINIMAL, '{"players": [{"strategies": [{"type": "a"}]}]}', ["eval"],
             id="strategy-without-action",
+        ),
+        pytest.param(
+            MINIMAL, '{"players": [{"strategies": [{"type": "a", "action": [5]}]}]}',
+            ["eval"], id="strategy-element-not-a-pair",
+        ),
+        pytest.param(
+            MINIMAL, '{"players": [{"strategies": [{"type": "a", "action": 5}]}]}',
+            ["eval"], id="strategy-action-not-a-list",
+        ),
+        pytest.param(
+            MINIMAL, '{"players": [{"strategies": [{"type": "z", "action": []}]}]}',
+            ["eval"], id="strategy-type-outside-the-support",
+        ),
+        pytest.param(
+            MINIMAL, '{"players": []}', ["eval"], id="strategy-for-too-few-players",
+        ),
+        pytest.param(
+            MINIMAL, '{"players": 5}', ["eval"], id="strategy-players-not-a-list",
         ),
         pytest.param(ROOT_ONLY, None, ["scheme-check"], id="scheme-check-root-only"),
         pytest.param(

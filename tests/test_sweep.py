@@ -1,0 +1,157 @@
+"""The one strategy sweep behind min_potential_profile, min_cost_profile,
+bpos_exact, information_gap_exact and potential_method_certificate, checked
+against brute-force definitions over `all_strategy_profiles`."""
+
+from fractions import Fraction
+
+import pytest
+
+from netgames import equilibria, graph_from_costs
+from netgames.equilibria import (
+    all_strategy_profiles,
+    bpos_exact,
+    enumerate_pure_bne,
+    information_gap_exact,
+    min_cost_profile,
+    min_potential_profile,
+    potential_method_certificate,
+    verify_bne,
+)
+from netgames.games import (
+    GameInstance,
+    expected_opt,
+    expected_potential,
+    expected_social_cost,
+    harmonic,
+)
+from netgames.instances import gen_instance
+
+from conftest import multicast, point_mass, uniform
+
+
+def tied_routes_instance():
+    """Two players at s.  The route via c comes first in canonical order but
+    costs 10; the routes via d and e cost 2 each, so the minimizers are tied
+    (both players via d, or both via e) and are not the first profile."""
+    g = graph_from_costs(
+        {
+            ("c", "s"): Fraction(5),
+            ("c", "r"): Fraction(5),
+            ("d", "s"): Fraction(1),
+            ("d", "r"): Fraction(1),
+            ("e", "s"): Fraction(1),
+            ("e", "r"): Fraction(1),
+        },
+        root="r",
+    )
+    return multicast(g, point_mass("s"), point_mass("s"))
+
+
+def tied_cover_instance():
+    """Symmetric under swapping b and c, with a costly: mirror profiles tie."""
+    costs = (("a", Fraction(5)), ("b", Fraction(1)), ("c", Fraction(1)))
+    players = (uniform([("a", "b"), ("a", "c")]), point_mass(("b", "c")))
+    return GameInstance(kind="vertex-cover", players=players, node_costs=costs)
+
+
+def generated_instances():
+    for kind, root_mass in (
+        ("multicast", False),
+        ("multicast", True),
+        ("source-sink", False),
+        ("vertex-cover", False),
+    ):
+        for seed in range(4):
+            inst = gen_instance(kind, 4, 2, 2, seed=seed, root_mass=root_mass)
+            yield pytest.param(inst, id=f"{kind}{'-rm' * root_mass}-{seed}")
+    for kind, n_nodes, seed in (
+        ("multicast", 4, 2), ("source-sink", 5, 2), ("vertex-cover", 5, 0)
+    ):
+        inst = gen_instance(kind, n_nodes, 3, 2, seed=seed)
+        yield pytest.param(inst, id=f"{kind}-3-players-{seed}")
+
+
+INSTANCES = [
+    *generated_instances(),
+    pytest.param(tied_routes_instance(), id="tied-routes"),
+    pytest.param(tied_cover_instance(), id="tied-cover"),
+]
+
+
+def first_minimizer(inst, value):
+    return min(all_strategy_profiles(inst), key=lambda s: value(inst, s))
+
+
+@pytest.mark.parametrize("inst", INSTANCES)
+def test_sweep_matches_brute_force(inst):
+    s_star = first_minimizer(inst, expected_potential)
+    s_tilde = first_minimizer(inst, expected_social_cost)
+    opt = expected_opt(inst)
+    best_bne = min(expected_social_cost(inst, s) for s in enumerate_pure_bne(inst))
+    assert min_potential_profile(inst) == s_star
+    assert min_cost_profile(inst) == s_tilde
+    assert bpos_exact(inst) == best_bne / opt
+    assert information_gap_exact(inst) == expected_social_cost(inst, s_tilde) / opt
+    values = potential_method_certificate(inst).values
+    assert values == {
+        "lambda": 1,
+        "mu": harmonic(inst.n),
+        "K_min_potential": expected_social_cost(inst, s_star),
+        "Psi_min_potential": expected_potential(inst, s_star),
+        "Psi_min_cost": expected_potential(inst, s_tilde),
+        "K_min_cost": expected_social_cost(inst, s_tilde),
+        "expected_opt": opt,
+        "information_gap": expected_social_cost(inst, s_tilde) / opt,
+        "bpos": best_bne / opt,
+    }
+
+
+@pytest.mark.parametrize("inst", [tied_routes_instance(), tied_cover_instance()])
+def test_ties_go_to_the_first_profile(inst):
+    profiles = list(all_strategy_profiles(inst))
+    potentials = [expected_potential(inst, s) for s in profiles]
+    costs = [expected_social_cost(inst, s) for s in profiles]
+    assert potentials.count(min(potentials)) > 1
+    assert costs.count(min(costs)) > 1
+    assert potentials.index(min(potentials)) > 0
+    assert min_potential_profile(inst) == profiles[potentials.index(min(potentials))]
+    assert min_cost_profile(inst) == profiles[costs.index(min(costs))]
+
+
+class _Counter:
+    def __init__(self, monkeypatch, name):
+        self.calls = 0
+        inner = getattr(equilibria, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(equilibria, name, counted)
+
+
+def test_certificate_sweeps_once_and_solves_the_optimum_once(monkeypatch):
+    inst = gen_instance("multicast", 5, 3, 2, seed=1)
+    sweeps = _Counter(monkeypatch, "all_strategy_profiles")
+    optima = _Counter(monkeypatch, "expected_opt")
+    checks = _Counter(monkeypatch, "verify_bne")
+    cert = potential_method_certificate(inst)
+    assert (sweeps.calls, optima.calls) == (1, 1)
+    # The BNE search looks only at profiles no costlier than s*.
+    k_star = cert.values["K_min_potential"]
+    no_costlier = sum(
+        expected_social_cost(inst, s) <= k_star for s in all_strategy_profiles(inst)
+    )
+    assert checks.calls <= no_costlier < equilibria.strategy_space_size(inst)
+
+
+def test_bne_search_stops_at_the_cheapest_equilibrium(monkeypatch):
+    inst = gen_instance("source-sink", 5, 3, 2, seed=2)
+    ordered = sorted(
+        enumerate(all_strategy_profiles(inst)),
+        key=lambda item: (expected_social_cost(inst, item[1]), item[0]),
+    )
+    first = next(k for k, (_, s) in enumerate(ordered) if verify_bne(inst, s).is_bne)
+    checks = _Counter(monkeypatch, "verify_bne")
+    bpos_exact(inst)
+    assert checks.calls == first + 1
