@@ -137,7 +137,13 @@ def _sweep(inst: GameInstance) -> _Sweep:
     s_star = s_tilde = None
     candidates = []
     for index, s in enumerate(all_strategy_profiles(inst)):
-        row = _Row(expected_social_cost(inst, s), expected_potential(inst, s), index, s)
+        q = use_probabilities(inst, s)
+        row = _Row(
+            expected_social_cost(inst, s, uses=q),
+            expected_potential(inst, s, uses=q),
+            index,
+            s,
+        )
         if s_star is None or row.potential < s_star.potential:
             s_star = row
         if s_tilde is None or row.cost < s_tilde.cost:
@@ -183,7 +189,7 @@ def best_response_dynamics(
     on exact-rational instances.  Ties keep the incumbent action."""
     s = tuple(dict(p) for p in s0)
     q = use_probabilities(inst, s)
-    trace = [expected_potential(inst, s)]
+    trace = [expected_potential(inst, s, uses=q)]
     for _ in range(max_rounds):
         changed = False
         for i, spec in enumerate(inst.players):
@@ -199,7 +205,7 @@ def best_response_dynamics(
                     s[i][t] = best_act
                     q[i] = use_row(spec, s[i])
                     changed = True
-                    trace.append(expected_potential(inst, s))
+                    trace.append(expected_potential(inst, s, uses=q))
         if not changed:
             return (s, trace) if return_trace else tuple(s)
     raise NoConvergenceError(max_rounds)

@@ -5,6 +5,9 @@ expectations over finite independent type distributions.
 Expected cost, expected potential and interim costs are closed-form sums
 over elements of the exact law of each element's use count; they never
 enumerate type profiles, so here `support_cap` bounds only `expected_opt`.
+`expected_opt` does enumerate them, but the ex-post optimum depends only on
+the set of realized terminals (sources, pairs or hyperedges), so it sums the
+weights per set and solves each distinct set once.
 `weighted_product` is the one capped product enumeration, shared with the
 draw enumerations of `sampling`.
 
@@ -324,9 +327,10 @@ def action_cost(inst: GameInstance, q: list[dict], i: int, action: Action) -> Fr
     )
 
 
-def expected_social_cost(inst: GameInstance, s: tuple) -> Fraction:
-    """Sum over elements e of c_e * P(some player uses e)."""
-    q = use_probabilities(inst, s)
+def expected_social_cost(inst: GameInstance, s: tuple, *, uses=None) -> Fraction:
+    """Sum over elements e of c_e * P(some player uses e).  `uses` is s's
+    `use_probabilities` table when the caller already holds it."""
+    q = use_probabilities(inst, s) if uses is None else uses
     return sum(
         (
             inst.element_cost(e) * (1 - math.prod(1 - row.get(e, 0) for row in q))
@@ -336,9 +340,10 @@ def expected_social_cost(inst: GameInstance, s: tuple) -> Fraction:
     )
 
 
-def expected_potential(inst: GameInstance, s: tuple) -> Fraction:
-    """Sum over elements e of c_e * E[H_N], N the number of users of e."""
-    q = use_probabilities(inst, s)
+def expected_potential(inst: GameInstance, s: tuple, *, uses=None) -> Fraction:
+    """Sum over elements e of c_e * E[H_N], N the number of users of e.
+    `uses` is as for `expected_social_cost`."""
+    q = use_probabilities(inst, s) if uses is None else uses
     return sum(
         (
             inst.element_cost(e)
@@ -357,21 +362,30 @@ def expected_player_cost(inst: GameInstance, s: tuple, i: int) -> Fraction:
     )
 
 
+def _terminal(inst: GameInstance, t):
+    """What type t asks the ex-post optimum to connect or hit: a non-root
+    source (multicast), a pair with s != r (source-sink) or a sorted
+    hyperedge (cover kinds); None when it asks for nothing."""
+    if inst.kind == "multicast":
+        return None if t == inst.graph.root else t
+    if inst.kind == "source-sink":
+        s, r = t
+        return None if s == r else edge_key(s, r)
+    return tuple(sorted(set(t)))
+
+
 def ex_post_opt(inst: GameInstance, type_profile: tuple) -> tuple[frozenset, Fraction]:
     """Optimal joint element set for one realized type profile, via the exact
     combinatorial solver matching the game kind."""
-    if inst.kind == "multicast":
-        sources = {t for t in type_profile if t != inst.graph.root}
-        if not sources:
+    if inst.kind in GRAPH_KINDS:
+        terminals = {_terminal(inst, t) for t in type_profile} - {None}
+        if not terminals:
             return EMPTY_ELEMENTS, Fraction(0)
-        tree = graphs.steiner_tree_exact(inst.graph, sources | {inst.graph.root})
-        return tree.edges, tree.cost
-    if inst.kind == "source-sink":
-        pairs = {edge_key(s, r) for s, r in type_profile if s != r}
-        if not pairs:
-            return EMPTY_ELEMENTS, Fraction(0)
-        forest = graphs.steiner_forest_exact(inst.graph, pairs)
-        return forest.edges, forest.cost
+        if inst.kind == "multicast":
+            solved = graphs.steiner_tree_exact(inst.graph, terminals | {inst.graph.root})
+        else:
+            solved = graphs.steiner_forest_exact(inst.graph, terminals)
+        return solved.edges, solved.cost
     chosen, cost = graphs.cover_exact(
         inst.cover_cost_map(), [tuple(t) for t in type_profile]
     )
@@ -379,6 +393,18 @@ def ex_post_opt(inst: GameInstance, type_profile: tuple) -> tuple[frozenset, Fra
 
 
 def expected_opt(inst: GameInstance) -> Fraction:
+    """E[OPT] over the product support.  The ex-post optimum depends only on
+    the set of the profile's terminals, whichever player brought them, so
+    the exact weights are summed per set and each distinct set is solved
+    once, on its first type profile."""
+    terminal = {
+        t: _terminal(inst, t) for spec in inst.players for t, _ in spec.distribution
+    }
+    groups: dict = {}  # sorted terminal set -> [first type profile, total weight]
+    for tp, w in type_profiles(inst):
+        key = tuple(sorted({terminal[t] for t in tp} - {None}))
+        group = groups.setdefault(key, [tp, Fraction(0)])
+        group[1] += w
     return sum(
-        (w * ex_post_opt(inst, tp)[1] for tp, w in type_profiles(inst)), Fraction(0)
+        (w * ex_post_opt(inst, tp)[1] for tp, w in groups.values()), Fraction(0)
     )

@@ -146,28 +146,43 @@ def _components(nodes, edges):
 
 def shortest_path(g: Graph, u: str, v: str) -> Path:
     """Cheapest simple u-v path; ties go to the lexicographically smallest
-    node sequence."""
+    node sequence.  The Dijkstra stops at v; `steiner_tree_exact` runs the
+    same loop to completion once per node."""
     if u not in g.nodes or v not in g.nodes:
         raise UnreachableError(u, v)
-    if u == v:
-        return Path(nodes=(u,), edges=frozenset(), cost=Fraction(0))
-    # Dijkstra with (cost, node-sequence) priorities; sequences compare
-    # lexicographically, which implements the tie-break directly.
-    heap = [(Fraction(0), (u,))]
-    best: dict[str, tuple[Fraction, tuple[str, ...]]] = {}
+    reached = _lex_dijkstra(g.neighbors, u, stop=v)
+    if v not in reached:
+        raise UnreachableError(u, v)
+    cost, seq = reached[v]
+    return Path(nodes=seq, edges=_path_edges(seq), cost=Fraction(cost))
+
+
+def _lex_dijkstra(
+    neighbors: Callable[[str], list], source: str, stop: Optional[str] = None
+) -> dict[str, tuple]:
+    """node -> (cost, node sequence) of its cheapest path from `source`, for
+    every node settled up to `stop` (every reachable node without one).
+    `neighbors(node)` lists (neighbor, edge cost).  Priorities are
+    (cost, node-sequence) and sequences compare lexicographically, so a
+    node's first pop is its tie-broken answer."""
+    heap = [(0, (source,))]
+    best: dict[str, tuple] = {}
     while heap:
         cost, seq = heapq.heappop(heap)
         node = seq[-1]
         if node in best:
             continue
         best[node] = (cost, seq)
-        if node == v:
-            edges = frozenset(edge_key(a, b) for a, b in zip(seq, seq[1:]))
-            return Path(nodes=seq, edges=edges, cost=cost)
-        for nxt, c in g.neighbors(node):
+        if node == stop:
+            break
+        for nxt, c in neighbors(node):
             if nxt not in best:
                 heapq.heappush(heap, (cost + c, seq + (nxt,)))
-    raise UnreachableError(u, v)
+    return best
+
+
+def _path_edges(seq: tuple[str, ...]) -> frozenset:
+    return frozenset(edge_key(a, b) for a, b in zip(seq, seq[1:]))
 
 
 def metric_closure(g: Graph) -> Metric:
@@ -199,10 +214,6 @@ def _dijkstra_costs(g: Graph, source: str) -> dict[str, Fraction]:
     return dist
 
 
-def _candidate_key(cost: Fraction, edges: frozenset) -> tuple:
-    return (cost, tuple(sorted(edges)))
-
-
 def steiner_tree_exact(g: Graph, terminals: Iterable[str]) -> EdgeSet:
     """Minimum-cost edge set connecting all terminals (Dreyfus-Wagner dynamic
     program over terminal subsets), with lexicographic tie-breaking."""
@@ -218,16 +229,29 @@ def steiner_tree_exact(g: Graph, terminals: Iterable[str]) -> EdgeSet:
     if len(terms) == 1:
         return EdgeSet(edges=frozenset(), cost=Fraction(0))
 
-    # dp[(v, X)] = cheapest edge set connecting {v} | X, X a frozenset of
-    # terminals.  States carry real edge sets; combined costs are the actual
-    # cost of the union, so overlapping sub-solutions only help.
-    dp: dict[tuple[str, frozenset], tuple[Fraction, frozenset]] = {}
-    for t in terms:
-        for v in g.nodes:
-            if comp[v] != comp[t]:
-                continue
-            p = shortest_path(g, v, t)
-            dp[(v, frozenset([t]))] = (p.cost, p.edges)
+    # dp[X][v] = cheapest (cost, edge set) connecting {v} | X, X a frozenset
+    # of terminals.  States carry real edge sets and their true cost, so
+    # overlapping sub-solutions only help.  Candidates are ranked by
+    # (cost, sorted edges); the sorted tuple is built only on a cost tie.
+    # Costs are exact integers: every cost times the lcm of the edge cost
+    # denominators.  Base case: one Dijkstra per node of the terminals'
+    # component.
+    scale = math.lcm(*(c.denominator for _, c in g.edges))
+    scaled = {e: int(c * scale) for e, c in g.edges}
+    adj = {
+        v: [(nxt, scaled[edge_key(v, nxt)]) for nxt, _ in g.neighbors(v)]
+        for v in g.nodes
+    }
+    dp: dict[frozenset, dict[str, tuple[int, frozenset]]] = {
+        frozenset([t]): {} for t in terms
+    }
+    for v in g.nodes:
+        if comp[v] != comp[terms[0]]:
+            continue
+        reached = _lex_dijkstra(adj.__getitem__, v)
+        for t in terms:
+            cost, seq = reached[t]
+            dp[frozenset([t])][v] = (cost, _path_edges(seq))
 
     base = terms[0]
     rest = terms[1:]
@@ -235,45 +259,68 @@ def steiner_tree_exact(g: Graph, terminals: Iterable[str]) -> EdgeSet:
         for subset in itertools.combinations(rest, size):
             X = frozenset(subset)
             anchor = min(X)
-            labels: dict[str, tuple[Fraction, frozenset]] = {}
+            splits = []
+            for r in range(1, size):
+                for part in itertools.combinations(sorted(X - {anchor}), r - 1):
+                    X1 = frozenset(part) | {anchor}
+                    splits.append((dp[X1], dp[X - X1]))
+            labels: dict[str, tuple[int, frozenset]] = {}
+            keys: dict[str, tuple] = {}
             for v in g.nodes:
-                best = None
-                for r in range(1, size):
-                    for part in itertools.combinations(sorted(X - {anchor}), r - 1):
-                        X1 = frozenset(part) | {anchor}
-                        X2 = X - X1
-                        s1 = dp.get((v, X1))
-                        s2 = dp.get((v, X2))
-                        if s1 is None or s2 is None:
+                best = best_key = None
+                for dp1, dp2 in splits:
+                    s1 = dp1.get(v)
+                    s2 = dp2.get(v)
+                    if s1 is None or s2 is None:
+                        continue
+                    cost = s1[0] + s2[0]
+                    shared = s1[1] & s2[1]
+                    if shared:
+                        cost -= sum(scaled[e] for e in shared)
+                    if best is not None and cost > best[0]:
+                        continue
+                    edges = s1[1] | s2[1]
+                    if best is not None and cost == best[0]:
+                        if best_key is None:
+                            best_key = tuple(sorted(best[1]))
+                        key = tuple(sorted(edges))
+                        if key >= best_key:
                             continue
-                        edges = s1[1] | s2[1]
-                        cost = g.edge_set_cost(edges)
-                        if best is None or _candidate_key(cost, edges) < _candidate_key(*best):
-                            best = (cost, edges)
+                        best_key = key
+                    else:
+                        best_key = None
+                    best = (cost, edges)
                 if best is not None:
                     labels[v] = best
-            # Relax labels along graph edges (Dijkstra-style sweep).
-            heap = [(_candidate_key(c, e), v) for v, (c, e) in labels.items()]
+                    keys[v] = tuple(sorted(best[1])) if best_key is None else best_key
+            # Relax labels along graph edges (Dijkstra-style sweep).  A
+            # label's cost grows by c only when the edge is new to its set.
+            heap = [(c, keys[v], v) for v, (c, _) in labels.items()]
             heapq.heapify(heap)
             settled = set()
             while heap:
-                key, v = heapq.heappop(heap)
-                if v in settled or _candidate_key(*labels[v]) != key:
+                cost_v, key, v = heapq.heappop(heap)
+                if v in settled or key != keys[v]:
                     continue
                 settled.add(v)
-                cost_v, edges_v = labels[v]
-                for nxt, c in g.neighbors(v):
-                    edges = edges_v | {edge_key(v, nxt)}
-                    cost = g.edge_set_cost(edges)
-                    cand = (cost, edges)
-                    if nxt not in labels or _candidate_key(*cand) < _candidate_key(*labels[nxt]):
-                        labels[nxt] = cand
-                        heapq.heappush(heap, (_candidate_key(*cand), nxt))
-            for v, sol in labels.items():
-                dp[(v, X)] = sol
+                edges_v = labels[v][1]
+                for nxt, c in adj[v]:
+                    e = edge_key(v, nxt)
+                    cost = cost_v if e in edges_v else cost_v + c
+                    label = labels.get(nxt)
+                    if label is not None and cost > label[0]:
+                        continue
+                    edges = edges_v | {e}
+                    key = tuple(sorted(edges))
+                    if label is not None and cost == label[0] and key >= keys[nxt]:
+                        continue
+                    labels[nxt] = (cost, edges)
+                    keys[nxt] = key
+                    heapq.heappush(heap, (cost, key, nxt))
+            dp[X] = labels
 
-    cost, edges = dp[(base, frozenset(rest))]
-    return EdgeSet(edges=frozenset(edges), cost=cost)
+    cost, edges = dp[frozenset(rest)][base]
+    return EdgeSet(edges=frozenset(edges), cost=Fraction(cost, scale))
 
 
 def steiner_forest_exact(

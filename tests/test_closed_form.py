@@ -8,11 +8,13 @@ from fractions import Fraction
 
 import pytest
 
+from netgames import games
 from netgames.equilibria import best_response_dynamics, interim_cost, verify_bne
 from netgames.errors import SupportTooLargeError
 from netgames.games import (
     GameInstance,
     PlayerSpec,
+    ex_post_opt,
     expected_opt,
     expected_player_cost,
     expected_potential,
@@ -26,7 +28,7 @@ from netgames.games import (
 )
 from netgames.instances import gen_instance
 
-from conftest import profile_actions
+from conftest import multicast, profile_actions, uniform
 
 # ---------------------------------------------------------------------------
 # Oracles: sums over the full product support of the players' types.
@@ -147,6 +149,38 @@ def test_expectations_equal_enumeration(inst):
         assert expected_potential(inst, s) == oracle_potential(inst, s)
         for i in range(inst.n):
             assert expected_player_cost(inst, s, i) == oracle_player_cost(inst, s, i)
+
+
+def test_expectations_with_and_without_the_use_table(inst):
+    for s in random_profiles(inst, random.Random(9), 3):
+        q = use_probabilities(inst, s)
+        assert expected_social_cost(inst, s, uses=q) == expected_social_cost(inst, s)
+        assert expected_potential(inst, s, uses=q) == expected_potential(inst, s)
+
+
+def test_expected_opt_equals_the_per_profile_sum(inst):
+    want = sum(
+        (w * ex_post_opt(inst, tp)[1] for tp, w in type_profiles(inst)), Fraction(0)
+    )
+    assert expected_opt(inst) == want
+
+
+def test_expected_opt_solves_each_terminal_set_once(triangle, monkeypatch):
+    """Four players over {a, b, r}: 81 type profiles, but the optimum
+    depends only on the set of non-root sources, of which there are 4."""
+    inst = multicast(triangle, *[uniform(["a", "b", "r"])] * 4)
+    want = sum(
+        (w * ex_post_opt(inst, tp)[1] for tp, w in type_profiles(inst)), Fraction(0)
+    )
+    solved = []
+
+    def counted(inst, type_profile):
+        solved.append(frozenset(type_profile) - {"r"})
+        return ex_post_opt(inst, type_profile)
+
+    monkeypatch.setattr(games, "ex_post_opt", counted)
+    assert expected_opt(inst) == want
+    assert len(solved) == len(set(solved)) == 4
 
 
 def test_interim_cost_of_every_deviation_equals_enumeration(inst):

@@ -20,8 +20,9 @@ from netgames.errors import (
     UnreachableError,
 )
 from netgames.graphs import _components
+from netgames.instances import gen_instance
 
-from conftest import mst_over_terminals, random_connected_graph
+from conftest import mst_over_terminals, random_connected_graph, steiner_tree_reference
 
 
 def path_graph():
@@ -175,6 +176,28 @@ class TestSteinerTree:
                 steiner_tree_exact(g, small).cost
                 <= steiner_tree_exact(g, large).cost
             )
+
+    @pytest.mark.parametrize(
+        "costs", [(0, 1, 2), (0, Fraction(1, 2), 1, Fraction(3, 2))], ids=["int", "half"]
+    )
+    def test_tie_break_matches_reference_on_tie_heavy_graphs(self, costs):
+        """Costs in {0, 1, 2} make many optimal trees: the edge set chosen
+        among them must be the reference DP's, not only its cost."""
+        rng = random.Random(29)
+        for _ in range(80):
+            g = random_connected_graph(rng, max_nodes=8, max_edges=14, costs=costs)
+            k = rng.randint(1, min(5, len(g.nodes)))
+            terms = set(rng.sample(list(g.nodes), k))
+            st, ref = steiner_tree_exact(g, terms), steiner_tree_reference(g, terms)
+            assert (st.cost, sorted(st.edges)) == (ref.cost, sorted(ref.edges))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tie_break_matches_reference_on_generated_graphs(self, seed):
+        g = gen_instance("multicast", n_nodes=7, n_players=2, seed=seed).graph
+        for k in range(1, 6):
+            for terms in itertools.combinations(g.nodes, k):
+                st, ref = steiner_tree_exact(g, terms), steiner_tree_reference(g, terms)
+                assert (st.cost, sorted(st.edges)) == (ref.cost, sorted(ref.edges))
 
 
 class TestSteinerForest:

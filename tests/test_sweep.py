@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from netgames import equilibria, graph_from_costs
+from netgames import equilibria, games, graph_from_costs
 from netgames.equilibria import (
     all_strategy_profiles,
     bpos_exact,
@@ -155,3 +155,18 @@ def test_bne_search_stops_at_the_cheapest_equilibrium(monkeypatch):
     checks = _Counter(monkeypatch, "verify_bne")
     bpos_exact(inst)
     assert checks.calls == first + 1
+
+
+def test_sweep_builds_one_use_table_per_profile(monkeypatch):
+    inst = gen_instance("multicast", 5, 3, 2, seed=1)
+    tables = []
+    inner = games.use_probabilities
+
+    def counted(inst, s):
+        tables.append(s)
+        return inner(inst, s)
+
+    monkeypatch.setattr(games, "use_probabilities", counted)
+    monkeypatch.setattr(equilibria, "use_probabilities", counted)
+    min_potential_profile(inst)
+    assert len(tables) == equilibria.strategy_space_size(inst)
