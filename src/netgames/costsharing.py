@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from . import graphs
-from .errors import DisconnectedError, PreconditionError
+from .errors import DisconnectedError, PreconditionError, UnreachableError
 from .graphs import EdgeSet, Graph
 
 
@@ -59,14 +59,13 @@ def steiner_scheme(g: Graph) -> CostSharingScheme:
         touched = {root} | {n for e in solution.edges for n in e}
         if x in touched:
             return EdgeSet(edges=frozenset(), cost=Fraction(0))
-        # Shortest path from x to the nearest node already on the tree.
-        best = None
-        for target in sorted(touched):
-            p = graphs.shortest_path(g, x, target)
-            key = (p.cost, p.nodes)
-            if best is None or key < best[0]:
-                best = (key, p)
-        return EdgeSet(edges=best[1].edges, cost=best[1].cost)
+        if x not in g.nodes:
+            raise UnreachableError(x, min(touched))
+        # Cheapest path from x to the tree, ties to the least node sequence:
+        # one lexicographic Dijkstra, stopped at the first tree node it pops.
+        reached = graphs._lex_dijkstra(g.neighbors, x, stop=touched)
+        cost, seq = next(reversed(reached.values()))
+        return EdgeSet(edges=graphs._path_edges(seq), cost=Fraction(cost))
 
     def share(clients: frozenset, x) -> Fraction:
         if x not in clients:

@@ -22,7 +22,6 @@ from .games import (
     expected_opt,
     expected_potential,
     expected_social_cost,
-    feasible_actions,
     harmonic,
     use_probabilities,
     use_row,
@@ -57,27 +56,14 @@ class CertificateReport:
         return all(link.holds for link in self.links)
 
 
-def _action_menu(inst: GameInstance) -> list[list[tuple]]:
-    """Per player: list of (type, [feasible actions]) in support order."""
-    return [
-        [(t, feasible_actions(inst, i, t)) for t, _ in spec.distribution]
-        for i, spec in enumerate(inst.players)
-    ]
-
-
-def _space_size(menu: list[list[tuple]]) -> int:
-    return math.prod(len(acts) for entries in menu for _, acts in entries)
-
-
 def strategy_space_size(inst: GameInstance) -> int:
-    return _space_size(_action_menu(inst))
+    return math.prod(len(acts) for entries in inst.menus for _, acts in entries)
 
 
 def all_strategy_profiles(inst: GameInstance):
     """All pure Bayesian strategy profiles in canonical order: the product
     of the players' strategies, each the product of its per-type menus."""
-    menu = _action_menu(inst)
-    size = _space_size(menu)
+    size = strategy_space_size(inst)
     if size > inst.strategy_cap:
         raise StrategySpaceTooLargeError(
             f"strategy space {size} exceeds cap {inst.strategy_cap}"
@@ -85,7 +71,7 @@ def all_strategy_profiles(inst: GameInstance):
     spaces = [
         [dict(zip([t for t, _ in entries], combo))
          for combo in itertools.product(*[acts for _, acts in entries])]
-        for entries in menu
+        for entries in inst.menus
     ]
     for combo in itertools.product(*spaces):
         yield tuple(combo)
@@ -107,10 +93,10 @@ def verify_bne(inst: GameInstance, s: tuple) -> EquilibriumReport:
     type, and feasible deviation.  Weak inequality with exact rationals."""
     q = use_probabilities(inst, s)
     worst = None
-    for i, spec in enumerate(inst.players):
-        for t, _ in spec.distribution:
+    for i, entries in enumerate(inst.menus):
+        for t, menu in entries:
             current = interim_cost(inst, s, i, t, s[i][t], uses=q)
-            for alt in feasible_actions(inst, i, t):
+            for alt in menu:
                 gap = current - interim_cost(inst, s, i, t, alt, uses=q)
                 if gap > 0 and (worst is None or gap > worst[3]):
                     worst = (i, t, alt, gap)
@@ -192,18 +178,18 @@ def best_response_dynamics(
     trace = [expected_potential(inst, s, uses=q)]
     for _ in range(max_rounds):
         changed = False
-        for i, spec in enumerate(inst.players):
-            for t, _ in spec.distribution:
+        for i, entries in enumerate(inst.menus):
+            for t, menu in entries:
                 incumbent = s[i][t]
                 best_act = incumbent
                 best_val = interim_cost(inst, s, i, t, incumbent, uses=q)
-                for alt in feasible_actions(inst, i, t):
+                for alt in menu:
                     val = interim_cost(inst, s, i, t, alt, uses=q)
                     if val < best_val:
                         best_act, best_val = alt, val
                 if best_act != incumbent:
                     s[i][t] = best_act
-                    q[i] = use_row(spec, s[i])
+                    q[i] = use_row(inst, i, s[i])
                     changed = True
                     trace.append(expected_potential(inst, s, uses=q))
         if not changed:

@@ -5,6 +5,10 @@ expectations over finite independent type distributions.
 Expected cost, expected potential and interim costs are closed-form sums
 over elements of the exact law of each element's use count; they never
 enumerate type profiles, so here `support_cap` bounds only `expected_opt`.
+The sums are exact Python integers over denominators fixed per instance
+(`GameInstance._scale`: the lcm D of the type probabilities' denominators,
+the lcm C of the element costs' and L = lcm(1..n)), and each public function
+returns one `Fraction` built at the end.
 `expected_opt` does enumerate them, but the ex-post optimum depends only on
 the set of realized terminals (sources, pairs or hyperedges), so it sums the
 weights per set and solves each distinct set once.
@@ -27,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import NoFeasibleActionError, SupportTooLargeError, ValidationError
 from . import graphs
@@ -68,6 +72,21 @@ class PlayerSpec:
 
     def support(self) -> list:
         return [t for t, _ in self.distribution]
+
+
+class _Scale(NamedTuple):
+    """Integer forms of an instance's numbers over common denominators: type
+    probability p is weights[i][j] / D (in support order), element cost c is
+    costs[e] / C, 1/(k+1) is inv[k] / L and H_k is harm[k] / L."""
+
+    D: int
+    weights: tuple
+    C: int
+    costs: dict
+    L: int
+    inv: tuple  # L / (k+1), k = 0..n-1
+    harm: tuple  # H_k * L, k = 0..n
+    D_pow: tuple  # D^k, k = 0..n
 
 
 @dataclass(frozen=True)
@@ -154,6 +173,34 @@ class GameInstance:
     @functools.cached_property
     def _cover_costs(self) -> dict:
         return dict(self.node_costs)
+
+    @functools.cached_property
+    def _scale(self) -> _Scale:
+        n = self.n
+        probs = [[Fraction(p) for _, p in spec.distribution] for spec in self.players]
+        D = math.lcm(*(p.denominator for row in probs for p in row))
+        costs = dict(self.graph.edges if self.kind in GRAPH_KINDS else self.node_costs)
+        C = math.lcm(*(c.denominator for c in costs.values()))
+        L = math.lcm(*range(1, n + 1))
+        return _Scale(
+            D=D,
+            weights=tuple(tuple(int(p * D) for p in row) for row in probs),
+            C=C,
+            costs={e: int(c * C) for e, c in costs.items()},
+            L=L,
+            inv=tuple(L // (k + 1) for k in range(n)),
+            harm=tuple(int(harmonic(k) * L) for k in range(n + 1)),
+            D_pow=tuple(D ** k for k in range(n + 1)),
+        )
+
+    @functools.cached_property
+    def menus(self) -> tuple:
+        """Per player: ((type, feasible actions), ...) in support order, built
+        once per instance and shared by every search over it."""
+        return tuple(
+            tuple((t, tuple(feasible_actions(self, i, t))) for t, _ in spec.distribution)
+            for i, spec in enumerate(self.players)
+        )
 
     def element_cost(self, e) -> Fraction:
         if self.kind in GRAPH_KINDS:
@@ -288,70 +335,73 @@ def type_profiles(inst: GameInstance):
     )
 
 
-def use_row(spec: PlayerSpec, strategy: dict) -> dict:
-    """Element -> probability that the player uses it under `strategy`."""
+def use_row(inst: GameInstance, i: int, strategy: dict) -> dict:
+    """Element -> probability, as an integer over `D`, that player i uses it
+    under `strategy`."""
     row: dict = {}
-    for t, p in spec.distribution:
+    for (t, _), w in zip(inst.players[i].distribution, inst._scale.weights[i]):
         for e in strategy[t].elements:
-            row[e] = row.get(e, 0) + p
+            row[e] = row.get(e, 0) + w
     return row
 
 
 def use_probabilities(inst: GameInstance, s: tuple) -> list[dict]:
     """The table q of profile s: row j is player j's `use_row`."""
-    return [use_row(spec, strategy) for spec, strategy in zip(inst.players, s)]
+    return [use_row(inst, j, strategy) for j, strategy in enumerate(s)]
 
 
-def count_law(q: list[dict], e, skip: Optional[int] = None) -> list[Fraction]:
+def count_law(inst: GameInstance, q: list[dict], e, skip: Optional[int] = None) -> list[int]:
     """Exact law of the number of players other than `skip` using e, each
-    player j independently with probability q[j][e]: entry k is the
-    probability of k users (Poisson-binomial DP, O(n^2))."""
-    law = [Fraction(1)]
+    player j independently with probability q[j][e] / D: entry k is the
+    probability of k users times D^m, m the number of players counted
+    (n, or n - 1 with `skip`).  Poisson-binomial DP on (D - a, a), O(n^2)."""
+    D = inst._scale.D
+    law = [1]
+    users = 0
     for j, row in enumerate(q):
-        p = row.get(e, 0)
-        if p and j != skip:
-            law = [a * (1 - p) + b * p for a, b in zip(law + [0], [0] + law)]
-    return law
+        a = row.get(e, 0)
+        if a and j != skip:
+            law = [x * (D - a) + y * a for x, y in zip(law + [0], [0] + law)]
+            users += 1
+    lift = inst._scale.D_pow[len(q) - (skip is not None) - users]
+    return law if lift == 1 else [x * lift for x in law]
 
 
 def action_cost(inst: GameInstance, q: list[dict], i: int, action: Action) -> Fraction:
     """Expected fair-share cost to player i of `action` when the others use
-    elements with the probabilities q: sum of c_e * E[1/(1 + N_{-i,e})]."""
-    return sum(
-        (
-            inst.element_cost(e)
-            * sum(w / (k + 1) for k, w in enumerate(count_law(q, e, skip=i)))
-            for e in action.elements
-        ),
-        Fraction(0),
+    elements with the probabilities q (a `use_probabilities` table): sum of
+    c_e * E[1/(1 + N_{-i,e})]."""
+    sc = inst._scale
+    tot = sum(
+        sc.costs[e] * sum(w * v for w, v in zip(count_law(inst, q, e, skip=i), sc.inv))
+        for e in action.elements
     )
+    return Fraction(tot, sc.C * sc.L * sc.D_pow[inst.n - 1])
 
 
 def expected_social_cost(inst: GameInstance, s: tuple, *, uses=None) -> Fraction:
     """Sum over elements e of c_e * P(some player uses e).  `uses` is s's
     `use_probabilities` table when the caller already holds it."""
     q = use_probabilities(inst, s) if uses is None else uses
-    return sum(
-        (
-            inst.element_cost(e) * (1 - math.prod(1 - row.get(e, 0) for row in q))
-            for e in set().union(*q)
-        ),
-        Fraction(0),
+    sc = inst._scale
+    D, Dn = sc.D, sc.D_pow[inst.n]
+    tot = sum(
+        sc.costs[e] * (Dn - math.prod(D - row.get(e, 0) for row in q))
+        for e in set().union(*q)
     )
+    return Fraction(tot, sc.C * Dn)
 
 
 def expected_potential(inst: GameInstance, s: tuple, *, uses=None) -> Fraction:
     """Sum over elements e of c_e * E[H_N], N the number of users of e.
     `uses` is as for `expected_social_cost`."""
     q = use_probabilities(inst, s) if uses is None else uses
-    return sum(
-        (
-            inst.element_cost(e)
-            * sum(w * harmonic(k) for k, w in enumerate(count_law(q, e)))
-            for e in set().union(*q)
-        ),
-        Fraction(0),
+    sc = inst._scale
+    tot = sum(
+        sc.costs[e] * sum(w * h for w, h in zip(count_law(inst, q, e), sc.harm))
+        for e in set().union(*q)
     )
+    return Fraction(tot, sc.C * sc.L * sc.D_pow[inst.n])
 
 
 def expected_player_cost(inst: GameInstance, s: tuple, i: int) -> Fraction:

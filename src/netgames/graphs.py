@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Container, Iterable, Optional
 
 from .errors import (
     DisconnectedError,
@@ -150,7 +150,7 @@ def shortest_path(g: Graph, u: str, v: str) -> Path:
     same loop to completion once per node."""
     if u not in g.nodes or v not in g.nodes:
         raise UnreachableError(u, v)
-    reached = _lex_dijkstra(g.neighbors, u, stop=v)
+    reached = _lex_dijkstra(g.neighbors, u, stop=(v,))
     if v not in reached:
         raise UnreachableError(u, v)
     cost, seq = reached[v]
@@ -158,13 +158,15 @@ def shortest_path(g: Graph, u: str, v: str) -> Path:
 
 
 def _lex_dijkstra(
-    neighbors: Callable[[str], list], source: str, stop: Optional[str] = None
+    neighbors: Callable[[str], list], source: str, stop: Container = ()
 ) -> dict[str, tuple]:
     """node -> (cost, node sequence) of its cheapest path from `source`, for
-    every node settled up to `stop` (every reachable node without one).
-    `neighbors(node)` lists (neighbor, edge cost).  Priorities are
-    (cost, node-sequence) and sequences compare lexicographically, so a
-    node's first pop is its tie-broken answer."""
+    every node settled up to the first one in `stop` (every reachable node
+    when no node of `stop` is reached).  `neighbors(node)` lists (neighbor,
+    edge cost).  Priorities are (cost, node-sequence) and sequences compare
+    lexicographically, so a node's first pop is its tie-broken answer, and
+    with non-negative costs the pops come in increasing priority: the first
+    node of `stop` popped has the least (cost, sequence) of them all."""
     heap = [(0, (source,))]
     best: dict[str, tuple] = {}
     while heap:
@@ -173,7 +175,7 @@ def _lex_dijkstra(
         if node in best:
             continue
         best[node] = (cost, seq)
-        if node == stop:
+        if node in stop:
             break
         for nxt, c in neighbors(node):
             if nxt not in best:

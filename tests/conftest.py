@@ -1,13 +1,14 @@
 import heapq
 import itertools
+import math
 import random
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Optional
 
 import pytest
 
 from netgames import graph_from_costs
-from netgames.games import GameInstance, PlayerSpec
+from netgames.games import Action, GameInstance, PlayerSpec, harmonic
 from netgames.errors import DisconnectedError
 from netgames.graphs import EdgeSet, Graph, Metric, _components, edge_key, shortest_path
 
@@ -177,3 +178,92 @@ def random_connected_graph(
         if rng.random() < 0.5:
             edges[(a, b)] = cost()
     return graph_from_costs(edges, nodes=nodes, root=root or nodes[0])
+
+
+# ---------------------------------------------------------------------------
+# The closed-form expectations as first written, in `Fraction` arithmetic:
+# the oracle of the integer sums in `games`.  `use_probabilities_reference`
+# gives the probabilities themselves, not numerators over a denominator.
+
+
+def use_row_reference(spec: PlayerSpec, strategy: dict) -> dict:
+    """Element -> probability that the player uses it under `strategy`."""
+    row: dict = {}
+    for t, p in spec.distribution:
+        for e in strategy[t].elements:
+            row[e] = row.get(e, 0) + p
+    return row
+
+
+def use_probabilities_reference(inst: GameInstance, s: tuple) -> list[dict]:
+    """The table q of profile s: row j is player j's `use_row`."""
+    return [use_row_reference(spec, strategy) for spec, strategy in zip(inst.players, s)]
+
+
+def count_law_reference(q: list[dict], e, skip: Optional[int] = None) -> list[Fraction]:
+    """Exact law of the number of players other than `skip` using e, each
+    player j independently with probability q[j][e]: entry k is the
+    probability of k users (Poisson-binomial DP, O(n^2))."""
+    law = [Fraction(1)]
+    for j, row in enumerate(q):
+        p = row.get(e, 0)
+        if p and j != skip:
+            law = [a * (1 - p) + b * p for a, b in zip(law + [0], [0] + law)]
+    return law
+
+
+def action_cost_reference(inst: GameInstance, q: list[dict], i: int, action: Action) -> Fraction:
+    """Expected fair-share cost to player i of `action` when the others use
+    elements with the probabilities q: sum of c_e * E[1/(1 + N_{-i,e})]."""
+    return sum(
+        (
+            inst.element_cost(e)
+            * sum(w / (k + 1) for k, w in enumerate(count_law_reference(q, e, skip=i)))
+            for e in action.elements
+        ),
+        Fraction(0),
+    )
+
+
+def expected_social_cost_reference(inst: GameInstance, s: tuple, *, uses=None) -> Fraction:
+    """Sum over elements e of c_e * P(some player uses e).  `uses` is s's
+    `use_probabilities` table when the caller already holds it."""
+    q = use_probabilities_reference(inst, s) if uses is None else uses
+    return sum(
+        (
+            inst.element_cost(e) * (1 - math.prod(1 - row.get(e, 0) for row in q))
+            for e in set().union(*q)
+        ),
+        Fraction(0),
+    )
+
+
+def expected_potential_reference(inst: GameInstance, s: tuple, *, uses=None) -> Fraction:
+    """Sum over elements e of c_e * E[H_N], N the number of users of e.
+    `uses` is as for `expected_social_cost`."""
+    q = use_probabilities_reference(inst, s) if uses is None else uses
+    return sum(
+        (
+            inst.element_cost(e)
+            * sum(w * harmonic(k) for k, w in enumerate(count_law_reference(q, e)))
+            for e in set().union(*q)
+        ),
+        Fraction(0),
+    )
+
+
+def augment_reference(g: Graph, solution: EdgeSet, x) -> EdgeSet:
+    """The Steiner scheme's augmentation as first written, kept as the oracle
+    of its single Dijkstra: one `shortest_path` per node on the tree (or the
+    root), keeping the least (cost, node sequence)."""
+    touched = {g.root} | {n for e in solution.edges for n in e}
+    if x in touched:
+        return EdgeSet(edges=frozenset(), cost=Fraction(0))
+    # Shortest path from x to the nearest node already on the tree.
+    best = None
+    for target in sorted(touched):
+        p = shortest_path(g, x, target)
+        key = (p.cost, p.nodes)
+        if best is None or key < best[0]:
+            best = (key, p)
+    return EdgeSet(edges=best[1].edges, cost=best[1].cost)

@@ -1,0 +1,239 @@
+"""Differential tests: the closed-form layer's integer sums over per-instance
+common denominators against the same closed form in `Fraction` arithmetic
+(the `*_reference` oracles in conftest), and the Steiner scheme's one-Dijkstra
+augmentation against its per-tree-node loop.  Every value must be equal as
+an exact `Fraction`."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from netgames import graph_from_costs
+from netgames.costsharing import steiner_scheme
+from netgames.equilibria import all_strategy_profiles, verify_bne
+from netgames.errors import UnreachableError
+from netgames.games import (
+    GameInstance,
+    PlayerSpec,
+    action_cost,
+    count_law,
+    expected_player_cost,
+    expected_potential,
+    expected_social_cost,
+    use_probabilities,
+)
+from netgames.graphs import EdgeSet
+from netgames.instances import gen_instance
+
+from conftest import (
+    action_cost_reference,
+    augment_reference,
+    count_law_reference,
+    expected_potential_reference,
+    expected_social_cost_reference,
+    multicast,
+    point_mass,
+    random_connected_graph,
+    use_probabilities_reference,
+)
+
+# Probabilities with pairwise coprime denominators 7, 9 and 11, so D = 693.
+COPRIME = (
+    (Fraction(1, 7), Fraction(6, 7)),
+    (Fraction(2, 9), Fraction(7, 9)),
+    (Fraction(3, 11), Fraction(8, 11)),
+)
+
+
+def two_point(types, k):
+    return PlayerSpec(distribution=tuple(zip(types, COPRIME[k % 3])))
+
+
+def coprime_multicast(n):
+    """Zero-cost and fractional-cost edges; player 3 sits at a for sure, and
+    the two routes out of b both start with a zero-cost edge."""
+    g = graph_from_costs(
+        {
+            ("a", "r"): Fraction(0),
+            ("a", "b"): Fraction(3, 4),
+            ("b", "r"): Fraction(5, 3),
+            ("a", "c"): Fraction(2, 5),
+            ("c", "r"): Fraction(1),
+            ("b", "c"): Fraction(0),
+        },
+        root="r",
+    )
+    players = [
+        two_point(("a", "b"), 0),
+        two_point(("c", "a"), 1),
+        two_point(("b", "r"), 2),
+        point_mass("a"),
+        two_point(("c", "b"), 1),
+        two_point(("a", "c"), 0),
+    ]
+    return multicast(g, *players[:n])
+
+
+def coprime_cover(n):
+    """Vertex cover with a zero-cost node z; player 0 can pick u on both of
+    its types, which uses u with probability 1."""
+    costs = (("u", Fraction(7, 2)), ("v", Fraction(1, 3)), ("w", Fraction(2)), ("z", Fraction(0)))
+    players = [
+        two_point((("u", "v"), ("u", "w")), 0),
+        two_point((("v", "z"), ("w", "z")), 1),
+        two_point((("u", "z"), ("v", "w")), 2),
+        point_mass(("u", "v")),
+        two_point((("w", "z"), ("u", "v")), 2),
+        two_point((("u", "w"), ("v", "z")), 1),
+    ]
+    return GameInstance(kind="vertex-cover", players=tuple(players[:n]), node_costs=costs)
+
+
+def coprime_hypergraph(n):
+    """h0 costs nothing; the even players can buy h1 on both of their types."""
+    costs = tuple((f"h{k}", Fraction(k, 3)) for k in range(5))
+    players = [
+        two_point((("h1", "h2", "h3"), ("h1", "h3", "h4")), k)
+        if k % 2 == 0
+        else two_point((("h0", "h2", "h4"), ("h2", "h3", "h4")), k)
+        for k in range(n)
+    ]
+    return GameInstance(kind="hypergraph-cover", players=tuple(players), node_costs=costs)
+
+
+def small_instances():
+    for kind, root_mass in (
+        ("multicast", False),
+        ("multicast", True),
+        ("source-sink", False),
+        ("vertex-cover", False),
+    ):
+        for seed in range(3):
+            inst = gen_instance(kind, 4, 2, 2, seed=seed, root_mass=root_mass)
+            yield pytest.param(inst, id=f"{kind}{'-rm' * root_mass}-{seed}")
+    for build in (coprime_cover, coprime_hypergraph):
+        yield pytest.param(build(2), id=f"{build.__name__}-2")
+
+
+def coprime_instances():
+    for build in (coprime_multicast, coprime_cover, coprime_hypergraph):
+        for n in (3, 6):
+            yield pytest.param(build(n), id=f"{build.__name__}-{n}")
+
+
+def random_profiles(inst, rng, count):
+    return [
+        tuple({t: rng.choice(acts) for t, acts in entries} for entries in inst.menus)
+        for _ in range(count)
+    ]
+
+
+def check_profile(inst, s):
+    """Every closed-form value of s, integer path against the oracle.
+    Returns the elements that some player uses with probability 1."""
+    D = inst._scale.D
+    q = use_probabilities(inst, s)
+    qf = use_probabilities_reference(inst, s)
+    assert [{e: Fraction(a, D) for e, a in row.items()} for row in q] == qf
+    for e in set().union(*q):
+        for skip in (None, *range(inst.n)):
+            law = count_law(inst, q, e, skip=skip)
+            scale = D ** (inst.n - (skip is not None))
+            assert [Fraction(x, scale) for x in law] == count_law_reference(qf, e, skip)
+    cost = expected_social_cost(inst, s)
+    potential = expected_potential(inst, s)
+    assert type(cost) is type(potential) is Fraction
+    assert cost == expected_social_cost(inst, s, uses=q) == expected_social_cost_reference(inst, s)
+    assert potential == expected_potential(inst, s, uses=q) == expected_potential_reference(inst, s)
+    for i, entries in enumerate(inst.menus):
+        for t, acts in entries:
+            for a in acts:
+                got = action_cost(inst, q, i, a)
+                assert type(got) is Fraction
+                assert got == action_cost_reference(inst, qf, i, a)
+        want = sum(
+            (p * action_cost_reference(inst, qf, i, s[i][t]) for t, p in inst.players[i].distribution),
+            Fraction(0),
+        )
+        assert expected_player_cost(inst, s, i) == want
+    return {e for row in q for e, a in row.items() if a == D}
+
+
+@pytest.mark.parametrize("inst", small_instances())
+def test_every_profile_equals_the_fraction_closed_form(inst):
+    for s in all_strategy_profiles(inst):
+        check_profile(inst, s)
+
+
+@pytest.mark.parametrize("inst", coprime_instances())
+def test_coprime_denominators_zero_costs_and_sure_users(inst):
+    assert inst._scale.D == 693
+    profiles = random_profiles(inst, random.Random(inst.n), 12)
+    # The first strategy of every menu: multicast player 3, cover player 0 and
+    # hypergraph player 0 then use an element with probability 1 (D - a = 0).
+    profiles.append(tuple({t: acts[0] for t, acts in entries} for entries in inst.menus))
+    sure = set().union(*(check_profile(inst, s) for s in profiles))
+    used = set().union(*(set().union(*use_probabilities(inst, s)) for s in profiles))
+    assert sure
+    assert any(inst.element_cost(e) == 0 for e in used)
+    assert any(inst.element_cost(e).denominator > 1 for e in used)
+
+
+@pytest.mark.parametrize("inst", coprime_instances())
+def test_verify_bne_equals_the_fraction_closed_form(inst):
+    for s in random_profiles(inst, random.Random(31 + inst.n), 4):
+        qf = use_probabilities_reference(inst, s)
+        worst = None
+        for i, entries in enumerate(inst.menus):
+            for t, acts in entries:
+                current = action_cost_reference(inst, qf, i, s[i][t])
+                for alt in acts:
+                    gap = current - action_cost_reference(inst, qf, i, alt)
+                    if gap > 0 and (worst is None or gap > worst[3]):
+                        worst = (i, t, alt, gap)
+        assert verify_bne(inst, s).worst_violation == worst
+
+
+def test_scale_is_computed_on_first_use():
+    inst = coprime_multicast(3)
+    assert "_scale" not in vars(inst)
+    expected_potential(inst, random_profiles(inst, random.Random(0), 1)[0])
+    sc = vars(inst)["_scale"]
+    assert (sc.D, sc.C, sc.L) == (693, 60, 6)
+    assert sc.inv == (6, 3, 2) and sc.harm == (0, 6, 9, 11)
+
+
+# ---------------------------------------------------------------------------
+# Augmentation: one lexicographic Dijkstra against one path per tree node.
+
+
+def solutions(g, scheme, rng):
+    out = [EdgeSet(edges=frozenset(), cost=Fraction(0))]
+    for _ in range(3):
+        chosen = frozenset(e for e in g.edge_keys() if rng.random() < 0.3)
+        out.append(EdgeSet(edges=chosen, cost=g.edge_set_cost(chosen)))
+        terms = rng.sample(list(g.nodes), rng.randint(1, len(g.nodes)))
+        out.append(scheme.approx(frozenset(terms)))
+    return out
+
+
+@pytest.mark.parametrize("costs", [[0, 1, 2], None], ids=["costs-0-1-2", "fractional"])
+@pytest.mark.parametrize("seed", range(40))
+def test_augment_matches_the_per_node_loop(seed, costs):
+    rng = random.Random(seed)
+    g = random_connected_graph(rng, max_nodes=7, max_edges=12, costs=costs)
+    scheme = steiner_scheme(g)
+    for sol in solutions(g, scheme, rng):
+        for x in g.nodes:
+            assert scheme.augment(sol, x) == augment_reference(g, sol, x)
+
+
+def test_augment_from_an_unknown_node_raises_as_before(triangle):
+    scheme = steiner_scheme(triangle)
+    sol = scheme.approx(frozenset({"a"}))
+    with pytest.raises(UnreachableError) as got:
+        scheme.augment(sol, "zz")
+    with pytest.raises(UnreachableError) as want:
+        augment_reference(triangle, sol, "zz")
+    assert str(got.value) == str(want.value)

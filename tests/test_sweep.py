@@ -2,6 +2,7 @@
 bpos_exact, information_gap_exact and potential_method_certificate, checked
 against brute-force definitions over `all_strategy_profiles`."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from netgames import equilibria, games, graph_from_costs
 from netgames.equilibria import (
     all_strategy_profiles,
+    best_response_dynamics,
     bpos_exact,
     enumerate_pure_bne,
     information_gap_exact,
@@ -170,3 +172,31 @@ def test_sweep_builds_one_use_table_per_profile(monkeypatch):
     monkeypatch.setattr(equilibria, "use_probabilities", counted)
     min_potential_profile(inst)
     assert len(tables) == equilibria.strategy_space_size(inst)
+
+
+def test_menus_are_built_once_per_instance(monkeypatch):
+    """`verify_bne` and the dynamics read the instance's menus: each (player,
+    type) menu is built once, however many profiles or rounds follow."""
+    built = []
+    inner = games.feasible_actions
+
+    def counted(inst, i, t):
+        built.append((i, t))
+        return inner(inst, i, t)
+
+    monkeypatch.setattr(games, "feasible_actions", counted)
+
+    def fresh():
+        built.clear()
+        return gen_instance("multicast", 5, 3, 2, seed=1)
+
+    inst = fresh()
+    pairs = sorted((i, t) for i, spec in enumerate(inst.players) for t in spec.support())
+    reports = [verify_bne(inst, s) for s in itertools.islice(all_strategy_profiles(inst), 20)]
+    assert sorted(built) == pairs
+    s0 = next(r.profile for r in reports if not r.is_bne)
+
+    inst = fresh()
+    _, trace = best_response_dynamics(inst, s0, return_trace=True)
+    assert len(trace) > 1  # a move, so at least two rounds
+    assert sorted(built) == pairs
