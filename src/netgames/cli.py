@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import random
@@ -297,7 +298,10 @@ def cmd_gen(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state
+    in it, and building it costs far more than a parse."""
     parser = argparse.ArgumentParser(
         prog="netgames",
         description="Exact analysis of Bayesian network design games.",

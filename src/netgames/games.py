@@ -11,7 +11,10 @@ the lcm C of the element costs' and L = lcm(1..n)), and each public function
 returns one `Fraction` built at the end.
 `expected_opt` does enumerate them, but the ex-post optimum depends only on
 the set of realized terminals (sources, pairs or hyperedges), so it sums the
-weights per set and solves each distinct set once.
+weights per set and solves each distinct set once.  Steiner trees
+(multicast) and forests (source-sink) read the instance graph's shared
+Dreyfus-Wagner table, so distinct sets still share their terminal subsets,
+with the scheme's base solutions too; forests have no edge cap.
 `weighted_product` is the one capped product enumeration, shared with the
 draw enumerations of `sampling`.
 

@@ -4,10 +4,16 @@ forest, hitting sets) that the game layer uses as its optimum.
 
 All costs are `fractions.Fraction`; every argmin is broken lexicographically
 under the canonical (sorted) node/edge ordering so results are reproducible.
+Each `Graph` keeps one lazily filled Steiner table (`_SteinerTable`): the
+Dreyfus-Wagner labels of every terminal subset solved so far, shared by
+every Steiner tree and forest and by the metric closure on that graph.
+`min_feasible_subset_bruteforce` is the independent edge-subset oracle of
+those solvers and is capped by edge count.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -88,6 +94,11 @@ class Graph:
             return True
         comp = _components(self.nodes, self.edge_keys())
         return len(set(comp.values())) == 1
+
+    @functools.cached_property
+    def _steiner(self) -> _SteinerTable:
+        """The graph's shared Steiner table, built on first use."""
+        return _SteinerTable(self)
 
 
 def graph_from_costs(costs: dict[Edge, Fraction] | dict, nodes=None, root=None) -> Graph:
@@ -188,161 +199,207 @@ def _path_edges(seq: tuple[str, ...]) -> frozenset:
 
 
 def metric_closure(g: Graph) -> Metric:
+    """Distances read from the per-node Dijkstras of the graph's Steiner
+    table, which the Steiner solvers reuse."""
     if not g.is_connected():
         raise DisconnectedError("graph is not connected")
-    table: dict[Edge, Fraction] = {}
-    for u in g.nodes:
-        dist = _dijkstra_costs(g, u)
-        for v in g.nodes:
-            if u < v:
-                table[(u, v)] = dist[v]
-    return Metric(g.nodes, table)
+    table = g._steiner
+    return Metric(
+        g.nodes,
+        {
+            (u, v): Fraction(table.paths(u)[v][0], table.scale)
+            for u in g.nodes
+            for v in g.nodes
+            if u < v
+        },
+    )
 
 
-def _dijkstra_costs(g: Graph, source: str) -> dict[str, Fraction]:
-    dist = {source: Fraction(0)}
-    heap = [(Fraction(0), source)]
-    done = set()
-    while heap:
-        d, node = heapq.heappop(heap)
-        if node in done:
-            continue
-        done.add(node)
-        for nxt, c in g.neighbors(node):
-            nd = d + c
-            if nxt not in dist or nd < dist[nxt]:
-                dist[nxt] = nd
-                heapq.heappush(heap, (nd, nxt))
-    return dist
+class _SteinerTable:
+    """What the exact Steiner solvers share on one graph, filled lazily: the
+    integer costs (each cost times `scale`, the lcm of the edge cost
+    denominators) and adjacency, the components, one lexicographic Dijkstra
+    per node, and the Dreyfus-Wagner labels dp[X][v] = cheapest (cost, edge
+    set) connecting {v} | X for a frozenset X of terminals.  A label depends
+    only on the graph and X (its base paths, split order, integer costs and
+    tie-breaks all do), so one table serves every terminal set, in any call
+    order, and no subset is built twice."""
+
+    def __init__(self, g: Graph):
+        self.nodes = g.nodes
+        self.scale = math.lcm(*(c.denominator for _, c in g.edges))
+        self.cost = {e: int(c * self.scale) for e, c in g.edges}
+        self.adj = {
+            v: [(nxt, self.cost[edge_key(v, nxt)]) for nxt, _ in g.neighbors(v)]
+            for v in g.nodes
+        }
+        self.comp = _components(g.nodes, self.cost)
+        self._paths: dict[str, dict[str, tuple]] = {}
+        self.dp: dict[frozenset, dict[str, tuple[int, frozenset]]] = {}
+
+    def paths(self, v: str) -> dict[str, tuple]:
+        """node -> (integer cost, node sequence) of its cheapest path from v."""
+        reached = self._paths.get(v)
+        if reached is None:
+            reached = self._paths[v] = _lex_dijkstra(self.adj.__getitem__, v)
+        return reached
+
+    def tree(self, terms: list[str]) -> tuple[int, frozenset]:
+        """(integer cost, edges) of the Steiner tree on sorted terminals of
+        one component: the label of the least terminal in dp[the others]."""
+        if len(terms) == 1:
+            return 0, frozenset()
+        return self.labels(frozenset(terms[1:]))[terms[0]]
+
+    def labels(self, X: frozenset) -> dict[str, tuple[int, frozenset]]:
+        got = self.dp.get(X)
+        if got is None:
+            got = self.dp[X] = self._build(X)
+        return got
+
+    def _build(self, X: frozenset) -> dict[str, tuple[int, frozenset]]:
+        # Base case: a terminal's label at v is v's cheapest path to it.
+        # Otherwise labels combine two sub-solutions at the same node and
+        # then relax along graph edges.  States carry real edge sets and
+        # their true cost, so overlapping sub-solutions only help.
+        # Candidates are ranked by (cost, sorted edges); the sorted tuple is
+        # built only on a cost tie.
+        if len(X) == 1:
+            (t,) = X
+            labels = {}
+            for v in self.nodes:
+                if self.comp[v] == self.comp[t]:
+                    cost, seq = self.paths(v)[t]
+                    labels[v] = (cost, _path_edges(seq))
+            return labels
+        anchor = min(X)
+        others = sorted(X - {anchor})
+        splits = []
+        for r in range(len(others)):
+            for part in itertools.combinations(others, r):
+                X1 = frozenset(part) | {anchor}
+                splits.append((self.labels(X1), self.labels(X - X1)))
+        labels: dict[str, tuple[int, frozenset]] = {}
+        keys: dict[str, tuple] = {}
+        for v in self.nodes:
+            best = best_key = None
+            for dp1, dp2 in splits:
+                s1 = dp1.get(v)
+                s2 = dp2.get(v)
+                if s1 is None or s2 is None:
+                    continue
+                cost = s1[0] + s2[0]
+                shared = s1[1] & s2[1]
+                if shared:
+                    cost -= sum(self.cost[e] for e in shared)
+                if best is not None and cost > best[0]:
+                    continue
+                edges = s1[1] | s2[1]
+                if best is not None and cost == best[0]:
+                    if best_key is None:
+                        best_key = tuple(sorted(best[1]))
+                    key = tuple(sorted(edges))
+                    if key >= best_key:
+                        continue
+                    best_key = key
+                else:
+                    best_key = None
+                best = (cost, edges)
+            if best is not None:
+                labels[v] = best
+                keys[v] = tuple(sorted(best[1])) if best_key is None else best_key
+        # Relax labels along graph edges (Dijkstra-style sweep).  A
+        # label's cost grows by c only when the edge is new to its set.
+        heap = [(c, keys[v], v) for v, (c, _) in labels.items()]
+        heapq.heapify(heap)
+        settled = set()
+        while heap:
+            cost_v, key, v = heapq.heappop(heap)
+            if v in settled or key != keys[v]:
+                continue
+            settled.add(v)
+            edges_v = labels[v][1]
+            for nxt, c in self.adj[v]:
+                e = edge_key(v, nxt)
+                cost = cost_v if e in edges_v else cost_v + c
+                label = labels.get(nxt)
+                if label is not None and cost > label[0]:
+                    continue
+                edges = edges_v | {e}
+                key = tuple(sorted(edges))
+                if label is not None and cost == label[0] and key >= keys[nxt]:
+                    continue
+                labels[nxt] = (cost, edges)
+                keys[nxt] = key
+                heapq.heappush(heap, (cost, key, nxt))
+        return labels
 
 
 def steiner_tree_exact(g: Graph, terminals: Iterable[str]) -> EdgeSet:
     """Minimum-cost edge set connecting all terminals (Dreyfus-Wagner dynamic
-    program over terminal subsets), with lexicographic tie-breaking."""
+    program over terminal subsets), with lexicographic tie-breaking.  The
+    DP's labels live in the graph's shared table, so a call only builds the
+    subsets that no earlier call on the same graph has built."""
     terms = sorted(set(terminals))
     if not terms:
         raise ValueError("terminal set must be nonempty")
     for t in terms:
         if t not in g.nodes:
             raise DisconnectedError(f"terminal {t!r} not in graph")
-    comp = _components(g.nodes, g.edge_keys())
-    if len({comp[t] for t in terms}) > 1:
+    table = g._steiner
+    if len({table.comp[t] for t in terms}) > 1:
         raise DisconnectedError("terminals not mutually reachable")
-    if len(terms) == 1:
-        return EdgeSet(edges=frozenset(), cost=Fraction(0))
-
-    # dp[X][v] = cheapest (cost, edge set) connecting {v} | X, X a frozenset
-    # of terminals.  States carry real edge sets and their true cost, so
-    # overlapping sub-solutions only help.  Candidates are ranked by
-    # (cost, sorted edges); the sorted tuple is built only on a cost tie.
-    # Costs are exact integers: every cost times the lcm of the edge cost
-    # denominators.  Base case: one Dijkstra per node of the terminals'
-    # component.
-    scale = math.lcm(*(c.denominator for _, c in g.edges))
-    scaled = {e: int(c * scale) for e, c in g.edges}
-    adj = {
-        v: [(nxt, scaled[edge_key(v, nxt)]) for nxt, _ in g.neighbors(v)]
-        for v in g.nodes
-    }
-    dp: dict[frozenset, dict[str, tuple[int, frozenset]]] = {
-        frozenset([t]): {} for t in terms
-    }
-    for v in g.nodes:
-        if comp[v] != comp[terms[0]]:
-            continue
-        reached = _lex_dijkstra(adj.__getitem__, v)
-        for t in terms:
-            cost, seq = reached[t]
-            dp[frozenset([t])][v] = (cost, _path_edges(seq))
-
-    base = terms[0]
-    rest = terms[1:]
-    for size in range(2, len(rest) + 1):
-        for subset in itertools.combinations(rest, size):
-            X = frozenset(subset)
-            anchor = min(X)
-            splits = []
-            for r in range(1, size):
-                for part in itertools.combinations(sorted(X - {anchor}), r - 1):
-                    X1 = frozenset(part) | {anchor}
-                    splits.append((dp[X1], dp[X - X1]))
-            labels: dict[str, tuple[int, frozenset]] = {}
-            keys: dict[str, tuple] = {}
-            for v in g.nodes:
-                best = best_key = None
-                for dp1, dp2 in splits:
-                    s1 = dp1.get(v)
-                    s2 = dp2.get(v)
-                    if s1 is None or s2 is None:
-                        continue
-                    cost = s1[0] + s2[0]
-                    shared = s1[1] & s2[1]
-                    if shared:
-                        cost -= sum(scaled[e] for e in shared)
-                    if best is not None and cost > best[0]:
-                        continue
-                    edges = s1[1] | s2[1]
-                    if best is not None and cost == best[0]:
-                        if best_key is None:
-                            best_key = tuple(sorted(best[1]))
-                        key = tuple(sorted(edges))
-                        if key >= best_key:
-                            continue
-                        best_key = key
-                    else:
-                        best_key = None
-                    best = (cost, edges)
-                if best is not None:
-                    labels[v] = best
-                    keys[v] = tuple(sorted(best[1])) if best_key is None else best_key
-            # Relax labels along graph edges (Dijkstra-style sweep).  A
-            # label's cost grows by c only when the edge is new to its set.
-            heap = [(c, keys[v], v) for v, (c, _) in labels.items()]
-            heapq.heapify(heap)
-            settled = set()
-            while heap:
-                cost_v, key, v = heapq.heappop(heap)
-                if v in settled or key != keys[v]:
-                    continue
-                settled.add(v)
-                edges_v = labels[v][1]
-                for nxt, c in adj[v]:
-                    e = edge_key(v, nxt)
-                    cost = cost_v if e in edges_v else cost_v + c
-                    label = labels.get(nxt)
-                    if label is not None and cost > label[0]:
-                        continue
-                    edges = edges_v | {e}
-                    key = tuple(sorted(edges))
-                    if label is not None and cost == label[0] and key >= keys[nxt]:
-                        continue
-                    labels[nxt] = (cost, edges)
-                    keys[nxt] = key
-                    heapq.heappush(heap, (cost, key, nxt))
-            dp[X] = labels
-
-    cost, edges = dp[frozenset(rest)][base]
-    return EdgeSet(edges=frozenset(edges), cost=Fraction(cost, scale))
+    cost, edges = table.tree(terms)
+    return EdgeSet(edges=edges, cost=Fraction(cost, table.scale))
 
 
-def steiner_forest_exact(
-    g: Graph, pairs: Iterable[Edge], cap: int = DEFAULT_EDGE_CAP
-) -> EdgeSet:
-    """Minimum-cost edge set connecting every given node pair, by exhaustive
-    edge-subset enumeration."""
+def steiner_forest_exact(g: Graph, pairs: Iterable[Edge]) -> EdgeSet:
+    """Minimum-cost edge set connecting every given node pair.
+
+    Each tree of an optimal forest is a Steiner tree on the endpoints of the
+    pairs it serves, so with the pairs sorted, F(S) = min over blocks B of S
+    that hold S's first pair of ST(endpoints of B) + F(S - B), the trees
+    read from the graph's shared Dreyfus-Wagner table.  A block whose
+    endpoints span two components is skipped.  Blocks are tried by
+    increasing size, then in sorted order, and a later block wins only when
+    strictly cheaper; the edges are the union of the winning blocks' trees,
+    which costs exactly F (a cheaper union would beat the optimum)."""
     pair_list = sorted({edge_key(u, v) for u, v in pairs if u != v})
     if not pair_list:
         return EdgeSet(edges=frozenset(), cost=Fraction(0))
-    comp = _components(g.nodes, g.edge_keys())
+    table = g._steiner
     for u, v in pair_list:
-        if comp.get(u) != comp.get(v):
+        if u not in table.comp or v not in table.comp or table.comp[u] != table.comp[v]:
             raise DisconnectedError(f"pair ({u!r}, {v!r}) not connected in graph")
 
-    def feasible(edges: frozenset) -> bool:
-        c = _components(g.nodes, edges)
-        return all(c[u] == c[v] for u, v in pair_list)
+    trees: dict[int, Optional[tuple[int, frozenset]]] = {}
 
-    return min_feasible_subset_bruteforce(g, feasible, cap=cap)
+    def block_tree(block: int):
+        if block not in trees:
+            ends = sorted({n for i, p in enumerate(pair_list) if block >> i & 1 for n in p})
+            one_component = len({table.comp[n] for n in ends}) == 1
+            trees[block] = table.tree(ends) if one_component else None
+        return trees[block]
+
+    # F[mask] = (cost, winning blocks) over the pairs whose bits are in mask.
+    F: dict[int, tuple[int, tuple[int, ...]]] = {0: (0, ())}
+    for mask in range(1, 1 << len(pair_list)):
+        first = mask & -mask
+        others = [1 << i for i in range(len(pair_list)) if (mask ^ first) >> i & 1]
+        best = None
+        for r in range(len(others) + 1):
+            for part in itertools.combinations(others, r):
+                block = first | sum(part)
+                tree = block_tree(block)
+                if tree is None:
+                    continue
+                cost, blocks = F[mask ^ block]
+                if best is None or tree[0] + cost < best[0]:
+                    best = (tree[0] + cost, (block,) + blocks)
+        F[mask] = best
+    cost, blocks = F[(1 << len(pair_list)) - 1]
+    edges = frozenset().union(*(trees[b][1] for b in blocks))
+    return EdgeSet(edges=edges, cost=Fraction(cost, table.scale))
 
 
 def min_feasible_subset_bruteforce(

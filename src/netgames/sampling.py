@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .costsharing import CostSharingScheme
-from .errors import PreconditionError
+from .errors import PreconditionError, UnreachableError
 from .games import (
     EMPTY_ACTION,
     Action,
@@ -23,7 +23,7 @@ from .games import (
     social_cost,
     weighted_product,
 )
-from .graphs import Graph, EdgeSet
+from .graphs import Graph, EdgeSet, edge_key
 from . import graphs
 
 
@@ -85,16 +85,21 @@ def _support_types(inst: GameInstance) -> list:
 
 def _restricted_action(g: Graph, allowed: frozenset, source: str) -> Action:
     """Cheapest feasible action inside the allowed element set: the shortest
-    source->root path of the edge-induced subgraph."""
+    source->root path over the allowed edges, by one lexicographic Dijkstra
+    stopped at the root."""
     if source == g.root:
         return EMPTY_ACTION
-    sub = Graph(
-        nodes=g.nodes,
-        edges=tuple((e, g.cost(e)) for e in sorted(allowed)),
-        root=g.root,
+    if source not in g.nodes:
+        raise UnreachableError(source, g.root)
+    reached = graphs._lex_dijkstra(
+        lambda v: [(w, c) for w, c in g.neighbors(v) if edge_key(v, w) in allowed],
+        source,
+        stop=(g.root,),
     )
-    p = graphs.shortest_path(sub, source, g.root)
-    return Action(elements=p.edges, cost=p.cost)
+    if g.root not in reached:
+        raise UnreachableError(source, g.root)
+    cost, seq = reached[g.root]
+    return Action(elements=graphs._path_edges(seq), cost=Fraction(cost))
 
 
 def _clients(inst: GameInstance, D: tuple) -> frozenset:

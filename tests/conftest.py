@@ -267,3 +267,52 @@ def augment_reference(g: Graph, solution: EdgeSet, x) -> EdgeSet:
         if best is None or key < best[0]:
             best = (key, p)
     return EdgeSet(edges=best[1].edges, cost=best[1].cost)
+
+
+def restricted_action_reference(g: Graph, allowed: frozenset, source: str) -> Action:
+    """The sampling construction's restricted action as first written, kept
+    as the oracle of its filtered Dijkstra: a new `Graph` on the allowed
+    edges and one `shortest_path` from the source to the root."""
+    if source == g.root:
+        return Action(elements=frozenset(), cost=Fraction(0))
+    sub = Graph(
+        nodes=g.nodes,
+        edges=tuple((e, g.cost(e)) for e in sorted(allowed)),
+        root=g.root,
+    )
+    p = shortest_path(sub, source, g.root)
+    return Action(elements=p.edges, cost=p.cost)
+
+
+def steiner_forest_reference(g: Graph, pairs) -> Fraction:
+    """Steiner forest cost as the cheapest partition of the pairs into
+    blocks, each block priced by `steiner_tree_reference` on its endpoints;
+    a block whose endpoints are not mutually reachable is skipped.
+    Independent of the shared table and of the edge-subset enumeration."""
+    pair_list = sorted({edge_key(u, v) for u, v in pairs if u != v})
+
+    def partitions(items):
+        if not items:
+            yield []
+            return
+        first, rest = items[0], items[1:]
+        for r in range(len(rest) + 1):
+            for part in itertools.combinations(rest, r):
+                remaining = [p for p in rest if p not in part]
+                for tail in partitions(remaining):
+                    yield [(first,) + part] + tail
+
+    best = None
+    for blocks in partitions(pair_list):
+        total = Fraction(0)
+        for block in blocks:
+            try:
+                total += steiner_tree_reference(g, {n for p in block for n in p}).cost
+            except DisconnectedError:
+                break
+        else:
+            if best is None or total < best:
+                best = total
+    if best is None:
+        raise DisconnectedError("some pair is not connected")
+    return best

@@ -1,9 +1,13 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import netgames
 from netgames import (
     cover_exact,
     graph_from_costs,
@@ -19,10 +23,21 @@ from netgames.errors import (
     TooLargeError,
     UnreachableError,
 )
-from netgames.graphs import _components
+from netgames.costsharing import steiner_scheme
+from netgames.games import ex_post_opt, expected_opt
+from netgames.graphs import DEFAULT_EDGE_CAP, Graph, _SteinerTable, _components
 from netgames.instances import gen_instance
+from netgames.sampling import evaluate_construction_exact
 
-from conftest import mst_over_terminals, random_connected_graph, steiner_tree_reference
+from conftest import (
+    mst_over_terminals,
+    random_connected_graph,
+    steiner_forest_reference,
+    steiner_tree_reference,
+)
+
+SRC = os.path.dirname(os.path.dirname(netgames.__file__))
+TESTS = os.path.dirname(os.path.abspath(__file__))
 
 
 def path_graph():
@@ -213,9 +228,15 @@ class TestSteinerForest:
         f = steiner_forest_exact(triangle, {("a", "b"), ("a", "r")})
         assert f.cost == 3
 
-    def test_cap(self, triangle):
+    def test_no_edge_cap(self):
+        """Forests are built from Steiner trees, not by edge-subset
+        enumeration, so a graph past the enumeration cap still solves."""
+        n = DEFAULT_EDGE_CAP + 5
+        g = graph_from_costs({(f"p{j:02d}", f"p{j + 1:02d}"): Fraction(1) for j in range(n)})
         with pytest.raises(TooLargeError):
-            steiner_forest_exact(triangle, {("a", "r")}, cap=2)
+            min_feasible_subset_bruteforce(g, lambda edges: True)
+        f = steiner_forest_exact(g, {("p00", f"p{n:02d}"), ("p03", "p07")})
+        assert f.cost == n and len(f.edges) == n
 
     def test_matches_tree_on_shared_root(self):
         rng = random.Random(17)
@@ -227,6 +248,191 @@ class TestSteinerForest:
             f = steiner_forest_exact(g, {(s, r) for s in sources})
             st = steiner_tree_exact(g, set(sources) | {r})
             assert f.cost == st.cost
+
+
+    @pytest.mark.parametrize(
+        "costs", [(0, 1, 2), (0, Fraction(1, 2), 1)], ids=["int", "half"]
+    )
+    def test_matches_bruteforce_on_tie_heavy_graphs(self, costs):
+        """Cost equal to the edge-subset oracle's; the edges connect every
+        pair and cost exactly the reported cost."""
+        rng = random.Random(31)
+        for _ in range(60):
+            g = random_connected_graph(rng, max_nodes=7, max_edges=11, costs=costs)
+            pairs = random_pairs(rng, g.nodes, rng.randint(1, 4))
+            f = steiner_forest_exact(g, pairs)
+            oracle = min_feasible_subset_bruteforce(g, pairs_predicate(g, pairs))
+            assert f.cost == oracle.cost
+            assert pairs_predicate(g, pairs)(f.edges)
+            assert g.edge_set_cost(f.edges) == f.cost
+
+    def test_pairs_in_different_components(self):
+        """Pairs in two components of a disconnected graph solve; blocks
+        that would join the components are skipped, not raised."""
+        rng = random.Random(37)
+        for _ in range(30):
+            g = two_component_graph(rng)
+            left = [n for n in g.nodes if n.startswith("L")]
+            right = [n for n in g.nodes if n.startswith("R")]
+            pairs = random_pairs(rng, left, rng.randint(1, 2))
+            pairs |= random_pairs(rng, right, rng.randint(1, 2))
+            f = steiner_forest_exact(g, pairs)
+            oracle = min_feasible_subset_bruteforce(g, pairs_predicate(g, pairs))
+            assert f.cost == oracle.cost == steiner_forest_reference(g, pairs)
+            assert pairs_predicate(g, pairs)(f.edges)
+            with pytest.raises(DisconnectedError):
+                steiner_forest_exact(g, pairs | {(left[0], right[0])})
+
+    def test_unknown_node(self, triangle):
+        with pytest.raises(DisconnectedError):
+            steiner_forest_exact(triangle, {("a", "x")})
+        with pytest.raises(DisconnectedError):
+            steiner_forest_exact(triangle, {("x", "y")})
+
+    def test_source_sink_instance_past_the_edge_cap(self):
+        """A generated source-sink game on 23 edges: brute force refuses
+        it; every ex-post optimum equals the partition oracle."""
+        inst = gen_instance("source-sink", n_nodes=10, n_players=3, n_types=2, seed=0)
+        g = inst.graph
+        assert len(g.edges) > DEFAULT_EDGE_CAP
+        with pytest.raises(TooLargeError):
+            min_feasible_subset_bruteforce(g, lambda edges: True)
+        types = [t for spec in inst.players for t, _ in spec.distribution]
+        for k in range(1, 4):
+            for tp in itertools.combinations(types, k):
+                edges, cost = ex_post_opt(inst, tp)
+                assert cost == steiner_forest_reference(g, tp)
+                assert pairs_predicate(g, tp)(edges)
+        assert expected_opt(inst) > 0
+
+    def test_edges_do_not_depend_on_the_hash_seed(self):
+        script = (
+            "import random\n"
+            "from conftest import random_connected_graph\n"
+            "from netgames import steiner_forest_exact\n"
+            "rng = random.Random(43)\n"
+            "for _ in range(40):\n"
+            "    g = random_connected_graph(rng, max_nodes=7, max_edges=12, costs=(0, 1, 2))\n"
+            "    nodes = list(g.nodes)\n"
+            "    pairs = [tuple(rng.sample(nodes, 2)) for _ in range(rng.randint(1, 4))]\n"
+            "    f = steiner_forest_exact(g, pairs)\n"
+            "    print(f.cost, sorted(f.edges))\n"
+        )
+        outs = []
+        for seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join([SRC, TESTS])
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            )
+            outs.append(run.stdout)
+        assert outs[0] and outs[0] == outs[1] == outs[2]
+
+
+class TestSteinerTable:
+    """One Dreyfus-Wagner table per graph serves every tree and forest."""
+
+    @pytest.mark.parametrize(
+        "costs", [(0, 1, 2), (0, Fraction(1, 2), 1, Fraction(3, 2))], ids=["int", "half"]
+    )
+    def test_call_order_does_not_matter(self, costs):
+        """Terminal sets solved in shuffled orders on one graph match the
+        reference DP on a fresh graph, edges and cost."""
+        rng = random.Random(47)
+        for _ in range(30):
+            g = random_connected_graph(rng, max_nodes=8, max_edges=13, costs=costs)
+            nodes = list(g.nodes)
+            sets = [
+                frozenset(rng.sample(nodes, rng.randint(1, min(5, len(nodes)))))
+                for _ in range(8)
+            ]
+            for _ in range(2):
+                shared = fresh(g)
+                rng.shuffle(sets)
+                for terms in sets:
+                    st = steiner_tree_exact(shared, terms)
+                    ref = steiner_tree_reference(fresh(g), terms)
+                    assert (st.cost, sorted(st.edges)) == (ref.cost, sorted(ref.edges))
+
+    def test_disconnected_graphs(self):
+        """Solves and DisconnectedErrors interleave on one graph without
+        changing any later answer."""
+        rng = random.Random(53)
+        for _ in range(25):
+            g = two_component_graph(rng)
+            nodes = list(g.nodes)
+            sets = [
+                frozenset(rng.sample(nodes, rng.randint(1, min(4, len(nodes)))))
+                for _ in range(10)
+            ]
+            rng.shuffle(sets)
+            for terms in sets:
+                try:
+                    ref = steiner_tree_reference(fresh(g), terms)
+                except DisconnectedError:
+                    with pytest.raises(DisconnectedError):
+                        steiner_tree_exact(g, terms)
+                    continue
+                st = steiner_tree_exact(g, terms)
+                assert (st.cost, sorted(st.edges)) == (ref.cost, sorted(ref.edges))
+
+    def test_forest_and_tree_share_one_table(self):
+        g = gen_instance("source-sink", n_nodes=7, seed=2).graph
+        pairs = [("v0", "v3"), ("v1", "v5")]
+        f = steiner_forest_exact(g, pairs)
+        built = len(g._steiner.dp)
+        assert built > 0
+        steiner_tree_exact(g, {"v0", "v3"})
+        steiner_tree_exact(g, {"v0", "v1", "v3", "v5"})
+        assert len(g._steiner.dp) == built
+        assert steiner_forest_exact(g, pairs) == f
+
+    def test_noniid_evaluation_builds_each_subset_once(self, monkeypatch):
+        """Exact noniid evaluation asks for the same terminal sets from
+        `expected_opt` and from the scheme's base solutions; each DP subset
+        is built at most once per graph."""
+        built = []
+        build = _SteinerTable._build
+
+        def counted(table, X):
+            built.append((id(table), X))
+            return build(table, X)
+
+        monkeypatch.setattr(_SteinerTable, "_build", counted)
+        inst = gen_instance("multicast", 6, 3, 3, seed=3)
+        evaluate_construction_exact(inst, steiner_scheme(inst.graph), "noniid")
+        assert built
+        assert len(built) == len(set(built))
+        assert len({t for t, _ in built}) == 1
+
+
+def fresh(g: Graph) -> Graph:
+    """A copy of g with an empty Steiner table."""
+    return Graph(nodes=g.nodes, edges=g.edges, root=g.root)
+
+
+def random_pairs(rng, nodes, k) -> set:
+    return {tuple(rng.sample(list(nodes), 2)) for _ in range(k)}
+
+
+def pairs_predicate(g, pairs):
+    def feasible(edges):
+        comp = _components(g.nodes, edges)
+        return all(comp[u] == comp[v] for u, v in pairs)
+
+    return feasible
+
+
+def two_component_graph(rng) -> Graph:
+    """Two random connected graphs with costs in {0, 1, 2} on disjoint
+    node names (L*, R*), plus an isolated node Z."""
+    costs = {}
+    for side in ("L", "R"):
+        part = random_connected_graph(rng, max_nodes=4, max_edges=5, costs=(0, 1, 2))
+        for (u, v), c in part.edges:
+            costs[(side + u, side + v)] = c
+    nodes = sorted({n for e in costs for n in e} | {"Z"})
+    return graph_from_costs(costs, nodes=nodes)
 
 
 class TestCover:

@@ -1,11 +1,12 @@
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
-from netgames.cli import encode_profile, main, parse_strategy
+from netgames.cli import build_parser, encode_profile, main, parse_strategy
 from netgames.equilibria import min_potential_profile
 from netgames.errors import ParseError, ValidationError
 from netgames.instances import gen_instance, parse_instance, serialize_instance
@@ -363,3 +364,49 @@ def test_bad_input_exits_1_with_an_error_line(tmp_path, instance, strategy, argv
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert set(json.loads(proc.stderr.splitlines()[-1])) == {"error"}
+
+
+class TestParserReuse:
+    """`build_parser` is cached: every `main` call in a process parses with
+    the same parser object, which must keep no state between calls."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_repeated_main_calls_agree(self, tmp_path, capsys):
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(MINIMAL)
+        inst = str(inst_path)
+        argvs = [
+            ["bpos", "--instance", inst],
+            ["ig", "--instance", inst, "--format", "csv"],
+            ["bne", "--instance", inst, "--cap-strategies", "1"],
+            ["bpos"],
+            ["nosuch", "--instance", inst],
+            ["bpos", "--instance", inst, "--seed", "x"],
+            ["sample", "--instance", inst, "--variant", "bad"],
+            ["gen", "--kind", "source-sink", "--seed", "3"],
+            ["certify", "--help"],
+            ["certify", "--instance", inst],
+        ]
+
+        def run_all(order):
+            results = {}
+            for k in order:
+                try:
+                    code = main(argvs[k])
+                except SystemExit as exc:
+                    code = exc.code
+                out, err = capsys.readouterr()
+                results[k] = (code, out, err)
+            return results
+
+        build_parser.cache_clear()
+        order = list(range(len(argvs)))
+        first = run_all(order)
+        assert [first[k][0] for k in order] == [0, 0, 1, 2, 2, 2, 2, 0, 0, 0]
+        assert all(first[k][2] for k in (2, 3, 4, 5, 6))
+        again = run_all(order)
+        random.Random(61).shuffle(order)
+        shuffled = run_all(order)
+        assert first == again == shuffled

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,11 +18,18 @@ from netgames import (
     shortest_path,
     steiner_scheme,
 )
-from netgames.errors import SupportTooLargeError
+from netgames.errors import SupportTooLargeError, UnreachableError
 from netgames.games import GameInstance, PlayerSpec
 from netgames.instances import gen_instance
+from netgames.sampling import _restricted_action
 
-from conftest import multicast, point_mass, uniform
+from conftest import (
+    multicast,
+    point_mass,
+    random_connected_graph,
+    restricted_action_reference,
+    uniform,
+)
 
 
 def scheme_for(inst):
@@ -283,3 +291,34 @@ class TestGuards:
         assert lhs == rhs
         with pytest.raises(SupportTooLargeError):
             regrouping_sides(dataclasses.replace(inst, support_cap=3), scheme)
+
+
+class TestRestrictedAction:
+    """The construction's cheapest action inside A(D) | B(A(D), t), one
+    filtered Dijkstra, against the new-`Graph` oracle."""
+
+    @pytest.mark.parametrize("costs", [(0, 1, 2), None], ids=["tie-heavy", "fractional"])
+    def test_matches_reference(self, costs):
+        rng = random.Random(59)
+        for _ in range(40):
+            g = random_connected_graph(rng, max_nodes=7, max_edges=12, costs=costs)
+            keys = g.edge_keys()
+            for _ in range(6):
+                allowed = frozenset(rng.sample(keys, rng.randint(0, len(keys))))
+                for source in g.nodes:
+                    try:
+                        ref = restricted_action_reference(g, allowed, source)
+                    except UnreachableError as exc:
+                        with pytest.raises(UnreachableError) as got:
+                            _restricted_action(g, allowed, source)
+                        assert str(got.value) == str(exc)
+                        continue
+                    assert _restricted_action(g, allowed, source) == ref
+
+    def test_unknown_source(self, triangle):
+        allowed = frozenset(triangle.edge_keys())
+        with pytest.raises(UnreachableError) as got:
+            _restricted_action(triangle, allowed, "x")
+        with pytest.raises(UnreachableError) as ref:
+            restricted_action_reference(triangle, allowed, "x")
+        assert str(got.value) == str(ref.value)
