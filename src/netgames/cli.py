@@ -107,11 +107,7 @@ def _emit(report, fmt: str, out_path):
         writer.writeheader()
         writer.writerows(rows)
         text = buf.getvalue()
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(out_path, text)
 
 
 def _flatten(report: dict) -> list:
@@ -126,6 +122,18 @@ def _read(path: str) -> str:
         raise NetgamesError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text") from exc
+
+
+def _write(path, text: str) -> None:
+    """Write `text` to the file at `path`, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+    except OSError as exc:
+        raise NetgamesError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _load_instance(args) -> GameInstance:
@@ -289,12 +297,7 @@ def cmd_gen(args) -> int:
         iid=args.iid,
         root_mass=args.root_mass,
     )
-    text = instances.serialize_instance(inst)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, instances.serialize_instance(inst))
     return 0
 
 

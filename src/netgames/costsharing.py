@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from . import graphs
-from .errors import DisconnectedError, PreconditionError, UnreachableError
+from .errors import PreconditionError, UnreachableError
 from .graphs import EdgeSet, Graph
 
 
@@ -46,10 +46,9 @@ def steiner_scheme(g: Graph) -> CostSharingScheme:
     graph nodes; a solution for U connects U and the root."""
     if g.root is None:
         raise PreconditionError("steiner scheme needs a rooted graph")
-    if not g.is_connected():
-        raise DisconnectedError("graph is not connected")
     root = g.root
     metric = graphs.metric_closure(g)
+    table = g._steiner
 
     def approx(clients: frozenset) -> EdgeSet:
         terminals = set(clients) | {root}
@@ -62,10 +61,10 @@ def steiner_scheme(g: Graph) -> CostSharingScheme:
         if x not in g.nodes:
             raise UnreachableError(x, min(touched))
         # Cheapest path from x to the tree, ties to the least node sequence:
-        # one lexicographic Dijkstra, stopped at the first tree node it pops.
-        reached = graphs._lex_dijkstra(g.neighbors, x, stop=touched)
-        cost, seq = next(reversed(reached.values()))
-        return EdgeSet(edges=graphs._path_edges(seq), cost=Fraction(cost))
+        # the least entry of x's Dijkstra in the graph's table over the tree.
+        reached = table.paths(x)
+        cost, seq = min(reached[n] for n in touched)
+        return EdgeSet(edges=graphs._path_edges(seq), cost=Fraction(cost, table.scale))
 
     def share(clients: frozenset, x) -> Fraction:
         if x not in clients:

@@ -243,7 +243,7 @@ def _all_simple_paths(g: Graph, s: str, target: str) -> list[tuple[str, ...]]:
 
 
 def _path_action(g: Graph, seq: tuple[str, ...]) -> Action:
-    edges = frozenset(edge_key(a, b) for a, b in zip(seq, seq[1:]))
+    edges = graphs._path_edges(seq)
     return Action(elements=edges, cost=g.edge_set_cost(edges))
 
 

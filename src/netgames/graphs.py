@@ -2,13 +2,13 @@
 combinatorial solvers (shortest paths, metric closure, Steiner tree and
 forest, hitting sets) that the game layer uses as its optimum.
 
-All costs are `fractions.Fraction`; every argmin is broken lexicographically
-under the canonical (sorted) node/edge ordering so results are reproducible.
-Each `Graph` keeps one lazily filled Steiner table (`_SteinerTable`): the
-Dreyfus-Wagner labels of every terminal subset solved so far, shared by
-every Steiner tree and forest and by the metric closure on that graph.
-`min_feasible_subset_bruteforce` is the independent edge-subset oracle of
-those solvers and is capped by edge count.
+Costs are `fractions.Fraction` at the interface; every argmin is broken
+lexicographically under the canonical (sorted) node/edge ordering so
+results are reproducible.  Each `Graph` keeps one lazily filled integer
+path model (`_SteinerTable`), read by the Steiner tree and forest, the
+metric, the Steiner scheme's augmentation and the sampler's restricted
+action.  `shortest_path` (over `Fraction` costs) and the edge-capped
+`min_feasible_subset_bruteforce` are its independent oracles.
 """
 
 from __future__ import annotations
@@ -90,10 +90,7 @@ class Graph:
         return sum((self._cost[e] for e in edges), Fraction(0))
 
     def is_connected(self) -> bool:
-        if not self.nodes:
-            return True
-        comp = _components(self.nodes, self.edge_keys())
-        return len(set(comp.values())) == 1
+        return len(set(self._steiner.comp.values())) <= 1
 
     @functools.cached_property
     def _steiner(self) -> _SteinerTable:
@@ -123,16 +120,20 @@ class EdgeSet:
 
 
 class Metric:
-    """All-pairs shortest-path distance table over a connected graph."""
+    """Shortest-path distances of a connected graph: d(u, v) reads u's
+    Dijkstra in the graph's Steiner table, which runs on first use."""
 
-    def __init__(self, nodes: tuple[str, ...], table: dict[Edge, Fraction]):
-        self.nodes = tuple(sorted(nodes))
-        self._d = table
+    def __init__(self, g: Graph):
+        self.nodes = g.nodes
+        self._table = g._steiner
 
     def d(self, u: str, v: str) -> Fraction:
         if u == v:
             return Fraction(0)
-        return self._d[edge_key(u, v)]
+        table = self._table
+        if u not in table.adj or v not in table.adj:
+            raise KeyError(edge_key(u, v))
+        return Fraction(table.paths(u)[v][0], table.scale)
 
     def d_to_set(self, targets: Iterable[str], x: str) -> Fraction:
         """Distance from x to the nearest node of a nonempty target set."""
@@ -199,27 +200,18 @@ def _path_edges(seq: tuple[str, ...]) -> frozenset:
 
 
 def metric_closure(g: Graph) -> Metric:
-    """Distances read from the per-node Dijkstras of the graph's Steiner
-    table, which the Steiner solvers reuse."""
+    """The metric of a connected graph.  Building it runs no Dijkstra;
+    each distance is read from the graph's Steiner table when asked."""
     if not g.is_connected():
         raise DisconnectedError("graph is not connected")
-    table = g._steiner
-    return Metric(
-        g.nodes,
-        {
-            (u, v): Fraction(table.paths(u)[v][0], table.scale)
-            for u in g.nodes
-            for v in g.nodes
-            if u < v
-        },
-    )
+    return Metric(g)
 
 
 class _SteinerTable:
-    """What the exact Steiner solvers share on one graph, filled lazily: the
-    integer costs (each cost times `scale`, the lcm of the edge cost
-    denominators) and adjacency, the components, one lexicographic Dijkstra
-    per node, and the Dreyfus-Wagner labels dp[X][v] = cheapest (cost, edge
+    """The integer path model of one graph, filled lazily: the integer
+    costs (each cost times `scale`, the lcm of the edge cost denominators)
+    and adjacency, the components, one lexicographic Dijkstra per node, and
+    the Dreyfus-Wagner labels dp[X][v] = cheapest (cost, edge
     set) connecting {v} | X for a frozenset X of terminals.  A label depends
     only on the graph and X (its base paths, split order, integer costs and
     tie-breaks all do), so one table serves every terminal set, in any call

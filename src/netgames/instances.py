@@ -24,7 +24,7 @@ import json
 import random
 from fractions import Fraction
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, PreconditionError, ValidationError
 from .games import (
     DEFAULT_STRATEGY_CAP,
     DEFAULT_SUPPORT_CAP,
@@ -199,6 +199,9 @@ def gen_instance(
     """Seeded random instance.  `iid` forces one shared distribution;
     `root_mass` generates two-point distributions with residual mass on the
     root (the independent-decisions model)."""
+    need = 2 if root_mass else 1  # the root, and a non-root node for root mass
+    if kind == "multicast" and n_nodes < need:
+        raise PreconditionError(f"multicast generator needs n_nodes >= {need}, got {n_nodes}")
     rng = random.Random(seed)
     graph = node_costs = None
     if kind in ("multicast", "source-sink"):

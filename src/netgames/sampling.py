@@ -85,21 +85,22 @@ def _support_types(inst: GameInstance) -> list:
 
 def _restricted_action(g: Graph, allowed: frozenset, source: str) -> Action:
     """Cheapest feasible action inside the allowed element set: the shortest
-    source->root path over the allowed edges, by one lexicographic Dijkstra
-    stopped at the root."""
+    source->root path over the allowed edges of the Steiner table's integer
+    adjacency, by one lexicographic Dijkstra stopped at the root."""
     if source == g.root:
         return EMPTY_ACTION
     if source not in g.nodes:
         raise UnreachableError(source, g.root)
+    table = g._steiner
     reached = graphs._lex_dijkstra(
-        lambda v: [(w, c) for w, c in g.neighbors(v) if edge_key(v, w) in allowed],
+        lambda v: [(w, c) for w, c in table.adj[v] if edge_key(v, w) in allowed],
         source,
         stop=(g.root,),
     )
     if g.root not in reached:
         raise UnreachableError(source, g.root)
     cost, seq = reached[g.root]
-    return Action(elements=graphs._path_edges(seq), cost=Fraction(cost))
+    return Action(elements=graphs._path_edges(seq), cost=Fraction(cost, table.scale))
 
 
 def _clients(inst: GameInstance, D: tuple) -> frozenset:

@@ -14,6 +14,7 @@ from netgames import (
     steiner_tree_exact,
 )
 from netgames.errors import DisconnectedError
+from netgames.graphs import EdgeSet
 
 from conftest import mst_over_terminals, random_connected_graph
 
@@ -39,6 +40,21 @@ class TestSteinerScheme:
     def test_declared_constants(self, scheme):
         assert scheme.alpha == 1 and scheme.beta == 2
         assert scheme.cross_monotone
+
+    @pytest.mark.parametrize("call", ["share", "augment"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_metric_and_augment_fill_the_table_on_demand(self, seed, call):
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, max_nodes=7, max_edges=12)
+        scheme = steiner_scheme(g)
+        assert g._steiner._paths == {} and g._steiner.dp == {}
+        x = rng.choice([n for n in g.nodes if n != g.root])
+        for _ in range(2):
+            if call == "share":
+                scheme.share(frozenset(g.nodes), x)
+            else:
+                scheme.augment(EdgeSet(edges=frozenset(), cost=Fraction(0)), x)
+            assert g._steiner._paths.keys() == {x}
 
     def test_augmentation_example(self, triangle, scheme):
         base = scheme.approx(frozenset({"a"}))

@@ -110,6 +110,24 @@ class TestMetricClosure:
             for u, v, w in itertools.permutations(g.nodes, 3):
                 assert m.d(u, w) <= m.d(u, v) + m.d(v, w)
 
+    @pytest.mark.parametrize("costs", [[0, 1, 2], None], ids=["costs-0-1-2", "fractional"])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_shortest_path_on_every_ordered_pair(self, seed, costs):
+        g = random_connected_graph(random.Random(seed), max_nodes=7, max_edges=12, costs=costs)
+        m = metric_closure(g)
+        for u in g.nodes:
+            for v in g.nodes:
+                assert m.d(u, v) == shortest_path(g, u, v).cost
+
+    def test_unknown_nodes(self, triangle):
+        m = metric_closure(triangle)
+        assert m.d("zz", "zz") == 0
+        for u, v in (("a", "zz"), ("zz", "a"), ("yy", "zz")):
+            with pytest.raises(KeyError) as got:
+                m.d(u, v)
+            assert got.value.args == ((min(u, v), max(u, v)),)
+        assert triangle._steiner._paths == {}
+
 
 class TestMst:
     def test_triangle_terminals(self, triangle):

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import random
 import subprocess
 import sys
@@ -8,7 +10,8 @@ import pytest
 
 from netgames.cli import build_parser, encode_profile, main, parse_strategy
 from netgames.equilibria import min_potential_profile
-from netgames.errors import ParseError, ValidationError
+from netgames import instances
+from netgames.errors import ParseError, PreconditionError, ValidationError
 from netgames.instances import gen_instance, parse_instance, serialize_instance
 
 MINIMAL = """
@@ -90,6 +93,20 @@ class TestGen:
     def test_within_caps(self):
         inst = gen_instance("multicast", n_nodes=5, n_players=3, n_types=2, seed=1)
         assert inst.support_size() <= inst.support_cap
+
+    @pytest.mark.parametrize("n_nodes, root_mass", [(0, False), (-3, False), (0, True), (1, True)])
+    def test_too_few_multicast_nodes_raise_before_any_draw(self, monkeypatch, n_nodes, root_mass):
+        monkeypatch.setattr(instances, "random", None)
+        with pytest.raises(PreconditionError, match="multicast generator needs n_nodes >= "):
+            gen_instance("multicast", n_nodes=n_nodes, root_mass=root_mass)
+
+    def test_fewest_nodes_that_generate(self):
+        inst = gen_instance("multicast", n_nodes=1, seed=3)
+        assert inst.graph.nodes == ("v0",) and inst.graph.root == "v0"
+        inst = gen_instance("multicast", n_nodes=2, seed=3, root_mass=True)
+        (other,) = set(inst.graph.nodes) - {inst.graph.root}
+        for spec in inst.players:
+            assert [t for t, _ in spec.distribution] == [other, inst.graph.root]
 
 
 class TestStrategyFiles:
@@ -199,6 +216,33 @@ class TestCli:
         argv = ["eval", "--instance", str(inst_path), "--strategy", str(missing)]
         assert main(argv) == 1
         assert "cannot read" in json.loads(capsys.readouterr().err)["error"]
+
+    @pytest.mark.parametrize("command", ["bpos", "gen"])
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_unwritable_out_exits_1_with_an_error_line(self, tmp_path, command, target):
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(MINIMAL)
+        if target == "missing-directory":
+            out, code = tmp_path / "absent" / "report.json", errno.ENOENT
+        else:
+            out, code = tmp_path, errno.EISDIR
+        argv = [command, "--out", str(out)]
+        if command == "bpos":
+            argv += ["--instance", str(inst_path)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "netgames.cli", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        want = {"error": f"cannot write {out}: {os.strerror(code)}"}
+        assert json.loads(proc.stderr) == want
+
+    @pytest.mark.parametrize("argv", [["--nodes", "0"], ["--nodes", "-2"], ["--nodes", "1", "--root-mass"]])
+    def test_gen_with_too_few_nodes_exits_1_with_an_error_line(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "netgames.cli", "gen", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "multicast generator needs n_nodes >= " in json.loads(proc.stderr)["error"]
 
     def test_non_utf8_input_file(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.json"
