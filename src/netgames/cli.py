@@ -1,7 +1,12 @@
-"""Command-line front end: instance loading, analysis subcommands, and
-machine-readable JSON/CSV reports.
+"""Command-line front end: analysis subcommands and machine-readable
+JSON/CSV reports.
 
 Subcommands: eval, bne, bpos, ig, certify, scheme-check, sample, gen.
+Each `cmd_*` function maps the loaded instance and the parsed arguments to
+(report, exit code).  `main` alone reads the input files, applies the
+`--cap-*` overrides, renders the report as JSON or CSV to stdout or
+`--out`, and turns any `NetgamesError` into an `{"error": ...}` line on
+stderr.
 Exit codes: 0 on success/pass, 2 when a certificate or property check
 fails, 1 on errors.
 """
@@ -19,99 +24,38 @@ import sys
 from fractions import Fraction
 
 from . import costsharing, equilibria, games, instances, sampling
-from .errors import NetgamesError, ParseError, PreconditionError, ValidationError
-from .games import GameInstance, feasible_actions
+from .errors import NetgamesError, ParseError, PreconditionError
+from .instances import encode_profile, parse_strategy
 
 
 def _frac_str(x) -> str:
     return str(Fraction(x))
 
 
-def _encode_element(inst: GameInstance, e):
-    return [e[0], e[1]] if inst.kind in games.GRAPH_KINDS else e
-
-
-def _decode_element(inst: GameInstance, raw):
-    pair = isinstance(raw, list) and len(raw) == 2 and all(isinstance(n, str) for n in raw)
-    if inst.kind in games.GRAPH_KINDS and pair:
-        return tuple(sorted(raw))
-    if inst.kind in games.COVER_KINDS and isinstance(raw, str):
-        return raw
-    raise ValidationError("action", f"not a {inst.kind} element: {raw!r}")
-
-
-def encode_profile(inst: GameInstance, s: tuple) -> list:
-    out = []
-    for i, strat in enumerate(s):
-        entries = []
-        for t, _ in inst.players[i].distribution:
-            a = strat[t]
-            entries.append(
-                {
-                    "type": instances._encode_type(inst.kind, t),
-                    "action": sorted(_encode_element(inst, e) for e in a.elements),
-                    "cost": _frac_str(a.cost),
-                }
-            )
-        out.append({"strategies": entries})
-    return out
-
-
-def _field(doc, key: str, where: str):
-    if not isinstance(doc, dict) or key not in doc:
-        raise ValidationError(where, f"missing {key!r}")
-    return doc[key]
-
-
-def parse_strategy(inst: GameInstance, text: str) -> tuple:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"strategy line {exc.lineno}: {exc.msg}")
-    players = instances._expect(_field(doc, "players", "strategy"), list, "players")
-    if len(players) != inst.n:
-        raise ValidationError("players", f"{len(players)} strategies for {inst.n} players")
-    profile = []
-    for i, pdoc in enumerate(players):
-        strat = {}
-        where = f"players[{i}].strategies"
-        entries = _field(pdoc, "strategies", f"players[{i}]")
-        for entry in instances._expect(entries, list, where):
-            t = instances._decode_type(inst.kind, _field(entry, "type", where))
-            if t not in inst.players[i].support():
-                raise NetgamesError(f"player {i}: type {t!r} not in its support")
-            action = instances._expect(_field(entry, "action", where), list, where)
-            elements = frozenset(_decode_element(inst, e) for e in action)
-            menu = {a.elements: a for a in feasible_actions(inst, i, t)}
-            if elements not in menu:
-                raise NetgamesError(
-                    f"player {i}: action {sorted(elements)} infeasible for type {t!r}"
-                )
-            strat[t] = menu[elements]
-        for t, _ in inst.players[i].distribution:
-            if t not in strat:
-                raise NetgamesError(f"player {i}: no action for support type {t!r}")
-        profile.append(strat)
-    return tuple(profile)
-
-
 def _emit(report, fmt: str, out_path):
-    if fmt == "json":
+    """Write `report` as JSON or CSV to the file at `out_path`, or to stdout
+    when no path is given; a string report is written as it is."""
+    if isinstance(report, str):
+        text = report
+    elif fmt == "json":
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     else:
         buf = io.StringIO()
-        rows = report if isinstance(report, list) else _flatten(report)
-        writer = csv.DictWriter(
-            buf, fieldnames=list(rows[0].keys()), lineterminator="\n"
-        )
+        rows = report
+        if isinstance(report, dict):
+            rows = [{"key": k, "value": v} for k, v in sorted(report.items())]
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
         text = buf.getvalue()
-    _write(out_path, text)
-
-
-def _flatten(report: dict) -> list:
-    return [{"key": k, "value": v} for k, v in sorted(report.items())]
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out_path, "w", encoding="utf-8") as f:
+            f.write(text)
+    except OSError as exc:
+        raise NetgamesError(f"cannot write {out_path}: {exc.strerror}") from exc
 
 
 def _read(path: str) -> str:
@@ -124,37 +68,8 @@ def _read(path: str) -> str:
         raise ParseError(f"{path}: not UTF-8 text") from exc
 
 
-def _write(path, text: str) -> None:
-    """Write `text` to the file at `path`, or to stdout when no path is given."""
-    if not path:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
-    except OSError as exc:
-        raise NetgamesError(f"cannot write {path}: {exc.strerror}") from exc
-
-
-def _load_instance(args) -> GameInstance:
-    inst = instances.parse_instance(_read(args.instance))
-    if args.cap_support is not None:
-        inst = dataclasses.replace(inst, support_cap=args.cap_support)
-    if args.cap_strategies is not None:
-        inst = dataclasses.replace(inst, strategy_cap=args.cap_strategies)
-    return inst
-
-
-def _load_multicast(args, command: str) -> GameInstance:
-    inst = _load_instance(args)
-    if inst.kind != "multicast":
-        raise NetgamesError(f"{command} needs a multicast (rooted) instance")
-    return inst
-
-
-def cmd_eval(args) -> int:
-    inst = _load_instance(args)
-    s = parse_strategy(inst, _read(args.strategy))
+def cmd_eval(inst, args):
+    s = args.strategy  # the profile that `main` read from the strategy file
     report = {
         "expected_social_cost": _frac_str(games.expected_social_cost(inst, s)),
         "expected_potential": _frac_str(games.expected_potential(inst, s)),
@@ -162,12 +77,10 @@ def cmd_eval(args) -> int:
             _frac_str(games.expected_player_cost(inst, s, i)) for i in range(inst.n)
         ],
     }
-    _emit(report, args.format, args.out)
-    return 0
+    return report, 0
 
 
-def cmd_bne(args) -> int:
-    inst = _load_instance(args)
+def cmd_bne(inst, args):
     s = equilibria.min_potential_profile(inst)
     rep = equilibria.verify_bne(inst, s)
     report = {
@@ -176,26 +89,18 @@ def cmd_bne(args) -> int:
         "expected_potential": _frac_str(games.expected_potential(inst, s)),
         "players": encode_profile(inst, s),
     }
-    _emit(report, args.format, args.out)
-    return 0 if rep.is_bne else 2
+    return report, 0 if rep.is_bne else 2
 
 
-def cmd_bpos(args) -> int:
-    inst = _load_instance(args)
-    report = {"bpos": _frac_str(equilibria.bpos_exact(inst))}
-    _emit(report, args.format, args.out)
-    return 0
+def cmd_bpos(inst, args):
+    return {"bpos": _frac_str(equilibria.bpos_exact(inst))}, 0
 
 
-def cmd_ig(args) -> int:
-    inst = _load_instance(args)
-    report = {"information_gap": _frac_str(equilibria.information_gap_exact(inst))}
-    _emit(report, args.format, args.out)
-    return 0
+def cmd_ig(inst, args):
+    return {"information_gap": _frac_str(equilibria.information_gap_exact(inst))}, 0
 
 
-def cmd_certify(args) -> int:
-    inst = _load_instance(args)
+def cmd_certify(inst, args):
     cert = equilibria.potential_method_certificate(inst)
     report = {
         "links": [
@@ -210,12 +115,10 @@ def cmd_certify(args) -> int:
         "values": {k: _frac_str(v) for k, v in cert.values.items()},
         "all_pass": cert.all_hold,
     }
-    _emit(report, args.format, args.out)
-    return 0 if cert.all_hold else 2
+    return report, 0 if cert.all_hold else 2
 
 
-def cmd_scheme_check(args) -> int:
-    inst = _load_multicast(args, "scheme-check")
+def cmd_scheme_check(inst, args):
     scheme = costsharing.steiner_scheme(inst.graph)
     rng = random.Random(args.seed)
     nodes = [n for n in inst.graph.nodes if n != inst.graph.root]
@@ -236,13 +139,8 @@ def cmd_scheme_check(args) -> int:
         if U:
             member = rng.choice(sorted(U))
             sup = U | frozenset(rng.sample(nodes, rng.randint(0, len(nodes))))
-            checks.append(
-                (
-                    "cross-monotonicity",
-                    costsharing.check_cross_monotonicity(scheme, U, sup, member),
-                    member,
-                )
-            )
+            chk = costsharing.check_cross_monotonicity(scheme, U, sup, member)
+            checks.append(("cross-monotonicity", chk, member))
         for prop, chk, x_used in checks:
             all_pass = all_pass and chk.holds
             rows.append(
@@ -256,12 +154,10 @@ def cmd_scheme_check(args) -> int:
                     "pass": chk.holds,
                 }
             )
-    _emit(rows, args.format, args.out)
-    return 0 if all_pass else 2
+    return rows, 0 if all_pass else 2
 
 
-def cmd_sample(args) -> int:
-    inst = _load_multicast(args, "sample")
+def cmd_sample(inst, args):
     scheme = costsharing.steiner_scheme(inst.graph)
     if args.samples:
         rep = sampling.evaluate_construction_mc(
@@ -283,11 +179,10 @@ def cmd_sample(args) -> int:
         ),
         "stderr": rep.stderr,
     }
-    _emit(report, args.format, args.out)
-    return 0 if rep.passed else 2
+    return report, 0 if rep.passed else 2
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(inst, args):
     inst = instances.gen_instance(
         kind=args.kind,
         n_nodes=args.nodes,
@@ -297,8 +192,7 @@ def cmd_gen(args) -> int:
         iid=args.iid,
         root_mass=args.root_mass,
     )
-    _write(args.out, instances.serialize_instance(inst))
-    return 0
+    return instances.serialize_instance(inst), 0
 
 
 @functools.lru_cache(maxsize=None)
@@ -338,12 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scheme-check", help="cost-sharing property suites")
     common(p)
-    p.set_defaults(func=cmd_scheme_check)
+    p.set_defaults(func=cmd_scheme_check, needs_multicast=True)
 
     p = sub.add_parser("sample", help="sampling-and-augmentation construction")
     common(p)
     p.add_argument("--variant", choices=("iid", "noniid"), default="noniid")
-    p.set_defaults(func=cmd_sample)
+    p.set_defaults(func=cmd_sample, needs_multicast=True)
 
     p = sub.add_parser("gen", help="seeded random instance generator")
     common(p, needs_instance=False)
@@ -360,10 +254,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        inst = None
+        if "instance" in args:
+            inst = instances.parse_instance(_read(args.instance))
+            if args.cap_support is not None:
+                inst = dataclasses.replace(inst, support_cap=args.cap_support)
+            if args.cap_strategies is not None:
+                inst = dataclasses.replace(inst, strategy_cap=args.cap_strategies)
+            if "needs_multicast" in args and inst.kind != "multicast":
+                raise NetgamesError(f"{args.command} needs a multicast (rooted) instance")
+        if "strategy" in args:
+            args.strategy = parse_strategy(inst, _read(args.strategy))
+        report, code = args.func(inst, args)
+        _emit(report, args.format, args.out)
+        return code
     except NetgamesError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1

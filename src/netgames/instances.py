@@ -1,5 +1,5 @@
-"""Instance file parsing, canonical serialization, and the seeded random
-instance generator.
+"""Instance and strategy file codecs, and the seeded random instance
+generator.
 
 Instances are JSON documents with exact rationals written as "p/q" (or plain
 integer) strings:
@@ -16,6 +16,16 @@ integer) strings:
 Cover kinds replace "graph" with "cover": {"node_costs": {"u": "1", ...}}.
 Types are strings (multicast), two-element lists (source-sink and
 vertex-cover), or node lists (hypergraph-cover).
+
+A strategy file gives every player one action for each type in its
+support, in the same type encoding:
+
+    {"players": [{"strategies": [{"type": "a", "action": [["a", "r"]],
+                                  "cost": "2"}, ...]}, ...]}
+
+Actions are edge lists (graph kinds) or node lists (cover kinds).  `cost`
+is written by `encode_profile` and ignored by `parse_strategy`, so the
+`players` list of a `bne` report is a valid strategy file.
 """
 
 from __future__ import annotations
@@ -24,12 +34,15 @@ import json
 import random
 from fractions import Fraction
 
-from .errors import ParseError, PreconditionError, ValidationError
+from .errors import NetgamesError, ParseError, PreconditionError, ValidationError
 from .games import (
+    COVER_KINDS,
     DEFAULT_STRATEGY_CAP,
     DEFAULT_SUPPORT_CAP,
+    GRAPH_KINDS,
     GameInstance,
     PlayerSpec,
+    feasible_actions,
 )
 from .graphs import Graph
 
@@ -164,6 +177,73 @@ def serialize_instance(inst: GameInstance) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _encode_element(inst: GameInstance, e):
+    return [e[0], e[1]] if inst.kind in GRAPH_KINDS else e
+
+
+def _decode_element(inst: GameInstance, raw):
+    pair = isinstance(raw, list) and len(raw) == 2 and all(isinstance(n, str) for n in raw)
+    if inst.kind in GRAPH_KINDS and pair:
+        return tuple(sorted(raw))
+    if inst.kind in COVER_KINDS and isinstance(raw, str):
+        return raw
+    raise ValidationError("action", f"not a {inst.kind} element: {raw!r}")
+
+
+def encode_profile(inst: GameInstance, s: tuple) -> list:
+    """The `players` list of a strategy file for the profile `s`."""
+    out = []
+    for spec, strat in zip(inst.players, s):
+        entries = []
+        for t, _ in spec.distribution:
+            a = strat[t]
+            action = sorted(_encode_element(inst, e) for e in a.elements)
+            t_doc = _encode_type(inst.kind, t)
+            entries.append({"type": t_doc, "action": action, "cost": str(a.cost)})
+        out.append({"strategies": entries})
+    return out
+
+
+def _field(doc, key: str, where: str):
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValidationError(where, f"missing {key!r}")
+    return doc[key]
+
+
+def parse_strategy(inst: GameInstance, text: str) -> tuple:
+    """The profile in strategy file `text`: each action must be feasible
+    for its type, and every support type needs one."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"strategy line {exc.lineno}: {exc.msg}")
+    players = _expect(_field(doc, "players", "strategy"), list, "players")
+    if len(players) != inst.n:
+        raise ValidationError("players", f"{len(players)} strategies for {inst.n} players")
+    profile = []
+    for i, pdoc in enumerate(players):
+        strat = {}
+        where = f"players[{i}].strategies"
+        entries = _field(pdoc, "strategies", f"players[{i}]")
+        for entry in _expect(entries, list, where):
+            t = _decode_type(inst.kind, _field(entry, "type", where))
+            if t not in inst.players[i].support():
+                raise NetgamesError(f"player {i}: type {t!r} not in its support")
+            action = _expect(_field(entry, "action", where), list, where)
+            elements = frozenset(_decode_element(inst, e) for e in action)
+            menu = {a.elements: a for a in feasible_actions(inst, i, t)}
+            if elements not in menu:
+                raise NetgamesError(
+                    f"player {i}: action {sorted(elements)} infeasible for type {t!r}"
+                )
+            strat[t] = menu[elements]
+        for t, _ in inst.players[i].distribution:
+            if t not in strat:
+                raise NetgamesError(f"player {i}: no action for support type {t!r}")
+        profile.append(strat)
+    return tuple(profile)
+
+
 def _random_probs(rng: random.Random, k: int) -> list[Fraction]:
     weights = [rng.randint(1, 6) for _ in range(k)]
     total = sum(weights)
@@ -199,9 +279,14 @@ def gen_instance(
     """Seeded random instance.  `iid` forces one shared distribution;
     `root_mass` generates two-point distributions with residual mass on the
     root (the independent-decisions model)."""
-    need = 2 if root_mass else 1  # the root, and a non-root node for root mass
-    if kind == "multicast" and n_nodes < need:
-        raise PreconditionError(f"multicast generator needs n_nodes >= {need}, got {n_nodes}")
+    # the root (and a non-root node for root mass), or two nodes for a pair
+    need = 1 if kind == "multicast" and not root_mass else 2
+    if n_nodes < need:
+        raise PreconditionError(f"{kind} generator needs n_nodes >= {need}, got {n_nodes}")
+    if n_players < 1:
+        raise PreconditionError(f"generator needs n_players >= 1, got {n_players}")
+    if n_types < 1 and not (kind == "multicast" and root_mass):  # root mass ignores it
+        raise PreconditionError(f"generator needs n_types >= 1, got {n_types}")
     rng = random.Random(seed)
     graph = node_costs = None
     if kind in ("multicast", "source-sink"):

@@ -2,7 +2,9 @@
 `bpos`, `ig`, `certify` and exact `sample` on fixed generated instances.
 Any change to the printed answers, their formatting or an exit code fails
 here.  The digests were recorded before the expectations moved to integer
-arithmetic and must not be re-recorded for a speed change."""
+arithmetic and must not be re-recorded for a speed change.  `MORE_GOLDEN`
+below adds stderr and covers `eval`, `scheme-check`, Monte Carlo `sample`,
+CSV output, `gen` and the error paths."""
 
 import hashlib
 
@@ -89,3 +91,94 @@ GOLDEN = {  # case id -> (exit code, sha256 of stdout)
 )
 def test_cli_stdout_and_exit_code_are_unchanged(tmp_path, capsys, gen, argv, expected):
     assert run_case(tmp_path, capsys, gen, argv) == expected
+
+
+# The cases below digest stdout, stderr and the exit code of the remaining
+# subcommands, output formats and error paths.  Their digests were recorded
+# on the tree before the subcommands moved to one dispatch path in
+# `cli.main`, so they pin that the dispatch change kept every byte.  Each
+# case runs in its own directory with relative paths, so error messages
+# that name a file are the same in every run.
+
+def more_cases():
+    """(id, gen_instance kwargs of the instance written to inst.json or
+    None, CLI argvs run in order; the last one is digested)."""
+    inst = ["--instance", "inst.json"]
+    for kind in ("multicast", "source-sink", "vertex-cover"):
+        gen = dict(kind=kind, seed=1)
+        for fmt in ("json", "csv"):
+            yield f"eval-{fmt}-{kind}", gen, [
+                ["bne", *inst, "--out", "strat.json"],
+                ["eval", *inst, "--strategy", "strat.json", "--format", fmt],
+            ]
+        for command in ("bne", "certify"):
+            yield f"{command}-csv-{kind}", gen, [[command, *inst, "--format", "csv"]]
+        yield f"gen-{kind}", None, [
+            ["gen", "--kind", kind, "--nodes", "5", "--players", "3", "--types", "2", "--seed", "1"]
+        ]
+    for fmt in ("json", "csv"):
+        yield f"scheme-check-{fmt}", dict(kind="multicast", seed=1), [
+            ["scheme-check", *inst, "--samples", "10", "--seed", "3", "--format", fmt]
+        ]
+    for variant in ("iid", "noniid"):
+        yield f"sample-mc-{variant}", dict(kind="multicast", seed=1, iid=variant == "iid"), [
+            ["sample", *inst, "--variant", variant, "--samples", "20", "--seed", "2"]
+        ]
+    yield "error-missing-instance", None, [["bpos", "--instance", "absent.json"]]
+    yield "error-unwritable-out", dict(kind="multicast", seed=1), [
+        ["bpos", *inst, "--out", "absent/report.json"]
+    ]
+    yield "error-sample-on-source-sink", dict(kind="source-sink", seed=1), [["sample", *inst]]
+    yield "error-cap-strategies", dict(kind="multicast", seed=1), [
+        ["bpos", *inst, "--cap-strategies", "1"]
+    ]
+
+
+def run_calls(tmp_path, monkeypatch, capsys, gen, argvs):
+    """(exit code, sha256 of stdout, sha256 of stderr) of the last of
+    `argvs`, run in process in `tmp_path`."""
+    monkeypatch.chdir(tmp_path)
+    if gen is not None:
+        inst = gen_instance(n_nodes=SIZE[0], n_players=SIZE[1], n_types=SIZE[2], **gen)
+        (tmp_path / "inst.json").write_text(serialize_instance(inst), encoding="utf-8")
+    for argv in argvs:
+        capsys.readouterr()
+        code = main(argv)
+    out, err = capsys.readouterr()
+    digest = lambda text: hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return code, digest(out), digest(err)
+
+
+MORE_GOLDEN = {  # case id -> (exit code, sha256 of stdout, sha256 of stderr)
+    "eval-json-multicast": (0, "a547e4f1e74716bbad032b8319ad45000cbae767802ca2336a26d88ac093b0d1", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "eval-csv-multicast": (0, "cd0b6fe8c99cb9c1e69b01a320f0d6c74021e7ff77ec5a9659f93d4b76624d28", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "bne-csv-multicast": (0, "3b304693264ce5d0be84c536a6be099005b9ab211f35a9dcaa3c14567b82ce85", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "certify-csv-multicast": (0, "cc33c3595234313420a0d26c8b932d802e3a89de0d398d60c3e9a3b4dae5d0a3", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "gen-multicast": (0, "0f25ae4005823e68ded1bb5321c8270ba4bc101b34f6c98433a2efc775df7234", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "eval-json-source-sink": (0, "b643f76a4e35aa3269a11c489c67f472c9c9a445821e856ebdd7ff88f8c2332c", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "eval-csv-source-sink": (0, "c521d019860fa4fc7537d6a4cdc03289b5d17dbe39c64239747a3d20910bcad2", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "bne-csv-source-sink": (0, "bfe36befbf8887b3ad67ec40bf58a982a9682416b99cdffbf183a446627a5c98", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "certify-csv-source-sink": (0, "97b6eb9a08336a0ebd226dccda8639338830689472d5d358e8e8fe55cded8dbc", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "gen-source-sink": (0, "3d3f7bd42840c3bf32228110e9a83f90b5dfa986b84c395499c35a46a7e9a772", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "eval-json-vertex-cover": (0, "9b6f2fa206f4a8eec361896401694c96880550386dad36b6b791351d16567bb4", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "eval-csv-vertex-cover": (0, "9be844409055a16f024de263f1d37bf205054c68593622628f9e08c5109d284a", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "bne-csv-vertex-cover": (0, "2b7d1a750eacad7a29474043d314d5d0226f134ca7e8ac35a9bb708273ad2391", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "certify-csv-vertex-cover": (0, "8edccdeb2eb835c30d3ffa51aa7882e27cc0137946212eb91ebc5d668ad3a290", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "gen-vertex-cover": (0, "70ad1987e6d634d5bc8b78a5d02aa760dee2adcf43ea1565c5dd9d3cd74e7351", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "scheme-check-json": (0, "c76bbe8471209bf21d951c378d0adf0863b1995ce523f92303043905d27df2da", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "scheme-check-csv": (0, "d26695dd64e1ffb85849afd7bd2c0d59c93ff015668afcd6b2b6c3f826ad17a7", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "sample-mc-iid": (0, "414cd6673bcd7476e47942f396376ccd1963811b08500cc1b613fe1bd3eb8a52", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "sample-mc-noniid": (0, "18295cf8ba73c0cc1574dcc3d2a5be81ccf259de611c4220bb027b0d1c4073d2", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "error-missing-instance": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "59f733188d710fec60c201f3b570ab3c56213aed8329eb4cadca8595c4f7800b"),
+    "error-unwritable-out": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "9ea120971cf8a1e58da07e2b1c2eba99f7737a05538f6acb4efd99126ee2e8c8"),
+    "error-sample-on-source-sink": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "73df35d1980e0796356357757b03c5d85f116def624570c2beffd2caa97b4205"),
+    "error-cap-strategies": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "6e4d9967d3eff9792b5853a0fc9b96f43cf22737bc12c2ebbbe61824bcef5297"),
+}
+
+
+@pytest.mark.parametrize(
+    "gen,argvs,expected",
+    [pytest.param(gen, argvs, MORE_GOLDEN[cid], id=cid) for cid, gen, argvs in more_cases()],
+)
+def test_more_cli_output_and_exit_codes_are_unchanged(tmp_path, monkeypatch, capsys, gen, argvs, expected):
+    assert run_calls(tmp_path, monkeypatch, capsys, gen, argvs) == expected

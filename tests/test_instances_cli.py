@@ -2,6 +2,7 @@ import errno
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -99,6 +100,28 @@ class TestGen:
         monkeypatch.setattr(instances, "random", None)
         with pytest.raises(PreconditionError, match="multicast generator needs n_nodes >= "):
             gen_instance("multicast", n_nodes=n_nodes, root_mass=root_mass)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(kind="multicast", n_types=0), "n_types >= 1, got 0"),
+            (dict(kind="multicast", n_types=-1), "n_types >= 1, got -1"),
+            (dict(kind="multicast", n_types=-1, n_players=-1, iid=True), "n_players >= 1, got -1"),
+            (dict(kind="multicast", n_players=0), "n_players >= 1, got 0"),
+            (dict(kind="source-sink", n_nodes=1), "source-sink generator needs n_nodes >= 2, got 1"),
+            (dict(kind="vertex-cover", n_nodes=0), "vertex-cover generator needs n_nodes >= 2"),
+            (dict(kind="vertex-cover", n_nodes=1), "vertex-cover generator needs n_nodes >= 2"),
+        ],
+    )
+    def test_bad_arguments_raise_before_any_draw(self, monkeypatch, kwargs, message):
+        monkeypatch.setattr(instances, "random", None)
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            gen_instance(**kwargs)
+
+    def test_root_mass_ignores_the_type_count(self):
+        for n_types in (0, -1):
+            inst = gen_instance("multicast", n_types=n_types, seed=2, root_mass=True)
+            assert inst == gen_instance("multicast", seed=2, root_mass=True)
 
     def test_fewest_nodes_that_generate(self):
         inst = gen_instance("multicast", n_nodes=1, seed=3)
@@ -203,9 +226,10 @@ class TestCli:
     def test_sample_rejects_non_multicast(self, tmp_path, capsys, kind):
         inst_path = tmp_path / "inst.json"
         inst_path.write_text(serialize_instance(gen_instance(kind, seed=1)))
-        assert main(["sample", "--instance", str(inst_path)]) == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err == {"error": "sample needs a multicast (rooted) instance"}
+        for command in ("sample", "scheme-check"):
+            assert main([command, "--instance", str(inst_path)]) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err == {"error": f"{command} needs a multicast (rooted) instance"}
 
     def test_missing_input_file(self, tmp_path, capsys):
         missing = tmp_path / "absent.json"
@@ -243,6 +267,26 @@ class TestCli:
         )
         assert proc.returncode == 1 and proc.stdout == ""
         assert "multicast generator needs n_nodes >= " in json.loads(proc.stderr)["error"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--types", "-1"],
+            ["--types", "-1", "--players", "-1", "--iid"],
+            ["--types", "0"],
+            ["--players", "0"],
+            ["--kind", "source-sink", "--nodes", "1"],
+            ["--kind", "vertex-cover", "--nodes", "0"],
+            ["--kind", "vertex-cover", "--nodes", "1"],
+        ],
+    )
+    def test_gen_with_bad_arguments_exits_1_with_an_error_line(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "netgames.cli", "gen", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) == 1
+        assert "generator needs" in json.loads(proc.stderr)["error"]
 
     def test_non_utf8_input_file(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.json"
