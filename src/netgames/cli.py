@@ -2,11 +2,13 @@
 JSON/CSV reports.
 
 Subcommands: eval, bne, bpos, ig, certify, scheme-check, sample, gen.
-Each `cmd_*` function maps the loaded instance and the parsed arguments to
-(report, exit code).  `main` alone reads the input files, applies the
-`--cap-*` overrides, renders the report as JSON or CSV to stdout or
-`--out`, and turns any `NetgamesError` into an `{"error": ...}` line on
-stderr.
+`OPTIONS` holds each option's argparse settings once, and one `COMMANDS`
+row per subcommand names the options it reads, so no subcommand accepts an
+option that it ignores.  Each `cmd_*` function maps the loaded instance and
+the parsed arguments to (report, exit code).  `main` alone rejects caps and
+sample counts below 1, reads the input files, applies the `--cap-*`
+overrides, renders the report as JSON or CSV to stdout or `--out`, and turns
+any `NetgamesError` into an `{"error": ...}` line on stderr.
 Exit codes: 0 on success/pass, 2 when a certificate or property check
 fails, 1 on errors.
 """
@@ -124,12 +126,9 @@ def cmd_scheme_check(inst, args):
     nodes = [n for n in inst.graph.nodes if n != inst.graph.root]
     if not nodes:
         raise PreconditionError("scheme-check needs a node other than the root")
-    if args.samples < 0:
-        raise PreconditionError("--samples must not be negative")
     rows = []
     all_pass = True
-    cases = args.samples if args.samples else 50
-    for _ in range(cases):
+    for _ in range(args.samples):
         U = frozenset(rng.sample(nodes, rng.randint(0, len(nodes))))
         x = rng.choice(nodes)
         checks = [
@@ -159,7 +158,7 @@ def cmd_scheme_check(inst, args):
 
 def cmd_sample(inst, args):
     scheme = costsharing.steiner_scheme(inst.graph)
-    if args.samples:
+    if args.samples is not None:
         rep = sampling.evaluate_construction_mc(
             inst, scheme, args.variant, args.samples, args.seed
         )
@@ -184,15 +183,50 @@ def cmd_sample(inst, args):
 
 def cmd_gen(inst, args):
     inst = instances.gen_instance(
-        kind=args.kind,
-        n_nodes=args.nodes,
-        n_players=args.players,
-        n_types=args.types,
-        seed=args.seed,
-        iid=args.iid,
-        root_mass=args.root_mass,
+        args.kind, args.nodes, args.players, args.types,
+        seed=args.seed, iid=args.iid, root_mass=args.root_mass,
     )
     return instances.serialize_instance(inst), 0
+
+
+OPTIONS = {
+    "--instance": dict(required=True),
+    "--strategy": dict(required=True),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--out": dict(default=None),
+    "--cap-strategies": dict(type=int, default=None),
+    "--cap-support": dict(type=int, default=None),
+    "--variant": dict(choices=("iid", "noniid"), default="noniid"),
+    "--seed": dict(type=int, default=0),
+    "--samples": dict(type=int, default=None),
+    "--kind": dict(choices=instances.GEN_KINDS, default="multicast"),
+    "--nodes": dict(type=int, default=4),
+    "--players": dict(type=int, default=2),
+    "--types": dict(type=int, default=2),
+    "--iid": dict(action="store_true"),
+    "--root-mass": dict(action="store_true"),
+}
+REPORT = ("--instance", "--format", "--out")
+CAPS = ("--cap-strategies", "--cap-support")
+
+# (name, function, help, the options it reads, parser defaults besides `func`)
+COMMANDS = (
+    ("eval", cmd_eval, "costs and potential of a strategy file",
+     ("--instance", "--strategy", "--format", "--out"), {}),
+    ("bne", cmd_bne, "potential-minimizing equilibrium + verification",
+     (*REPORT, "--cap-strategies"), {}),
+    ("bpos", cmd_bpos, "exact Bayesian price of stability", (*REPORT, *CAPS), {}),
+    ("ig", cmd_ig, "exact information gap", (*REPORT, *CAPS), {}),
+    ("certify", cmd_certify, "potential-method certificate chain", (*REPORT, *CAPS), {}),
+    ("scheme-check", cmd_scheme_check, "cost-sharing property suites",
+     (*REPORT, "--seed", "--samples"), {"needs_multicast": True, "samples": 50}),
+    ("sample", cmd_sample, "sampling-and-augmentation construction",
+     (*REPORT, "--variant", "--seed", "--samples", "--cap-support"),
+     {"needs_multicast": True}),
+    ("gen", cmd_gen, "seeded random instance generator",
+     ("--out", "--kind", "--nodes", "--players", "--types", "--seed", "--iid", "--root-mass"),
+     {}),
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -204,71 +238,35 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact analysis of Bayesian network design games.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_instance=True):
-        if needs_instance:
-            p.add_argument("--instance", required=True)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=0)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--out", default=None)
-        p.add_argument("--cap-strategies", type=int, default=None)
-        p.add_argument("--cap-support", type=int, default=None)
-
-    p = sub.add_parser("eval", help="costs and potential of a strategy file")
-    common(p)
-    p.add_argument("--strategy", required=True)
-    p.set_defaults(func=cmd_eval)
-
-    for name, func, helptext in (
-        ("bne", cmd_bne, "potential-minimizing equilibrium + verification"),
-        ("bpos", cmd_bpos, "exact Bayesian price of stability"),
-        ("ig", cmd_ig, "exact information gap"),
-        ("certify", cmd_certify, "potential-method certificate chain"),
-    ):
+    for name, func, helptext, options, defaults in COMMANDS:
         p = sub.add_parser(name, help=helptext)
-        common(p)
-        p.set_defaults(func=func)
-
-    p = sub.add_parser("scheme-check", help="cost-sharing property suites")
-    common(p)
-    p.set_defaults(func=cmd_scheme_check, needs_multicast=True)
-
-    p = sub.add_parser("sample", help="sampling-and-augmentation construction")
-    common(p)
-    p.add_argument("--variant", choices=("iid", "noniid"), default="noniid")
-    p.set_defaults(func=cmd_sample, needs_multicast=True)
-
-    p = sub.add_parser("gen", help="seeded random instance generator")
-    common(p, needs_instance=False)
-    p.add_argument("--kind", choices=("multicast", "source-sink", "vertex-cover"),
-                   default="multicast")
-    p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--players", type=int, default=2)
-    p.add_argument("--types", type=int, default=2)
-    p.add_argument("--iid", action="store_true")
-    p.add_argument("--root-mass", action="store_true")
-    p.set_defaults(func=cmd_gen)
-
+        for option in options:
+            p.add_argument(option, **OPTIONS[option])
+        p.set_defaults(func=func, **defaults)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    opts = vars(args)
     try:
+        for dest in ("cap_strategies", "cap_support", "samples"):
+            if opts.get(dest) is not None and opts[dest] < 1:
+                option = "--" + dest.replace("_", "-")
+                raise PreconditionError(f"{option} must be at least 1, got {opts[dest]}")
         inst = None
         if "instance" in args:
             inst = instances.parse_instance(_read(args.instance))
-            if args.cap_support is not None:
+            if opts.get("cap_support") is not None:
                 inst = dataclasses.replace(inst, support_cap=args.cap_support)
-            if args.cap_strategies is not None:
+            if opts.get("cap_strategies") is not None:
                 inst = dataclasses.replace(inst, strategy_cap=args.cap_strategies)
             if "needs_multicast" in args and inst.kind != "multicast":
                 raise NetgamesError(f"{args.command} needs a multicast (rooted) instance")
         if "strategy" in args:
             args.strategy = parse_strategy(inst, _read(args.strategy))
         report, code = args.func(inst, args)
-        _emit(report, args.format, args.out)
+        _emit(report, opts.get("format"), args.out)
         return code
     except NetgamesError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

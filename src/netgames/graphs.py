@@ -24,6 +24,7 @@ from typing import Callable, Container, Iterable, Optional
 from .errors import (
     DisconnectedError,
     InfeasibleError,
+    PreconditionError,
     TooLargeError,
     UnreachableError,
 )
@@ -334,7 +335,7 @@ def steiner_tree_exact(g: Graph, terminals: Iterable[str]) -> EdgeSet:
     subsets that no earlier call on the same graph has built."""
     terms = sorted(set(terminals))
     if not terms:
-        raise ValueError("terminal set must be nonempty")
+        raise PreconditionError("terminal set must be nonempty")
     for t in terms:
         if t not in g.nodes:
             raise DisconnectedError(f"terminal {t!r} not in graph")
@@ -394,14 +395,13 @@ def steiner_forest_exact(g: Graph, pairs: Iterable[Edge]) -> EdgeSet:
     return EdgeSet(edges=edges, cost=Fraction(cost, table.scale))
 
 
-def min_feasible_subset_bruteforce(
-    g: Graph, feasible: Callable[[frozenset], bool], cap: int = DEFAULT_EDGE_CAP
-) -> EdgeSet:
-    """Cheapest edge subset satisfying a monotone feasibility predicate.
-    Serves as the independent oracle for the Steiner solvers."""
+def min_feasible_subset_bruteforce(g: Graph, feasible: Callable[[frozenset], bool]) -> EdgeSet:
+    """Cheapest edge subset satisfying a monotone feasibility predicate, over
+    at most DEFAULT_EDGE_CAP edges.  Serves as the independent oracle for
+    the Steiner solvers."""
     keys = g.edge_keys()
-    if len(keys) > cap:
-        raise TooLargeError(f"{len(keys)} edges exceeds enumeration cap {cap}")
+    if len(keys) > DEFAULT_EDGE_CAP:
+        raise TooLargeError(f"{len(keys)} edges exceeds enumeration cap {DEFAULT_EDGE_CAP}")
     # Integer-scaled costs keep the inner enumeration loop cheap; the scale
     # factor is exact so comparisons stay exact.
     denom_lcm = math.lcm(*(g.cost(k).denominator for k in keys))
@@ -435,22 +435,20 @@ def min_feasible_subset_bruteforce(
 
 
 def cover_exact(
-    node_costs: dict[str, Fraction],
-    hyperedges: Iterable[Iterable[str]],
-    cap: int = DEFAULT_NODE_CAP,
+    node_costs: dict[str, Fraction], hyperedges: Iterable[Iterable[str]]
 ) -> tuple[frozenset, Fraction]:
     """Minimum-cost node set hitting every hyperedge (exact branch and
-    bound over uncovered hyperedges)."""
+    bound over uncovered hyperedges), over at most DEFAULT_NODE_CAP nodes."""
     costs = {n: Fraction(c) for n, c in node_costs.items()}
-    if len(costs) > cap:
-        raise TooLargeError(f"{len(costs)} nodes exceeds enumeration cap {cap}")
+    if len(costs) > DEFAULT_NODE_CAP:
+        raise TooLargeError(f"{len(costs)} nodes exceeds enumeration cap {DEFAULT_NODE_CAP}")
     hedges = [tuple(sorted(set(h))) for h in hyperedges]
     for h in hedges:
         if not h:
-            raise ValueError("empty hyperedge")
+            raise PreconditionError("empty hyperedge")
         for n in h:
             if n not in costs:
-                raise ValueError(f"hyperedge node {n!r} has no cost")
+                raise PreconditionError(f"hyperedge node {n!r} has no cost")
 
     best: list = [None]  # (cost, sorted-node-tuple, frozenset)
 

@@ -47,6 +47,7 @@ from .games import (
 from .graphs import Graph
 
 FORMAT_VERSION = 1
+GEN_KINDS = ("multicast", "source-sink", "vertex-cover")  # the kinds gen_instance draws
 
 
 def _rational(value, field: str) -> Fraction:
@@ -279,6 +280,8 @@ def gen_instance(
     """Seeded random instance.  `iid` forces one shared distribution;
     `root_mass` generates two-point distributions with residual mass on the
     root (the independent-decisions model)."""
+    if kind not in GEN_KINDS:
+        raise PreconditionError(f"generator does not support kind {kind!r}")
     # the root (and a non-root node for root mass), or two nodes for a pair
     need = 1 if kind == "multicast" and not root_mass else 2
     if n_nodes < need:
@@ -289,16 +292,14 @@ def gen_instance(
         raise PreconditionError(f"generator needs n_types >= 1, got {n_types}")
     rng = random.Random(seed)
     graph = node_costs = None
-    if kind in ("multicast", "source-sink"):
+    if kind in GRAPH_KINDS:
         graph = _random_graph(rng, n_nodes, rooted=(kind == "multicast"))
         nodes = list(graph.nodes)
-    elif kind == "vertex-cover":
+    else:
         nodes = [f"v{j}" for j in range(n_nodes)]
         node_costs = tuple(
             (n, Fraction(rng.randint(1, 10), rng.randint(1, 4))) for n in nodes
         )
-    else:
-        raise ValueError(f"generator does not support kind {kind!r}")
     pairs = [(a, b) for a in nodes for b in nodes if a < b]
 
     def random_dist():

@@ -61,21 +61,23 @@ def _require_iid(inst: GameInstance):
             raise PreconditionError("i.i.d. construction needs identical distributions")
 
 
-def _draw_distributions(inst: GameInstance, variant: str) -> list:
+def _draw_distributions(inst: GameInstance, scheme: CostSharingScheme, variant: str) -> list:
     """The distributions the shared draw D samples: n - 1 copies of the
-    common one (i.i.d.) or one per player (non-i.i.d.)."""
+    common one (i.i.d.) or one per player (non-i.i.d., cross-monotone only)."""
     if variant == "iid":
         _require_iid(inst)
         return [inst.players[0].distribution] * (inst.n - 1)
     if variant == "noniid":
+        if not scheme.cross_monotone:
+            raise PreconditionError("non-i.i.d. construction needs a cross-monotone scheme")
         return [spec.distribution for spec in inst.players]
     raise PreconditionError(f"unknown variant {variant!r}")
 
 
-def _draws(inst: GameInstance, variant: str):
+def _draws(inst: GameInstance, scheme: CostSharingScheme, variant: str):
     """All draws D with their exact probabilities; more than
     `inst.support_cap` draws raise SupportTooLargeError."""
-    return weighted_product(inst, _draw_distributions(inst, variant), "draw support")
+    return weighted_product(inst, _draw_distributions(inst, scheme, variant), "draw support")
 
 
 def _support_types(inst: GameInstance) -> list:
@@ -137,8 +139,7 @@ def construct_strategy_iid(
     """Shared-draw strategy for identical distributions: every player plays
     the cheapest feasible action inside A(D) | B(A(D), own type)."""
     _require_multicast(inst)
-    _require_iid(inst)
-    if len(D.types) != inst.n - 1:
+    if len(D.types) != len(_draw_distributions(inst, scheme, "iid")):
         raise PreconditionError(f"expected {inst.n - 1} samples, got {len(D.types)}")
     return _constructed(inst, scheme, D.types)
 
@@ -149,7 +150,7 @@ def construct_strategy_noniid(
     """Shared-draw strategy for independent non-identical distributions;
     one sample per player distribution, all players see the same draw."""
     _require_multicast(inst)
-    if len(D.types) != inst.n:
+    if len(D.types) != len(_draw_distributions(inst, scheme, "noniid")):
         raise PreconditionError(f"expected {inst.n} samples, got {len(D.types)}")
     return _constructed(inst, scheme, D.types)
 
@@ -161,7 +162,7 @@ def evaluate_construction_exact(
     constructed profile's social cost, compared with (alpha+beta) times the
     expected optimum."""
     _require_multicast(inst)
-    draws = _draws(inst, variant)
+    draws = _draws(inst, scheme, variant)
     opt = expected_opt(inst)
     types = _support_types(inst)
     total = Fraction(0)
@@ -214,7 +215,7 @@ def evaluate_construction_mc(
     _require_multicast(inst)
     if samples < 1:
         raise PreconditionError("need at least one sample")
-    dists = _draw_distributions(inst, variant)
+    dists = _draw_distributions(inst, scheme, variant)
     rng = random.Random(seed)
     values = []
     first_vals = []
@@ -255,7 +256,7 @@ def derandomize(
     """Pick the draw D whose constructed profile has the smallest exact
     expected cost (min over draws is at most the draw-averaged cost)."""
     _require_multicast(inst)
-    built = ((D, _constructed(inst, scheme, D)) for D, _ in _draws(inst, variant))
+    built = ((D, _constructed(inst, scheme, D)) for D, _ in _draws(inst, scheme, variant))
     D, s = min(built, key=lambda c: (expected_social_cost(inst, c[1]), c[0]))
     return SampleProfile(types=D, provenance="enumerated"), s
 

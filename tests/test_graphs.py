@@ -20,12 +20,13 @@ from netgames import (
 from netgames.errors import (
     DisconnectedError,
     InfeasibleError,
+    PreconditionError,
     TooLargeError,
     UnreachableError,
 )
 from netgames.costsharing import steiner_scheme
 from netgames.games import ex_post_opt, expected_opt
-from netgames.graphs import DEFAULT_EDGE_CAP, Graph, _SteinerTable, _components
+from netgames.graphs import DEFAULT_EDGE_CAP, DEFAULT_NODE_CAP, Graph, _SteinerTable, _components
 from netgames.instances import gen_instance
 from netgames.sampling import evaluate_construction_exact
 
@@ -176,6 +177,10 @@ class TestSteinerTree:
         assert st.cost == 3
         # Lexicographically smallest among the two optimal trees.
         assert st.edges == frozenset({("a", "b"), ("a", "r")})
+
+    def test_no_terminals(self, triangle):
+        with pytest.raises(PreconditionError, match="terminal set must be nonempty"):
+            steiner_tree_exact(triangle, [])
 
     def test_single_terminal(self, triangle):
         st = steiner_tree_exact(triangle, {"b"})
@@ -471,7 +476,17 @@ class TestCover:
 
     def test_cap(self):
         with pytest.raises(TooLargeError):
-            cover_exact({f"n{i}": Fraction(1) for i in range(5)}, [], cap=3)
+            cover_exact({f"n{i}": Fraction(1) for i in range(25)}, [])
+        chosen, cost = cover_exact({f"n{i}": Fraction(1) for i in range(DEFAULT_NODE_CAP)}, [])
+        assert not chosen and cost == 0
+
+    @pytest.mark.parametrize(
+        "hyperedges, message",
+        [([("u",), ()], "empty hyperedge"), ([("u", "x")], "hyperedge node 'x' has no cost")],
+    )
+    def test_malformed_hyperedges(self, hyperedges, message):
+        with pytest.raises(PreconditionError, match=message):
+            cover_exact({"u": Fraction(1)}, hyperedges)
 
     def test_matches_subset_enumeration(self):
         rng = random.Random(23)

@@ -118,6 +118,12 @@ class TestGen:
         with pytest.raises(PreconditionError, match=re.escape(message)):
             gen_instance(**kwargs)
 
+    @pytest.mark.parametrize("kind", ["foo", "hypergraph-cover"])
+    def test_unknown_kind_raises_before_the_node_count(self, monkeypatch, kind):
+        monkeypatch.setattr(instances, "random", None)
+        with pytest.raises(PreconditionError, match=f"does not support kind '{kind}'"):
+            gen_instance(kind, n_nodes=1)
+
     def test_root_mass_ignores_the_type_count(self):
         for n_types in (0, -1):
             inst = gen_instance("multicast", n_types=n_types, seed=2, root_mass=True)
@@ -471,7 +477,7 @@ class TestParserReuse:
             ["bne", "--instance", inst, "--cap-strategies", "1"],
             ["bpos"],
             ["nosuch", "--instance", inst],
-            ["bpos", "--instance", inst, "--seed", "x"],
+            ["bpos", "--instance", inst, "--cap-strategies", "x"],
             ["sample", "--instance", inst, "--variant", "bad"],
             ["gen", "--kind", "source-sink", "--seed", "3"],
             ["certify", "--help"],
@@ -498,3 +504,85 @@ class TestParserReuse:
         random.Random(61).shuffle(order)
         shuffled = run_all(order)
         assert first == again == shuffled
+
+
+# The options each subcommand reads, written out independently of the
+# table in `cli`.
+ROWS = {
+    "eval": {"--instance", "--strategy", "--format", "--out"},
+    "bne": {"--instance", "--format", "--out", "--cap-strategies"},
+    "bpos": {"--instance", "--format", "--out", "--cap-strategies", "--cap-support"},
+    "ig": {"--instance", "--format", "--out", "--cap-strategies", "--cap-support"},
+    "certify": {"--instance", "--format", "--out", "--cap-strategies", "--cap-support"},
+    "scheme-check": {"--instance", "--format", "--out", "--seed", "--samples"},
+    "sample": {
+        "--instance", "--format", "--out", "--variant", "--seed", "--samples", "--cap-support"
+    },
+    "gen": {
+        "--out", "--kind", "--nodes", "--players", "--types", "--seed", "--iid", "--root-mass"
+    },
+}
+# Options that every subcommand used to accept, whether it read them or not.
+FORMERLY_SHARED = {"--seed", "--samples", "--format", "--out", "--cap-strategies", "--cap-support"}
+REMOVED = [(cmd, opt) for cmd, row in ROWS.items() for opt in sorted(FORMERLY_SHARED - row)]
+
+
+class TestOptionTable:
+    """Each subcommand registers exactly the options it reads."""
+
+    def test_counts(self):
+        assert sum(len(row) for row in ROWS.values()) == 43
+        assert len(REMOVED) == 20
+
+    @pytest.mark.parametrize("command", sorted(ROWS))
+    def test_help_lists_exactly_the_row(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == ROWS[command] | {"--help"}
+
+    @pytest.mark.parametrize("command, option", REMOVED)
+    def test_removed_option_is_an_argparse_error(self, tmp_path, capsys, command, option):
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(MINIMAL)
+        argv = [command, option, "csv" if option == "--format" else "1"]
+        if "--instance" in ROWS[command]:
+            argv += ["--instance", str(inst_path)]
+        if "--strategy" in ROWS[command]:
+            argv += ["--strategy", str(inst_path)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert f"unrecognized arguments: {option}" in err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            ("bne", "--cap-strategies"),
+            ("bpos", "--cap-strategies"),
+            ("ig", "--cap-support"),
+            ("sample", "--cap-support"),
+            ("scheme-check", "--samples"),
+            ("sample", "--samples"),
+        ],
+    )
+    def test_counts_below_1_exit_1_naming_the_option(
+        self, tmp_path, capsys, command, option, value
+    ):
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(MINIMAL)
+        assert main([command, "--instance", str(inst_path), option, value]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert json.loads(err) == {"error": f"{option} must be at least 1, got {value}"}
+
+    def test_scheme_check_defaults_to_50_checks(self, tmp_path, capsys):
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(run_cli("gen", "--seed", "4"))
+        runs = []
+        for extra in ([], ["--samples", "50"], ["--samples", "49"]):
+            assert main(["scheme-check", "--instance", str(inst_path), *extra]) == 0
+            runs.append(capsys.readouterr().out)
+        assert runs[0] == runs[1] != runs[2]

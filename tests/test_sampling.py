@@ -18,7 +18,7 @@ from netgames import (
     shortest_path,
     steiner_scheme,
 )
-from netgames.errors import SupportTooLargeError, UnreachableError
+from netgames.errors import PreconditionError, SupportTooLargeError, UnreachableError
 from netgames.games import GameInstance, PlayerSpec
 from netgames.instances import gen_instance
 from netgames.sampling import _restricted_action
@@ -282,6 +282,28 @@ class TestGuards:
         for run in (evaluate_construction_exact, derandomize):
             with pytest.raises(SupportTooLargeError):
                 run(capped, scheme, "noniid")
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda inst, scheme: evaluate_construction_exact(inst, scheme, "noniid"),
+            lambda inst, scheme: evaluate_construction_mc(inst, scheme, "noniid", 5, 1),
+            lambda inst, scheme: derandomize(inst, scheme, "noniid"),
+            lambda inst, scheme: construct_strategy_noniid(inst, scheme, enumerated(["a", "b"])),
+        ],
+        ids=["exact", "monte-carlo", "derandomize", "construct"],
+    )
+    def test_noniid_needs_a_cross_monotone_scheme(self, triangle, run):
+        """The per-player draws' bound rests on cross-monotonicity; the
+        i.i.d. construction does not, and still runs."""
+        inst = iid_triangle(triangle)
+        scheme = dataclasses.replace(scheme_for(inst), cross_monotone=False)
+        with pytest.raises(PreconditionError, match="cross-monotone"):
+            run(inst, scheme)
+        assert evaluate_construction_exact(inst, scheme, "iid") == evaluate_construction_exact(
+            inst, scheme_for(inst), "iid"
+        )
+        assert construct_strategy_iid(inst, scheme, enumerated(["a"]))
 
     def test_cap_bounds_regrouping(self, triangle):
         """Regrouping enumerates rho^n: 2^2 = 4 profiles here."""
