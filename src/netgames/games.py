@@ -3,20 +3,15 @@ fair-share player costs, the harmonic congestion potential, and exact
 expectations over finite independent type distributions.
 
 Expected cost, expected potential and interim costs are closed-form sums
-over elements of the exact law of each element's use count; they never
-enumerate type profiles, so here `support_cap` bounds only `expected_opt`.
-The sums are exact Python integers over denominators fixed per instance
-(`GameInstance._scale`: the lcm D of the type probabilities' denominators,
-the lcm C of the element costs' and L = lcm(1..n)), and each public function
-returns one `Fraction` built at the end.
-`expected_opt` does enumerate them, but the ex-post optimum depends only on
-the set of realized terminals (sources, pairs or hyperedges), so it sums the
-weights per set and solves each distinct set once.  Steiner trees
-(multicast) and forests (source-sink) read the instance graph's shared
-Dreyfus-Wagner table, so distinct sets still share their terminal subsets,
-with the scheme's base solutions too; forests have no edge cap.
-`weighted_product` is the one capped product enumeration, shared with the
-draw enumerations of `sampling`.
+over elements of the exact law of each element's use count, and
+`expected_opt` sums the optimum over the law of the realized terminal set
+(sources, pairs or hyperedges), built player by player and solved once per
+set.  None enumerates type profiles, though `support_cap` still bounds the
+product support of `expected_opt`.  All are exact integer sums over
+denominators fixed per instance (`GameInstance._scale`: the lcm D of the
+probabilities' denominators, the lcm C of the element costs', and
+L = lcm(1..n)), made one `Fraction` at the end.  `weighted_product` is the
+one capped product enumeration, shared with the draws of `sampling`.
 
 Game kinds
 ----------
@@ -155,19 +150,14 @@ class GameInstance:
             s, r = t
             if s not in self.graph.nodes or r not in self.graph.nodes:
                 raise ValidationError(f"players[{i}]", f"unknown node in pair {t!r}")
-        elif self.kind == "vertex-cover":
-            if len(t) != 2:
-                raise ValidationError(f"players[{i}]", f"pair type {t!r} must have 2 nodes")
-            self._validate_cover_nodes(i, t)
+        elif self.kind == "vertex-cover" and len(t) != 2:
+            raise ValidationError(f"players[{i}]", f"pair type {t!r} must have 2 nodes")
+        elif len(t) < 1:
+            raise ValidationError(f"players[{i}]", "empty hyperedge type")
         else:
-            if len(t) < 1:
-                raise ValidationError(f"players[{i}]", "empty hyperedge type")
-            self._validate_cover_nodes(i, t)
-
-    def _validate_cover_nodes(self, i, t):
-        for n in t:
-            if n not in self._cover_costs:
-                raise ValidationError(f"players[{i}]", f"unknown cover node {n!r}")
+            for n in t:
+                if n not in self._cover_costs:
+                    raise ValidationError(f"players[{i}]", f"unknown cover node {n!r}")
 
     @property
     def n(self) -> int:
@@ -317,13 +307,16 @@ def potential_difference_check(
 # Bayesian strategies and exact expectations
 
 
+def _check_support(inst: GameInstance, size: int, what: str):
+    if size > inst.support_cap:
+        raise SupportTooLargeError(f"{what} {size} exceeds cap {inst.support_cap}")
+
+
 def weighted_product(inst: GameInstance, distributions, what: str):
     """(types, exact weight) over the product of `distributions`, in
     `itertools.product` order.  A product larger than `inst.support_cap`
     raises SupportTooLargeError before anything is enumerated."""
-    size = math.prod(len(d) for d in distributions)
-    if size > inst.support_cap:
-        raise SupportTooLargeError(f"{what} {size} exceeds cap {inst.support_cap}")
+    _check_support(inst, math.prod(len(d) for d in distributions), what)
     return (
         (tuple(t for t, _ in combo), math.prod((p for _, p in combo), start=Fraction(1)))
         for combo in itertools.product(*distributions)
@@ -427,37 +420,49 @@ def _terminal(inst: GameInstance, t):
     return tuple(sorted(set(t)))
 
 
+def _graph_opt(inst: GameInstance, terminals: set) -> tuple[frozenset, Fraction]:
+    """Optimal edges on a terminal set: a Steiner tree with the root, or forest."""
+    if not terminals:
+        return EMPTY_ELEMENTS, Fraction(0)
+    if inst.kind == "multicast":
+        solved = graphs.steiner_tree_exact(inst.graph, terminals | {inst.graph.root})
+    else:
+        solved = graphs.steiner_forest_exact(inst.graph, terminals)
+    return solved.edges, solved.cost
+
+
 def ex_post_opt(inst: GameInstance, type_profile: tuple) -> tuple[frozenset, Fraction]:
     """Optimal joint element set for one realized type profile, via the exact
     combinatorial solver matching the game kind."""
     if inst.kind in GRAPH_KINDS:
-        terminals = {_terminal(inst, t) for t in type_profile} - {None}
-        if not terminals:
-            return EMPTY_ELEMENTS, Fraction(0)
-        if inst.kind == "multicast":
-            solved = graphs.steiner_tree_exact(inst.graph, terminals | {inst.graph.root})
-        else:
-            solved = graphs.steiner_forest_exact(inst.graph, terminals)
-        return solved.edges, solved.cost
-    chosen, cost = graphs.cover_exact(
-        inst.cover_cost_map(), [tuple(t) for t in type_profile]
-    )
-    return chosen, cost
+        return _graph_opt(inst, {_terminal(inst, t) for t in type_profile} - {None})
+    return graphs.cover_exact(inst.cover_cost_map(), [tuple(t) for t in type_profile])
+
+
+def _terminal_law(inst: GameInstance) -> dict:
+    """The law of the realized terminal set, built player by player (at most
+    min(prefix support, 2^k) states): frozenset of terminals -> probability
+    times D^n, keyed in the canonical order of each set's first profile."""
+    law = {EMPTY_ELEMENTS: 1}
+    for spec, weights in zip(inst.players, inst._scale.weights):
+        step = [(_terminal(inst, t), w) for (t, _), w in zip(spec.distribution, weights)]
+        grown: dict = {}
+        for S, w in law.items():
+            for x, wx in step:
+                T = S if x is None or x in S else S | {x}
+                grown[T] = grown.get(T, 0) + w * wx
+        law = grown
+    return law
 
 
 def expected_opt(inst: GameInstance) -> Fraction:
-    """E[OPT] over the product support.  The ex-post optimum depends only on
-    the set of the profile's terminals, whichever player brought them, so
-    the exact weights are summed per set and each distinct set is solved
-    once, on its first type profile."""
-    terminal = {
-        t: _terminal(inst, t) for spec in inst.players for t, _ in spec.distribution
-    }
-    groups: dict = {}  # sorted terminal set -> [first type profile, total weight]
-    for tp, w in type_profiles(inst):
-        key = tuple(sorted({terminal[t] for t in tp} - {None}))
-        group = groups.setdefault(key, [tp, Fraction(0)])
-        group[1] += w
-    return sum(
-        (w * ex_post_opt(inst, tp)[1] for tp, w in groups.values()), Fraction(0)
-    )
+    """E[OPT]: the ex-post optimum depends only on the realized terminal
+    set, so each set of `_terminal_law` is solved once, in the law's order
+    (the first error raised is that of the first type profile to fail)."""
+    _check_support(inst, inst.support_size(), "product support")
+    sc, law = inst._scale, _terminal_law(inst)
+    if inst.kind in GRAPH_KINDS:
+        opt = lambda S: int(_graph_opt(inst, S)[1] * sc.C)
+    else:
+        opt = graphs.cover_cost_dp(sc.costs, set().union(*law))
+    return Fraction(sum(w * opt(S) for S, w in law.items()), sc.C * sc.D_pow[inst.n])

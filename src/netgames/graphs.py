@@ -17,7 +17,7 @@ import functools
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Container, Iterable, Optional
 
@@ -52,20 +52,20 @@ class Graph:
         canon = []
         for (u, v), c in self.edges:
             if u == v:
-                raise ValueError(f"self-loop at {u!r}")
+                raise PreconditionError(f"self-loop at {u!r}")
             k = edge_key(u, v)
             if k in seen:
-                raise ValueError(f"duplicate edge {k}")
+                raise PreconditionError(f"duplicate edge {k}")
             if u not in self.nodes or v not in self.nodes:
-                raise ValueError(f"edge {k} references unknown node")
+                raise PreconditionError(f"edge {k} references unknown node")
             c = Fraction(c)
             if c < 0:
-                raise ValueError(f"negative cost on edge {k}")
+                raise PreconditionError(f"negative cost on edge {k}")
             seen.add(k)
             canon.append((k, c))
         object.__setattr__(self, "edges", tuple(sorted(canon)))
         if self.root is not None and self.root not in self.nodes:
-            raise ValueError(f"root {self.root!r} not a node")
+            raise PreconditionError(f"root {self.root!r} not a node")
         object.__setattr__(self, "_cost", dict(self.edges))
         adj = {n: [] for n in self.nodes}
         for (u, v), c in self.edges:
@@ -467,3 +467,25 @@ def cover_exact(
     search(frozenset(), Fraction(0))
     assert best[0] is not None
     return best[0][2], best[0][0]
+
+
+def cover_cost_dp(node_costs: dict, hyperedges: Iterable[tuple]) -> Callable[[Iterable], int]:
+    """Cost-only `cover_exact` for many sets drawn from one support of
+    nonempty sorted hyperedges, with integer costs: returns f, f(hs) the
+    least cost of a node set hitting all of hs.  A bitmask DP over the sorted
+    support, memoized for the life of f: f(0) = 0 and f(S) is the least
+    c_v + f(S without v's hyperedges) over the nodes v of S's lowest one."""
+    if len(node_costs) > DEFAULT_NODE_CAP:
+        raise TooLargeError(f"{len(node_costs)} nodes exceeds enumeration cap {DEFAULT_NODE_CAP}")
+    support = sorted(set(hyperedges))
+    bit = {h: 1 << j for j, h in enumerate(support)}
+    hits = {v: sum(bit[h] for h in support if v in h) for h in support for v in h}
+
+    @functools.lru_cache(maxsize=None)
+    def f(S: int) -> int:
+        if not S:
+            return 0
+        lowest = support[(S & -S).bit_length() - 1]
+        return min(node_costs[v] + f(S & ~hits[v]) for v in lowest)
+
+    return lambda hs: f(sum(bit[h] for h in set(hs)))

@@ -8,7 +8,7 @@ from typing import Iterable, Optional
 import pytest
 
 from netgames import graph_from_costs
-from netgames.games import Action, GameInstance, PlayerSpec, harmonic
+from netgames.games import Action, GameInstance, PlayerSpec, _terminal, harmonic, type_profiles
 from netgames.errors import DisconnectedError
 from netgames.graphs import EdgeSet, Graph, Metric, _components, edge_key, shortest_path
 
@@ -316,3 +316,19 @@ def steiner_forest_reference(g: Graph, pairs) -> Fraction:
     if best is None:
         raise DisconnectedError("some pair is not connected")
     return best
+
+
+def terminal_law_reference(inst: GameInstance) -> dict:
+    """The grouped enumeration that `expected_opt` first used, kept as the
+    oracle of `games._terminal_law`: every type profile in canonical order,
+    grouped by its sorted terminal tuple into [first type profile, total
+    `Fraction` weight], groups in order of first appearance."""
+    terminal = {
+        t: _terminal(inst, t) for spec in inst.players for t, _ in spec.distribution
+    }
+    groups: dict = {}
+    for tp, w in type_profiles(inst):
+        key = tuple(sorted({terminal[t] for t in tp} - {None}))
+        group = groups.setdefault(key, [tp, Fraction(0)])
+        group[1] += w
+    return groups

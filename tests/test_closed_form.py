@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from netgames import games
+from netgames import games, graphs
 from netgames.equilibria import best_response_dynamics, interim_cost, verify_bne
 from netgames.errors import SupportTooLargeError
 from netgames.games import (
@@ -167,20 +167,28 @@ def test_expected_opt_equals_the_per_profile_sum(inst):
 
 def test_expected_opt_solves_each_terminal_set_once(triangle, monkeypatch):
     """Four players over {a, b, r}: 81 type profiles, but the optimum
-    depends only on the set of non-root sources, of which there are 4."""
+    depends only on the set of non-root sources, of which there are 4; the
+    three nonempty ones each take one Steiner tree."""
     inst = multicast(triangle, *[uniform(["a", "b", "r"])] * 4)
     want = sum(
         (w * ex_post_opt(inst, tp)[1] for tp, w in type_profiles(inst)), Fraction(0)
     )
-    solved = []
+    solved, trees = [], []
+    graph_opt, steiner_tree_exact = games._graph_opt, graphs.steiner_tree_exact
 
-    def counted(inst, type_profile):
-        solved.append(frozenset(type_profile) - {"r"})
-        return ex_post_opt(inst, type_profile)
+    def counted(inst, terminals):
+        solved.append(frozenset(terminals))
+        return graph_opt(inst, terminals)
 
-    monkeypatch.setattr(games, "ex_post_opt", counted)
+    def counted_tree(g, terminals):
+        trees.append(frozenset(terminals))
+        return steiner_tree_exact(g, terminals)
+
+    monkeypatch.setattr(games, "_graph_opt", counted)
+    monkeypatch.setattr(graphs, "steiner_tree_exact", counted_tree)
     assert expected_opt(inst) == want
     assert len(solved) == len(set(solved)) == 4
+    assert len(trees) == len(set(trees)) == 3
 
 
 def test_interim_cost_of_every_deviation_equals_enumeration(inst):

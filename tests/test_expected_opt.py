@@ -1,0 +1,178 @@
+"""`expected_opt` from the law of the realized terminal set: the law against
+the grouped type-profile enumeration, the cover DP against `cover_exact`,
+and the order in which the caps and solver errors are raised."""
+
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+from netgames import games
+from netgames.cli import main
+from netgames.errors import (
+    DisconnectedError,
+    SupportTooLargeError,
+    TooLargeError,
+)
+from netgames.games import GameInstance, PlayerSpec, expected_opt, type_profiles
+from netgames.graphs import DEFAULT_NODE_CAP, cover_cost_dp, cover_exact, graph_from_costs
+from netgames.instances import serialize_instance
+
+from conftest import terminal_law_reference
+from test_closed_form import INSTANCES
+
+
+def _distribution(rng, types):
+    weights = [rng.randint(1, 4) for _ in types]
+    return tuple((t, Fraction(w, sum(weights))) for t, w in zip(types, weights))
+
+
+def random_cover_instance(rng, kind):
+    """Up to 4 players over up to 6 nodes, some of cost 0.  Types may repeat
+    a node ((a, a) pairs, hyperedges of size 1-3 with repeats) and the same
+    hyperedge recurs across types and players."""
+    nodes = [f"v{j}" for j in range(rng.randint(1, 6))]
+    costs = tuple((v, Fraction(rng.choice([0, 0, 1, 2, 5]), rng.randint(1, 3))) for v in nodes)
+    size = 2 if kind == "vertex-cover" else rng.randint(1, 3)
+    players = []
+    for _ in range(rng.randint(1, 4)):
+        types = {tuple(rng.choices(nodes, k=size)) for _ in range(rng.randint(1, 3))}
+        players.append(PlayerSpec(distribution=_distribution(rng, sorted(types))))
+    return GameInstance(kind=kind, players=tuple(players), node_costs=costs)
+
+
+def per_profile_cover_opt(inst):
+    costs = inst.cover_cost_map()
+    return sum(
+        (w * cover_exact(costs, [tuple(t) for t in tp])[1] for tp, w in type_profiles(inst)),
+        Fraction(0),
+    )
+
+
+COVER_INSTANCES = [
+    random_cover_instance(random.Random(seed), kind)
+    for seed in range(60)
+    for kind in ("vertex-cover", "hypergraph-cover")
+]
+
+
+@pytest.mark.parametrize(
+    "inst", INSTANCES + COVER_INSTANCES[:20], ids=lambda inst: inst.kind
+)
+def test_terminal_law_equals_grouped_enumeration(inst):
+    law = games._terminal_law(inst)
+    scale = inst._scale.D ** inst.n
+    assert sum(law.values()) == scale
+    want = terminal_law_reference(inst)
+    assert [tuple(sorted(S)) for S in law] == list(want)
+    assert [Fraction(w, scale) for w in law.values()] == [w for _, w in want.values()]
+
+
+def test_expected_opt_of_cover_instances_equals_the_per_profile_sum():
+    for inst in COVER_INSTANCES:
+        assert expected_opt(inst) == per_profile_cover_opt(inst)
+
+
+def test_repeated_hyperedges_and_loop_pairs():
+    """(a, a) asks for a; (a, b) and (b, a) are one hyperedge; a costs 0."""
+    inst = GameInstance(
+        kind="vertex-cover",
+        players=(
+            PlayerSpec(distribution=((("a", "a"), Fraction(1, 3)), (("b", "c"), Fraction(2, 3)))),
+            PlayerSpec(distribution=((("a", "b"), Fraction(1, 2)), (("b", "a"), Fraction(1, 2)))),
+            PlayerSpec(distribution=((("c", "b"), Fraction(1)),)),
+        ),
+        node_costs=(("a", Fraction(0)), ("b", Fraction(3)), ("c", Fraction(2))),
+    )
+    assert len(games._terminal_law(inst)) == 2
+    assert expected_opt(inst) == per_profile_cover_opt(inst) == 2
+
+
+def test_cover_dp_equals_cover_exact():
+    rng = random.Random(29)
+    for _ in range(200):
+        nodes = [f"n{j}" for j in range(rng.randint(1, 7))]
+        costs = {n: rng.choice([0, 0, 1, 2, 3, 7]) for n in nodes}
+        support = {
+            tuple(sorted(set(rng.choices(nodes, k=rng.randint(1, 3)))))
+            for _ in range(rng.randint(1, 8))
+        }
+        f = cover_cost_dp(costs, support)
+        for _ in range(5):
+            hs = rng.sample(sorted(support), rng.randint(0, len(support)))
+            assert f(hs) == cover_exact(costs, hs)[1]
+
+
+def test_cover_dp_cap():
+    with pytest.raises(TooLargeError, match="^25 nodes exceeds enumeration cap 24$"):
+        cover_cost_dp({f"n{i}": 1 for i in range(25)}, [])
+    assert cover_cost_dp({f"n{i}": 1 for i in range(DEFAULT_NODE_CAP)}, [("n0",)])([]) == 0
+
+
+# ---------------------------------------------------------------------------
+# Which error comes first
+
+
+def wide_hypergraph(support_cap=games.DEFAULT_SUPPORT_CAP):
+    """25 cover nodes, two players with two hyperedges each: 4 profiles."""
+    return GameInstance(
+        kind="hypergraph-cover",
+        players=(
+            PlayerSpec(distribution=((("n0", "n1"), Fraction(1, 2)), (("n2", "n3"), Fraction(1, 2)))),
+            PlayerSpec(distribution=((("n1", "n4"), Fraction(1, 2)), (("n5", "n6"), Fraction(1, 2)))),
+        ),
+        node_costs=tuple((f"n{i}", Fraction(1)) for i in range(25)),
+        support_cap=support_cap,
+    )
+
+
+def test_support_cap_is_checked_before_the_node_cap():
+    with pytest.raises(SupportTooLargeError, match="^product support 4 exceeds cap 3$"):
+        expected_opt(wide_hypergraph(support_cap=3))
+
+
+def test_node_cap_of_a_25_node_hypergraph_cover():
+    with pytest.raises(TooLargeError, match="^25 nodes exceeds enumeration cap 24$"):
+        expected_opt(wide_hypergraph())
+
+
+def two_disconnected_pairs():
+    """Pairs (b, d) and (a, c) each span the components {a, b} and {c, d};
+    (b, d) is in the first type profile, though (a, c) sorts first."""
+    return GameInstance(
+        kind="source-sink",
+        graph=graph_from_costs({("a", "b"): 1, ("c", "d"): 1}),
+        players=(
+            PlayerSpec(distribution=((("b", "d"), Fraction(1, 2)), (("a", "c"), Fraction(1, 2)))),
+            PlayerSpec(distribution=((("a", "b"), Fraction(1)),)),
+        ),
+    )
+
+
+def test_first_disconnected_type_profile_names_the_error():
+    with pytest.raises(DisconnectedError) as err:
+        expected_opt(two_disconnected_pairs())
+    assert str(err.value) == "pair ('b', 'd') not connected in graph"
+
+
+def test_bpos_on_disconnected_pairs_exits_1_with_the_error_line(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(serialize_instance(two_disconnected_pairs()))
+    assert main(["bpos", "--instance", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == json.dumps({"error": "pair ('b', 'd') not connected in graph"}) + "\n"
+
+
+def test_support_cap_counts_type_profiles_not_terminal_sets(triangle):
+    """Four players over {a, r}: 16 type profiles but two terminal sets."""
+    inst = GameInstance(
+        kind="multicast",
+        players=(PlayerSpec(distribution=(("a", Fraction(1, 2)), ("r", Fraction(1, 2)))),) * 4,
+        graph=triangle,
+        support_cap=15,
+    )
+    assert len(games._terminal_law(inst)) == 2
+    with pytest.raises(SupportTooLargeError, match="^product support 16 exceeds cap 15$"):
+        expected_opt(inst)

@@ -20,6 +20,7 @@ from netgames import (
 from netgames.errors import (
     DisconnectedError,
     InfeasibleError,
+    NetgamesError,
     PreconditionError,
     TooLargeError,
     UnreachableError,
@@ -43,6 +44,24 @@ TESTS = os.path.dirname(os.path.abspath(__file__))
 
 def path_graph():
     return graph_from_costs({("a", "b"): Fraction(1), ("b", "c"): Fraction(1)})
+
+
+class TestGraphValidation:
+    @pytest.mark.parametrize(
+        "edges, root, message",
+        [
+            ({("a", "a"): 1}, None, "self-loop at 'a'"),
+            ({("a", "b"): 1, ("b", "a"): 2}, None, r"duplicate edge \('a', 'b'\)"),
+            ({("a", "x"): 1}, None, r"edge \('a', 'x'\) references unknown node"),
+            ({("a", "b"): -1}, None, r"negative cost on edge \('a', 'b'\)"),
+            ({("a", "b"): 1}, "r", "root 'r' not a node"),
+        ],
+        ids=["self-loop", "duplicate-edge", "unknown-node", "negative-cost", "bad-root"],
+    )
+    def test_malformed_graph_raises_a_netgames_error(self, edges, root, message):
+        with pytest.raises(NetgamesError, match=f"^{message}$") as err:
+            Graph(nodes=("a", "b"), edges=tuple(edges.items()), root=root)
+        assert isinstance(err.value, PreconditionError)
 
 
 class TestShortestPath:
