@@ -1,6 +1,13 @@
 """Bayes-Nash verification, potential-minimizing equilibria, best-response
 dynamics, and exact price-of-stability / information-gap ratios with a
-link-by-link certificate of the potential-method inequality chain."""
+link-by-link certificate of the potential-method inequality chain.
+
+The potential minimizer s*, the cost minimizer s~ and the candidates for
+the cheapest BNE come from one bounded depth-first search over the pure
+strategy space (`_sweep`), in integers, with each profile's partial
+expected cost as the bound.  `strategy_cap` bounds the product of the menu
+sizes and is checked before any search.  `all_strategy_profiles` and
+`enumerate_pure_bne` enumerate every profile."""
 
 from __future__ import annotations
 
@@ -19,9 +26,9 @@ from .games import (
     GameInstance,
     Action,
     action_cost,
+    element_terms,
     expected_opt,
     expected_potential,
-    expected_social_cost,
     harmonic,
     use_probabilities,
     use_row,
@@ -60,14 +67,18 @@ def strategy_space_size(inst: GameInstance) -> int:
     return math.prod(len(acts) for entries in inst.menus for _, acts in entries)
 
 
-def all_strategy_profiles(inst: GameInstance):
-    """All pure Bayesian strategy profiles in canonical order: the product
-    of the players' strategies, each the product of its per-type menus."""
+def _check_strategy_space(inst: GameInstance):
     size = strategy_space_size(inst)
     if size > inst.strategy_cap:
         raise StrategySpaceTooLargeError(
             f"strategy space {size} exceeds cap {inst.strategy_cap}"
         )
+
+
+def all_strategy_profiles(inst: GameInstance):
+    """All pure Bayesian strategy profiles in canonical order: the product
+    of the players' strategies, each the product of its per-type menus."""
+    _check_strategy_space(inst)
     spaces = [
         [dict(zip([t for t, _ in entries], combo))
          for combo in itertools.product(*[acts for _, acts in entries])]
@@ -117,27 +128,103 @@ class _Sweep(NamedTuple):
 
 
 def _sweep(inst: GameInstance) -> _Sweep:
-    """One pass over the strategy space that prices every profile once.
+    """s*, s~ and the cheapest-BNE candidates by one depth-first search over
+    the (player, type) slots in canonical order, last slot fastest.  The
+    state is integer and changes one slot at a time: each element's column
+    (q_1(e) .. q_n(e)) over D, and the running numerators of expected cost
+    (over C*D^n) and potential (over C*L*D^n).  An element's terms come from
+    `games.element_terms`, once per (element, column) in a call.
+
     s* is a BNE and C(s*) <= Phi(s*), so the cheapest BNE costs at most the
-    running minimum potential; only rows within it are kept as candidates."""
-    s_star = s_tilde = None
+    running minimum potential; only profiles within it are candidates.  A
+    slot is never empty and both terms grow with every q_j(e), so a partial
+    profile bounds its completions from below.  Once its cost exceeds the
+    running minimum potential, no completion is a candidate, a potential
+    minimizer (Phi >= C) or a cost minimizer (the least cost so far is at
+    most C(s*) <= Phi(s*)), and the subtree is skipped.  Slots with one
+    action are folded into the start state."""
+    _check_strategy_space(inst)
+    sc = inst._scale
+    n, L = inst.n, sc.L
+    memo: dict = {}  # (element, column) -> (column, cost term, potential term)
+
+    def state(e, column):
+        entry = memo.get((e, column))
+        if entry is None:
+            terms = element_terms(inst, [{e: a} for a in column], e)
+            entry = memo[(e, column)] = (column, *terms)
+        return entry
+
+    fixed: dict = {}  # element -> column of the single-action slots
+    slots = []  # (player, weight, element tuple of each action)
+    for i, entries in enumerate(inst.menus):
+        for (_, menu), w in zip(entries, sc.weights[i]):
+            if len(menu) == 1:
+                for e in menu[0].elements:
+                    fixed.setdefault(e, [0] * n)[i] += w
+            else:
+                slots.append((i, w, [tuple(a.elements) for a in menu]))
+    used = {e for _, _, options in slots for elements in options for e in elements}
+    cols = {e: state(e, tuple(fixed.get(e, (0,) * n))) for e in used | fixed.keys()}
+
+    depth = len(slots)
+    digits = [-1] * depth  # action index per slot
+    undo = [[] for _ in range(depth)]  # (element, previous state) per slot
+    base = [(sum(c[1] for c in cols.values()), sum(c[2] for c in cols.values()))]
+    base += [None] * depth  # numerators before each slot is played
+    s_star = s_tilde = None  # (cost, potential, digits)
     candidates = []
-    for index, s in enumerate(all_strategy_profiles(inst)):
-        q = use_probabilities(inst, s)
-        row = _Row(
-            expected_social_cost(inst, s, uses=q),
-            expected_potential(inst, s, uses=q),
-            index,
-            s,
+    k = 0
+    while k >= 0:
+        if k == depth:
+            cost, pot = base[k]
+            leaf = (cost, pot, tuple(digits))
+            if s_star is None or pot < s_star[1]:
+                s_star = leaf
+            if s_tilde is None or cost < s_tilde[0]:
+                s_tilde = leaf
+            # A leaf is reached only if cost * L is at most the least
+            # potential before it, or its own potential (Phi >= C).
+            candidates.append(leaf)
+            k -= 1
+            continue
+        for e, previous in undo[k]:
+            cols[e] = previous
+        undo[k] = changed = []
+        digits[k] += 1
+        i, w, options = slots[k]
+        if digits[k] == len(options):
+            digits[k] = -1
+            k -= 1
+            continue
+        cost, pot = base[k]
+        for e in options[digits[k]]:
+            old = cols[e]
+            column = old[0]
+            column = column[:i] + (column[i] + w,) + column[i + 1:]
+            new = cols[e] = memo.get((e, column)) or state(e, column)
+            cost += new[1] - old[1]
+            pot += new[2] - old[2]
+            changed.append((e, old))
+        if s_star is None or cost * L <= s_star[1]:
+            base[k + 1] = (cost, pot)
+            k += 1
+
+    strides = [math.prod(len(o) for _, _, o in slots[k + 1:]) for k in range(depth)]
+    cost_den, pot_den = sc.C * sc.D_pow[n], sc.C * L * sc.D_pow[n]
+
+    def row(leaf):
+        cost, pot, picks = leaf
+        it = iter(picks)
+        profile = tuple(
+            {t: menu[next(it)] if len(menu) > 1 else menu[0] for t, menu in entries}
+            for entries in inst.menus
         )
-        if s_star is None or row.potential < s_star.potential:
-            s_star = row
-        if s_tilde is None or row.cost < s_tilde.cost:
-            s_tilde = row
-        if row.cost <= s_star.potential:
-            candidates.append(row)
-    candidates.sort(key=lambda r: (r.cost, r.index))
-    return _Sweep(s_star, s_tilde, candidates)
+        index = sum(d * stride for d, stride in zip(picks, strides))
+        return _Row(Fraction(cost, cost_den), Fraction(pot, pot_den), index, profile)
+
+    candidates.sort(key=lambda leaf: (leaf[0], leaf[2]))  # digits order as indices do
+    return _Sweep(row(s_star), row(s_tilde), [row(leaf) for leaf in candidates])
 
 
 def _best_bne_cost(inst: GameInstance, sweep: _Sweep) -> Fraction:

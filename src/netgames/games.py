@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -182,7 +183,7 @@ class GameInstance:
             costs={e: int(c * C) for e, c in costs.items()},
             L=L,
             inv=tuple(L // (k + 1) for k in range(n)),
-            harm=tuple(int(harmonic(k) * L) for k in range(n + 1)),
+            harm=tuple(itertools.accumulate((L // k for k in range(1, n + 1)), initial=0)),
             D_pow=tuple(D ** k for k in range(n + 1)),
         )
 
@@ -388,15 +389,23 @@ def expected_social_cost(inst: GameInstance, s: tuple, *, uses=None) -> Fraction
     return Fraction(tot, sc.C * Dn)
 
 
+def element_terms(inst: GameInstance, q: list[dict], e) -> tuple[int, int]:
+    """Element e's terms in the expected cost and potential under the table
+    q, from its `count_law`: c_e * P(some player uses e) over `C*D^n` (the
+    term that `expected_social_cost` adds) and c_e * E[H_N] over `C*L*D^n`
+    (the term that `expected_potential` adds)."""
+    sc = inst._scale
+    law = count_law(inst, q, e)
+    c = sc.costs[e]
+    return c * (sc.D_pow[inst.n] - law[0]), c * sum(map(operator.mul, law, sc.harm))
+
+
 def expected_potential(inst: GameInstance, s: tuple, *, uses=None) -> Fraction:
     """Sum over elements e of c_e * E[H_N], N the number of users of e.
     `uses` is as for `expected_social_cost`."""
     q = use_probabilities(inst, s) if uses is None else uses
     sc = inst._scale
-    tot = sum(
-        sc.costs[e] * sum(w * h for w, h in zip(count_law(inst, q, e), sc.harm))
-        for e in set().union(*q)
-    )
+    tot = sum(element_terms(inst, q, e)[1] for e in set().union(*q))
     return Fraction(tot, sc.C * sc.L * sc.D_pow[inst.n])
 
 

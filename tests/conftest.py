@@ -8,7 +8,18 @@ from typing import Iterable, Optional
 import pytest
 
 from netgames import graph_from_costs
-from netgames.games import Action, GameInstance, PlayerSpec, _terminal, harmonic, type_profiles
+from netgames.equilibria import _Row, _Sweep, all_strategy_profiles
+from netgames.games import (
+    Action,
+    GameInstance,
+    PlayerSpec,
+    _terminal,
+    expected_potential,
+    expected_social_cost,
+    harmonic,
+    type_profiles,
+    use_probabilities,
+)
 from netgames.errors import DisconnectedError
 from netgames.graphs import EdgeSet, Graph, Metric, _components, edge_key, shortest_path
 
@@ -332,3 +343,29 @@ def terminal_law_reference(inst: GameInstance) -> dict:
         group = groups.setdefault(key, [tp, Fraction(0)])
         group[1] += w
     return groups
+
+
+def sweep_reference(inst: GameInstance) -> _Sweep:
+    """The strategy sweep as first written, kept as the oracle of the
+    depth-first `equilibria._sweep`: every profile of `all_strategy_profiles`
+    priced from scratch, s* and s~ the first strict minimizers, and the rows
+    that cost at most the running minimum potential kept as candidates, in
+    (cost, index) order."""
+    s_star = s_tilde = None
+    candidates = []
+    for index, s in enumerate(all_strategy_profiles(inst)):
+        q = use_probabilities(inst, s)
+        row = _Row(
+            expected_social_cost(inst, s, uses=q),
+            expected_potential(inst, s, uses=q),
+            index,
+            s,
+        )
+        if s_star is None or row.potential < s_star.potential:
+            s_star = row
+        if s_tilde is None or row.cost < s_tilde.cost:
+            s_tilde = row
+        if row.cost <= s_star.potential:
+            candidates.append(row)
+    candidates.sort(key=lambda r: (r.cost, r.index))
+    return _Sweep(s_star, s_tilde, candidates)

@@ -3,6 +3,7 @@ bpos_exact, information_gap_exact and potential_method_certificate, checked
 against brute-force definitions over `all_strategy_profiles`."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from netgames.equilibria import (
 )
 from netgames.games import (
     GameInstance,
+    PlayerSpec,
     expected_opt,
     expected_potential,
     expected_social_cost,
@@ -28,7 +30,14 @@ from netgames.games import (
 )
 from netgames.instances import gen_instance
 
-from conftest import multicast, point_mass, uniform
+from conftest import (
+    multicast,
+    point_mass,
+    random_connected_graph,
+    sweep_reference,
+    uniform,
+)
+from test_expected_opt import _distribution, random_cover_instance
 
 
 def tied_routes_instance():
@@ -134,17 +143,29 @@ class _Counter:
 
 def test_certificate_sweeps_once_and_solves_the_optimum_once(monkeypatch):
     inst = gen_instance("multicast", 5, 3, 2, seed=1)
-    sweeps = _Counter(monkeypatch, "all_strategy_profiles")
+    sweeps = _Counter(monkeypatch, "_sweep")
     optima = _Counter(monkeypatch, "expected_opt")
+    potential_method_certificate(inst)
+    assert (sweeps.calls, optima.calls) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        gen_instance("multicast", 5, 3, 2, seed=1),
+        gen_instance("source-sink", 5, 3, 2, seed=2),
+        gen_instance("vertex-cover", 5, 3, 2, seed=0),
+    ],
+    ids=["multicast", "source-sink", "vertex-cover"],
+)
+def test_bne_search_checks_only_profiles_no_costlier_than_s_star(inst, monkeypatch):
     checks = _Counter(monkeypatch, "verify_bne")
     cert = potential_method_certificate(inst)
-    assert (sweeps.calls, optima.calls) == (1, 1)
-    # The BNE search looks only at profiles no costlier than s*.
     k_star = cert.values["K_min_potential"]
     no_costlier = sum(
         expected_social_cost(inst, s) <= k_star for s in all_strategy_profiles(inst)
     )
-    assert checks.calls <= no_costlier < equilibria.strategy_space_size(inst)
+    assert 1 <= checks.calls <= no_costlier < equilibria.strategy_space_size(inst)
 
 
 def test_bne_search_stops_at_the_cheapest_equilibrium(monkeypatch):
@@ -159,19 +180,21 @@ def test_bne_search_stops_at_the_cheapest_equilibrium(monkeypatch):
     assert checks.calls == first + 1
 
 
-def test_sweep_builds_one_use_table_per_profile(monkeypatch):
-    inst = gen_instance("multicast", 5, 3, 2, seed=1)
-    tables = []
-    inner = games.use_probabilities
+def test_sweep_prices_each_element_column_once(monkeypatch):
+    inst = gen_instance("multicast", 6, 3, 3, seed=2)
+    priced = []
+    inner = equilibria.element_terms
 
-    def counted(inst, s):
-        tables.append(s)
-        return inner(inst, s)
+    def counted(inst, q, e):
+        priced.append((e, tuple(row.get(e, 0) for row in q)))
+        return inner(inst, q, e)
 
-    monkeypatch.setattr(games, "use_probabilities", counted)
-    monkeypatch.setattr(equilibria, "use_probabilities", counted)
-    min_potential_profile(inst)
-    assert len(tables) == equilibria.strategy_space_size(inst)
+    monkeypatch.setattr(equilibria, "element_terms", counted)
+    equilibria._sweep(inst)
+    assert len(priced) == len(set(priced))
+    # Far fewer than one pricing per (profile, element): most profiles are
+    # never reached, and the rest share their columns.
+    assert len(priced) < equilibria.strategy_space_size(inst)
 
 
 def test_menus_are_built_once_per_instance(monkeypatch):
@@ -200,3 +223,65 @@ def test_menus_are_built_once_per_instance(monkeypatch):
     _, trace = best_response_dynamics(inst, s0, return_trace=True)
     assert len(trace) > 1  # a move, so at least two rounds
     assert sorted(built) == pairs
+
+
+def random_graph_instances(kind, count, max_space=1500):
+    """The first `count` seeded multicast or source-sink games, with a
+    strategy space of at most `max_space`, on random graphs whose edge costs
+    are 0, 1 or 2, so that many profiles tie: 2-3 players, 1-2 types each
+    (a source-sink type may be a pair (s, s), and a multicast type the
+    root)."""
+    found = []
+    seed = 0
+    while len(found) < count:
+        rng = random.Random(seed)
+        seed += 1
+        g = random_connected_graph(rng, max_nodes=5, max_edges=7, costs=(0, 1, 2))
+        nodes = sorted(g.nodes)
+        players = []
+        for _ in range(rng.randint(2, 3)):
+            if kind == "multicast":
+                types = {rng.choice(nodes) for _ in range(rng.randint(1, 2))}
+            else:
+                types = {tuple(rng.choices(nodes, k=2)) for _ in range(rng.randint(1, 2))}
+            players.append(PlayerSpec(distribution=_distribution(rng, sorted(types))))
+        inst = GameInstance(kind=kind, players=tuple(players), graph=g)
+        if equilibria.strategy_space_size(inst) <= max_space:
+            found.append(pytest.param(inst, id=f"{kind}-seed{seed - 1}"))
+    return found
+
+
+DIFFERENTIAL = [
+    *INSTANCES,
+    *random_graph_instances("multicast", 25),
+    *random_graph_instances("source-sink", 25),
+    *(
+        pytest.param(random_cover_instance(random.Random(seed), "vertex-cover"), id=f"cover-seed{seed}")
+        for seed in range(25)
+    ),
+    *(
+        pytest.param(gen_instance("vertex-cover", 6, 3, 2, seed=seed), id=f"vertex-cover-6-{seed}")
+        for seed in range(4)
+    ),
+]
+
+
+@pytest.mark.parametrize("inst", DIFFERENTIAL)
+def test_sweep_equals_the_per_profile_reference(inst):
+    assert equilibria._sweep(inst) == sweep_reference(inst)
+
+
+def test_many_single_action_players(triangle):
+    """1,200 players whose only type is the root (one action each, the empty
+    one) and one player with two types of two routes each."""
+    inst = multicast(triangle, *[point_mass("r")] * 1200, uniform(["a", "b"]))
+    assert equilibria._sweep(inst) == sweep_reference(inst)
+    assert potential_method_certificate(inst).all_hold
+
+
+def test_certify_a_space_just_under_the_default_cap():
+    """9,561,344 profiles: pricing each one took about 40 minutes."""
+    inst = gen_instance("multicast", 7, 3, 2, seed=6)
+    assert equilibria.strategy_space_size(inst) == 9_561_344
+    assert potential_method_certificate(inst).all_hold
+    assert verify_bne(inst, min_potential_profile(inst)).is_bne
