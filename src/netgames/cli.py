@@ -21,6 +21,7 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -176,7 +177,8 @@ def cmd_sample(inst, args):
         "ig_upper_bound": (
             _frac_str(rep.ig_upper_bound) if rep.ig_upper_bound is not None else None
         ),
-        "stderr": rep.stderr,
+        # One sample has no finite standard error; JSON has no Infinity.
+        "stderr": rep.stderr if rep.stderr is not None and math.isfinite(rep.stderr) else None,
     }
     return report, 0 if rep.passed else 2
 

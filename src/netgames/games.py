@@ -11,7 +11,8 @@ product support of `expected_opt`.  All are exact integer sums over
 denominators fixed per instance (`GameInstance._scale`: the lcm D of the
 probabilities' denominators, the lcm C of the element costs', and
 L = lcm(1..n)), made one `Fraction` at the end.  `weighted_product` is the
-one capped product enumeration, shared with the draws of `sampling`.
+one capped product enumeration, shared with `sampling`'s regrouping, and
+`_terminal_law` also gives `sampling` the law of a draw's client set.
 
 Game kinds
 ----------
@@ -448,13 +449,17 @@ def ex_post_opt(inst: GameInstance, type_profile: tuple) -> tuple[frozenset, Fra
     return graphs.cover_exact(inst.cover_cost_map(), [tuple(t) for t in type_profile])
 
 
-def _terminal_law(inst: GameInstance) -> dict:
-    """The law of the realized terminal set, built player by player (at most
+def _terminal_law(inst: GameInstance, rows=None) -> dict:
+    """The law of the realized terminal set, built row by row (at most
     min(prefix support, 2^k) states): frozenset of terminals -> probability
-    times D^n, keyed in the canonical order of each set's first profile."""
+    times D^m, keyed in the canonical order of each set's first profile.
+    `rows` are m independent (distribution, integer weights over D) pairs;
+    by default the players' own, so m = n."""
+    if rows is None:
+        rows = zip((spec.distribution for spec in inst.players), inst._scale.weights)
     law = {EMPTY_ELEMENTS: 1}
-    for spec, weights in zip(inst.players, inst._scale.weights):
-        step = [(_terminal(inst, t), w) for (t, _), w in zip(spec.distribution, weights)]
+    for distribution, weights in rows:
+        step = [(_terminal(inst, t), w) for (t, _), w in zip(distribution, weights)]
         grown: dict = {}
         for S, w in law.items():
             for x, wx in step:

@@ -137,8 +137,14 @@ class Metric:
         return Fraction(table.paths(u)[v][0], table.scale)
 
     def d_to_set(self, targets: Iterable[str], x: str) -> Fraction:
-        """Distance from x to the nearest node of a nonempty target set."""
-        return min(self.d(x, t) for t in targets)
+        """Distance from x to the nearest node of a nonempty target set: the
+        least integer cost over the targets in x's Dijkstra, made one
+        `Fraction`.  An unknown node raises KeyError, as `d` does."""
+        table = self._table
+        if x not in table.adj:
+            return min(self.d(x, t) for t in targets)
+        reached = table.paths(x)
+        return Fraction(min(reached[t][0] for t in targets), table.scale)
 
 
 def _components(nodes, edges):

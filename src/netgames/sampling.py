@@ -2,10 +2,23 @@
 information gap: players share a pre-play random draw D of types, build the
 scheme's base solution on D, and each player privately augments it for her
 realized type.  Exact enumeration, Monte-Carlo estimation, and
-derandomization over the draw are provided."""
+derandomization over the draw are provided.
+
+The constructed profile depends on a draw only through its client set (its
+non-root types), so every entry point solves each distinct set once: one
+`_draw_step`, the base solution A(D) with an augmentation and a restricted
+action per type.  The exact evaluation sums over the law of the client set
+(`games._terminal_law` over the draw's distributions), `derandomize` prices
+each set once while it walks the draws, and the Monte-Carlo estimator keeps
+a per-call memo from client set to its step, filling a type's entry the
+first time that type is realized.  Its sums are integers over the graph's
+Steiner-table scale.  `inst.support_cap` bounds the number of draws that the
+exact evaluation and `derandomize` stand for, not the number of sets."""
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -18,9 +31,10 @@ from .games import (
     EMPTY_ACTION,
     Action,
     GameInstance,
+    _check_support,
+    _terminal_law,
     expected_opt,
     expected_social_cost,
-    social_cost,
     weighted_product,
 )
 from .graphs import Graph, EdgeSet, edge_key
@@ -61,23 +75,24 @@ def _require_iid(inst: GameInstance):
             raise PreconditionError("i.i.d. construction needs identical distributions")
 
 
-def _draw_distributions(inst: GameInstance, scheme: CostSharingScheme, variant: str) -> list:
-    """The distributions the shared draw D samples: n - 1 copies of the
-    common one (i.i.d.) or one per player (non-i.i.d., cross-monotone only)."""
+def _draw_players(inst: GameInstance, scheme: CostSharingScheme, variant: str) -> list:
+    """The player whose distribution each position of the shared draw D
+    samples: n - 1 times the first (i.i.d.) or each player once (non-i.i.d.,
+    cross-monotone only)."""
     if variant == "iid":
         _require_iid(inst)
-        return [inst.players[0].distribution] * (inst.n - 1)
+        return [0] * (inst.n - 1)
     if variant == "noniid":
         if not scheme.cross_monotone:
             raise PreconditionError("non-i.i.d. construction needs a cross-monotone scheme")
-        return [spec.distribution for spec in inst.players]
+        return list(range(inst.n))
     raise PreconditionError(f"unknown variant {variant!r}")
 
 
-def _draws(inst: GameInstance, scheme: CostSharingScheme, variant: str):
-    """All draws D with their exact probabilities; more than
-    `inst.support_cap` draws raise SupportTooLargeError."""
-    return weighted_product(inst, _draw_distributions(inst, scheme, variant), "draw support")
+def _check_draws(inst: GameInstance, positions: list):
+    """More than `inst.support_cap` draws raise SupportTooLargeError."""
+    sizes = (len(inst.players[i].distribution) for i in positions)
+    _check_support(inst, math.prod(sizes), "draw support")
 
 
 def _support_types(inst: GameInstance) -> list:
@@ -110,17 +125,21 @@ def _clients(inst: GameInstance, D: tuple) -> frozenset:
     return frozenset(t for t in D if t != inst.graph.root)
 
 
+def _augmented(
+    inst: GameInstance, scheme: CostSharingScheme, base: EdgeSet, t
+) -> tuple[EdgeSet, Action]:
+    """(B(base, t), cheapest action inside base | B(base, t)) for type t."""
+    aug = scheme.augment(base, t)
+    return aug, _restricted_action(inst.graph, base.edges | aug.edges, t)
+
+
 def _draw_step(
-    inst: GameInstance, scheme: CostSharingScheme, D: tuple, types
+    inst: GameInstance, scheme: CostSharingScheme, clients: frozenset, types
 ) -> tuple[EdgeSet, dict]:
-    """The base solution A(D), solved once, and per type t of `types` the
-    pair (B(A(D), t), cheapest action inside A(D) | B(A(D), t))."""
-    base = scheme.approx(_clients(inst, D))
-    menu = {}
-    for t in types:
-        aug = scheme.augment(base, t)
-        menu[t] = (aug, _restricted_action(inst.graph, base.edges | aug.edges, t))
-    return base, menu
+    """The base solution A(D) on a draw's client set, solved once, and per
+    type t of `types` the pair `_augmented` gives."""
+    base = scheme.approx(clients)
+    return base, {t: _augmented(inst, scheme, base, t) for t in types}
 
 
 def _profile(inst: GameInstance, menu: dict) -> tuple:
@@ -129,8 +148,16 @@ def _profile(inst: GameInstance, menu: dict) -> tuple:
     return tuple({t: menu[t][1] for t in spec.support()} for spec in inst.players)
 
 
-def _constructed(inst: GameInstance, scheme: CostSharingScheme, D: tuple):
-    return _profile(inst, _draw_step(inst, scheme, D, _support_types(inst))[1])
+def _constructed(inst: GameInstance, scheme: CostSharingScheme, clients: frozenset):
+    return _profile(inst, _draw_step(inst, scheme, clients, _support_types(inst))[1])
+
+
+def _construct(inst: GameInstance, scheme: CostSharingScheme, D: SampleProfile, variant: str):
+    _require_multicast(inst)
+    size = len(_draw_players(inst, scheme, variant))
+    if len(D.types) != size:
+        raise PreconditionError(f"expected {size} samples, got {len(D.types)}")
+    return _constructed(inst, scheme, _clients(inst, D.types))
 
 
 def construct_strategy_iid(
@@ -138,10 +165,7 @@ def construct_strategy_iid(
 ) -> tuple:
     """Shared-draw strategy for identical distributions: every player plays
     the cheapest feasible action inside A(D) | B(A(D), own type)."""
-    _require_multicast(inst)
-    if len(D.types) != len(_draw_distributions(inst, scheme, "iid")):
-        raise PreconditionError(f"expected {inst.n - 1} samples, got {len(D.types)}")
-    return _constructed(inst, scheme, D.types)
+    return _construct(inst, scheme, D, "iid")
 
 
 def construct_strategy_noniid(
@@ -149,10 +173,7 @@ def construct_strategy_noniid(
 ) -> tuple:
     """Shared-draw strategy for independent non-identical distributions;
     one sample per player distribution, all players see the same draw."""
-    _require_multicast(inst)
-    if len(D.types) != len(_draw_distributions(inst, scheme, "noniid")):
-        raise PreconditionError(f"expected {inst.n} samples, got {len(D.types)}")
-    return _constructed(inst, scheme, D.types)
+    return _construct(inst, scheme, D, "noniid")
 
 
 def evaluate_construction_exact(
@@ -160,47 +181,62 @@ def evaluate_construction_exact(
 ) -> ConstructionReport:
     """Exact expectation over all (draw, type-profile) pairs of the
     constructed profile's social cost, compared with (alpha+beta) times the
-    expected optimum."""
+    expected optimum: one `_draw_step` per client set of positive
+    probability, weighted by the law of the draw's client set."""
     _require_multicast(inst)
-    draws = _draws(inst, scheme, variant)
+    positions = _draw_players(inst, scheme, variant)
+    _check_draws(inst, positions)
     opt = expected_opt(inst)
+    sc = inst._scale
+    law = _terminal_law(inst, [(inst.players[i].distribution, sc.weights[i]) for i in positions])
     types = _support_types(inst)
-    total = Fraction(0)
-    first_stage = Fraction(0)
-    augmentation = Fraction(0)
+    mass: dict = {}  # type -> the sum of the players' probabilities of it, times D
+    for spec, weights in zip(inst.players, sc.weights):
+        for (t, _), w in zip(spec.distribution, weights):
+            mass[t] = mass.get(t, 0) + w
+    # Each sum is times D^m, m the draw's length; the augmentation's times D^(m+1).
+    total = first_stage = augmentation = Fraction(0)
     best_ratio = None
-    for D, w in draws:
-        base, menu = _draw_step(inst, scheme, D, types)
+    for clients, w in law.items():
+        base, menu = _draw_step(inst, scheme, clients, types)
         cost = expected_social_cost(inst, _profile(inst, menu))
         total += w * cost
         first_stage += w * base.cost
-        for spec in inst.players:
-            for t, p in spec.distribution:
-                augmentation += w * p * menu[t][0].cost
+        augmentation += w * sum(m * menu[t][0].cost for t, m in mass.items())
         if opt > 0:
             ratio = cost / opt
             if best_ratio is None or ratio < best_ratio:
                 best_ratio = ratio
+    unit = sc.D ** len(positions)
+    total /= unit
     bound = (scheme.alpha + scheme.beta) * opt
     return ConstructionReport(
         variant=variant,
         total=total,
-        first_stage=first_stage,
-        augmentation=augmentation,
+        first_stage=first_stage / unit,
+        augmentation=augmentation / (unit * sc.D),
         bound=bound,
         passed=total <= bound,
         ig_upper_bound=best_ratio,
     )
 
 
-def _sample_type(rng: random.Random, distribution) -> object:
-    u = rng.random()
-    acc = 0.0
-    for t, p in distribution:
-        acc += float(p)
-        if u < acc:
-            return t
-    return distribution[-1][0]
+def _sampler(distribution):
+    """Draws a type of `distribution` with one `rng.random()`: the first
+    type whose running float sum of probabilities exceeds it, or the last
+    type when rounding leaves none.  The sums are built once."""
+    types = [t for t, _ in distribution]
+    sums = list(itertools.accumulate(float(p) for _, p in distribution))
+    last = len(types) - 1
+    return lambda rng: types[min(bisect.bisect_right(sums, rng.random()), last)]
+
+
+def _over(scale: int, cost: Fraction) -> int:
+    """`cost`, a sum of the graph's edge costs, as an integer over `scale`."""
+    scaled = cost * scale
+    if scaled.denominator != 1:
+        raise PreconditionError("scheme costs must be sums of the graph's edge costs")
+    return scaled.numerator
 
 
 def evaluate_construction_mc(
@@ -211,27 +247,43 @@ def evaluate_construction_mc(
     seed: int = 0,
 ) -> ConstructionReport:
     """Unbiased Monte-Carlo estimate of the construction cost; deterministic
-    given the seed."""
+    given the seed.  A draw's client set is solved once per call, and a
+    type's augmentation the first time that type is realized with it."""
     _require_multicast(inst)
     if samples < 1:
         raise PreconditionError("need at least one sample")
-    dists = _draw_distributions(inst, scheme, variant)
+    players = [_sampler(spec.distribution) for spec in inst.players]
+    draws = [players[i] for i in _draw_players(inst, scheme, variant)]
+    table = inst.graph._steiner
     rng = random.Random(seed)
+    # client set -> (A(D), its cost, type -> (augmentation cost, action edges));
+    # every cost and sum below is an integer over the table's scale.
+    steps: dict = {}
     values = []
-    first_vals = []
-    aug_vals = []
+    first_stage = augmentation = 0
     for _ in range(samples):
-        D = tuple(_sample_type(rng, d) for d in dists)
-        realized = tuple(
-            _sample_type(rng, spec.distribution) for spec in inst.players
-        )
-        base, menu = _draw_step(inst, scheme, D, dict.fromkeys(realized))
-        values.append(social_cost(inst, tuple(menu[t][1] for t in realized)))
-        first_vals.append(base.cost)
-        aug_vals.append(sum((menu[t][0].cost for t in realized), Fraction(0)))
-    mean = sum(values, Fraction(0)) / samples
+        D = tuple(draw(rng) for draw in draws)
+        realized = tuple(draw(rng) for draw in players)
+        clients = _clients(inst, D)
+        step = steps.get(clients)
+        if step is None:
+            base = scheme.approx(clients)
+            step = steps[clients] = (base, _over(table.scale, base.cost), {})
+        base, base_cost, menu = step
+        for t in realized:
+            if t not in menu:
+                aug, action = _augmented(inst, scheme, base, t)
+                menu[t] = (_over(table.scale, aug.cost), action.elements)
+        used = frozenset().union(*(menu[t][1] for t in realized))
+        values.append(sum(table.cost[e] for e in used))
+        first_stage += base_cost
+        augmentation += sum(menu[t][0] for t in realized)
+    unit = samples * table.scale
+    total = sum(values)
+    mean = Fraction(total, unit)
     if samples > 1:
-        var = sum((float(v - mean) ** 2 for v in values)) / (samples - 1)
+        # (v * samples - total) / unit is v - mean, rounded once to a float.
+        var = sum(((v * samples - total) / unit) ** 2 for v in values) / (samples - 1)
         stderr = math.sqrt(var / samples)
     else:
         stderr = float("inf")
@@ -240,8 +292,8 @@ def evaluate_construction_mc(
     return ConstructionReport(
         variant=variant,
         total=mean,
-        first_stage=sum(first_vals, Fraction(0)) / samples,
-        augmentation=sum(aug_vals, Fraction(0)) / samples,
+        first_stage=Fraction(first_stage, unit),
+        augmentation=Fraction(augmentation, unit),
         bound=bound,
         passed=mean <= bound,
         samples=samples,
@@ -254,11 +306,23 @@ def derandomize(
     inst: GameInstance, scheme: CostSharingScheme, variant: str
 ) -> tuple[SampleProfile, tuple]:
     """Pick the draw D whose constructed profile has the smallest exact
-    expected cost (min over draws is at most the draw-averaged cost)."""
+    expected cost (min over draws is at most the draw-averaged cost): the
+    first draw of least (cost, D), each client set built and priced once."""
     _require_multicast(inst)
-    built = ((D, _constructed(inst, scheme, D)) for D, _ in _draws(inst, scheme, variant))
-    D, s = min(built, key=lambda c: (expected_social_cost(inst, c[1]), c[0]))
-    return SampleProfile(types=D, provenance="enumerated"), s
+    priced: dict = {}  # client set -> (expected cost, constructed profile)
+
+    def price(D: tuple) -> tuple:
+        clients = _clients(inst, D)
+        if clients not in priced:
+            s = _constructed(inst, scheme, clients)
+            priced[clients] = (expected_social_cost(inst, s), s)
+        return priced[clients]
+
+    positions = _draw_players(inst, scheme, variant)
+    _check_draws(inst, positions)
+    draws = itertools.product(*(inst.players[i].support() for i in positions))
+    D = min(draws, key=lambda D: (price(D)[0], D))
+    return SampleProfile(types=D, provenance="enumerated"), price(D)[1]
 
 
 def regrouping_sides(inst: GameInstance, scheme: CostSharingScheme):

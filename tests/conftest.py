@@ -14,14 +14,27 @@ from netgames.games import (
     GameInstance,
     PlayerSpec,
     _terminal,
+    expected_opt,
     expected_potential,
     expected_social_cost,
     harmonic,
+    social_cost,
     type_profiles,
     use_probabilities,
+    weighted_product,
 )
 from netgames.errors import DisconnectedError
 from netgames.graphs import EdgeSet, Graph, Metric, _components, edge_key, shortest_path
+from netgames.sampling import (
+    ConstructionReport,
+    SampleProfile,
+    _clients,
+    _draw_players,
+    _draw_step,
+    _profile,
+    _require_multicast,
+    _support_types,
+)
 
 
 @pytest.fixture
@@ -369,3 +382,97 @@ def sweep_reference(inst: GameInstance) -> _Sweep:
             candidates.append(row)
     candidates.sort(key=lambda r: (r.cost, r.index))
     return _Sweep(s_star, s_tilde, candidates)
+
+
+def _reference_draws(inst: GameInstance, scheme, variant: str):
+    distributions = [inst.players[i].distribution for i in _draw_players(inst, scheme, variant)]
+    return weighted_product(inst, distributions, "draw support")
+
+
+def sample_type_reference(rng: random.Random, distribution):
+    u = rng.random()
+    acc = 0.0
+    for t, p in distribution:
+        acc += float(p)
+        if u < acc:
+            return t
+    return distribution[-1][0]
+
+
+def construction_reference(
+    inst: GameInstance, scheme, variant: str, samples: Optional[int] = None, seed: int = 0
+) -> ConstructionReport:
+    """The sampling construction's evaluations as first written, kept as the
+    oracle of `evaluate_construction_exact` (no `samples`) and
+    `evaluate_construction_mc`: one `_draw_step` per draw or Monte-Carlo
+    sample, every sum in `Fraction`s."""
+    _require_multicast(inst)
+    if samples is None:
+        draws = _reference_draws(inst, scheme, variant)
+        opt = expected_opt(inst)
+        types = _support_types(inst)
+        total = first_stage = augmentation = Fraction(0)
+        best_ratio = None
+        for D, w in draws:
+            base, menu = _draw_step(inst, scheme, _clients(inst, D), types)
+            cost = expected_social_cost(inst, _profile(inst, menu))
+            total += w * cost
+            first_stage += w * base.cost
+            for spec in inst.players:
+                for t, p in spec.distribution:
+                    augmentation += w * p * menu[t][0].cost
+            if opt > 0:
+                ratio = cost / opt
+                if best_ratio is None or ratio < best_ratio:
+                    best_ratio = ratio
+        bound = (scheme.alpha + scheme.beta) * opt
+        return ConstructionReport(
+            variant=variant,
+            total=total,
+            first_stage=first_stage,
+            augmentation=augmentation,
+            bound=bound,
+            passed=total <= bound,
+            ig_upper_bound=best_ratio,
+        )
+    dists = [inst.players[i].distribution for i in _draw_players(inst, scheme, variant)]
+    rng = random.Random(seed)
+    values, first_vals, aug_vals = [], [], []
+    for _ in range(samples):
+        D = tuple(sample_type_reference(rng, d) for d in dists)
+        realized = tuple(sample_type_reference(rng, spec.distribution) for spec in inst.players)
+        base, menu = _draw_step(inst, scheme, _clients(inst, D), dict.fromkeys(realized))
+        values.append(social_cost(inst, tuple(menu[t][1] for t in realized)))
+        first_vals.append(base.cost)
+        aug_vals.append(sum((menu[t][0].cost for t in realized), Fraction(0)))
+    mean = sum(values, Fraction(0)) / samples
+    if samples > 1:
+        var = sum((float(v - mean) ** 2 for v in values)) / (samples - 1)
+        stderr = math.sqrt(var / samples)
+    else:
+        stderr = float("inf")
+    bound = (scheme.alpha + scheme.beta) * expected_opt(inst)
+    return ConstructionReport(
+        variant=variant,
+        total=mean,
+        first_stage=sum(first_vals, Fraction(0)) / samples,
+        augmentation=sum(aug_vals, Fraction(0)) / samples,
+        bound=bound,
+        passed=mean <= bound,
+        samples=samples,
+        seed=seed,
+        stderr=stderr,
+    )
+
+
+def derandomize_reference(inst: GameInstance, scheme, variant: str):
+    """`derandomize` as first written, kept as its oracle: every draw's
+    profile built and priced, the least (cost, draw) kept."""
+    _require_multicast(inst)
+    types = _support_types(inst)
+    built = (
+        (D, _profile(inst, _draw_step(inst, scheme, _clients(inst, D), types)[1]))
+        for D, _ in _reference_draws(inst, scheme, variant)
+    )
+    D, s = min(built, key=lambda c: (expected_social_cost(inst, c[1]), c[0]))
+    return SampleProfile(types=D, provenance="enumerated"), s

@@ -148,6 +148,25 @@ class TestMetricClosure:
             assert got.value.args == ((min(u, v), max(u, v)),)
         assert triangle._steiner._paths == {}
 
+    @pytest.mark.parametrize("costs", [[0, 1, 2], None], ids=["costs-0-1-2", "fractional"])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_d_to_set_is_the_least_distance(self, seed, costs):
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, max_nodes=7, max_edges=12, costs=costs)
+        m = metric_closure(g)
+        nodes = sorted(g.nodes)
+        for x in nodes:
+            for _ in range(4):
+                targets = set(rng.sample(nodes, rng.randint(1, len(nodes))))
+                assert m.d_to_set(targets, x) == min(m.d(x, t) for t in targets)
+
+    def test_d_to_set_unknown_nodes(self, triangle):
+        m = metric_closure(triangle)
+        for targets, x in (({"a"}, "zz"), ({"a", "zz"}, "b"), ({"zz", "b"}, "zz")):
+            with pytest.raises(KeyError):
+                m.d_to_set(targets, x)
+        assert m.d_to_set({"zz"}, "zz") == m.d("zz", "zz") == 0
+
 
 class TestMst:
     def test_triangle_terminals(self, triangle):

@@ -186,6 +186,24 @@ class TestCli:
             b = run_cli(*cmd, "--instance", str(inst_path))
             assert a == b
 
+    def test_one_sample_prints_strict_json_and_an_empty_csv_cell(self, tmp_path):
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(
+            run_cli("gen", "--kind", "multicast", "--nodes", "5", "--players", "3",
+                    "--types", "2", "--seed", "1")
+        )
+        argv = ["sample", "--instance", str(inst_path), "--samples", "1"]
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        doc = json.loads(run_cli(*argv), parse_constant=reject)
+        assert doc["samples"] == 1 and doc["stderr"] is None
+        rows = run_cli(*argv, "--format", "csv").splitlines()
+        assert "stderr," in rows
+        two = json.loads(run_cli(*argv[:-1], "2"), parse_constant=reject)
+        assert isinstance(two["stderr"], float)
+
     def test_gen_deterministic(self):
         assert run_cli("gen", "--seed", "0") == run_cli("gen", "--seed", "0")
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -21,13 +22,16 @@ from netgames import (
 from netgames.errors import PreconditionError, SupportTooLargeError, UnreachableError
 from netgames.games import GameInstance, PlayerSpec
 from netgames.instances import gen_instance
-from netgames.sampling import _restricted_action
+from netgames.sampling import _clients, _restricted_action
 
 from conftest import (
+    construction_reference,
+    derandomize_reference,
     multicast,
     point_mass,
     random_connected_graph,
     restricted_action_reference,
+    sample_type_reference,
     uniform,
 )
 
@@ -167,17 +171,21 @@ class TestEvaluateExact:
 
 
 class TestOneSolvePerDraw:
-    """A(D) is solved once per draw and B(A(D), t) once per draw and support
-    type, however many players share the type."""
+    """The constructed profile depends on a draw only through its client
+    set: A(D) is solved once per distinct set, and B(A(D), t) once per set
+    and support type (exact) or per set and realized type (Monte Carlo),
+    however many draws or players share them."""
 
     def test_exact_evaluation(self):
         inst = gen_instance("multicast", 6, 3, 3, seed=3)
         scheme, calls = counting_scheme(scheme_for(inst))
         rep = evaluate_construction_exact(inst, scheme, "noniid")
-        assert rep == evaluate_construction_exact(inst, scheme_for(inst), "noniid")
-        draws = inst.support_size()
+        assert rep == construction_reference(inst, scheme_for(inst), "noniid")
+        draws = itertools.product(*(spec.support() for spec in inst.players))
+        sets = {_clients(inst, D) for D in draws}
         types = {t for spec in inst.players for t in spec.support()}
-        assert calls == {"approx": draws, "augment": draws * len(types)}
+        assert len(sets) < inst.support_size()
+        assert calls == {"approx": len(sets), "augment": len(sets) * len(types)}
 
     def test_derandomize(self, triangle):
         inst = iid_triangle(triangle)
@@ -187,15 +195,72 @@ class TestOneSolvePerDraw:
         )
         assert calls == {"approx": 2, "augment": 2 * 2}
 
-    def test_monte_carlo_augments_realized_types(self, triangle):
-        inst = iid_triangle(triangle)
+    def test_monte_carlo_augments_realized_types(self):
+        inst = gen_instance("multicast", 6, 3, 3, seed=3)
         scheme, calls = counting_scheme(scheme_for(inst))
-        rep = evaluate_construction_mc(inst, scheme, "iid", samples=30, seed=5)
-        assert rep == evaluate_construction_mc(
-            inst, scheme_for(inst), "iid", samples=30, seed=5
+        rep = evaluate_construction_mc(inst, scheme, "noniid", samples=60, seed=5)
+        assert rep == construction_reference(inst, scheme_for(inst), "noniid", 60, 5)
+        rng = random.Random(5)
+        sets, pairs = set(), set()
+        for _ in range(60):
+            D = [sample_type_reference(rng, spec.distribution) for spec in inst.players]
+            realized = [sample_type_reference(rng, spec.distribution) for spec in inst.players]
+            sets.add(_clients(inst, D))
+            pairs |= {(_clients(inst, D), t) for t in realized}
+        assert len(sets) < 60
+        assert calls == {"approx": len(sets), "augment": len(pairs)}
+
+
+def differential_instances():
+    """Generated multicast games, each with the variants it admits: seeds
+    0-9 with independent, root-mass (the root shows up in draws and
+    collapses client sets) and i.i.d. distributions."""
+    for seed in range(10):
+        yield f"plain-{seed}", gen_instance("multicast", 5, 3, 2, seed=seed), ("noniid",)
+        yield (
+            f"root-mass-{seed}",
+            gen_instance("multicast", 5, 3, 2, seed=seed, root_mass=True),
+            ("noniid",),
         )
-        assert calls["approx"] == 30
-        assert 30 <= calls["augment"] <= 30 * inst.n
+        yield (
+            f"iid-{seed}",
+            gen_instance("multicast", 5, 3, 3, seed=seed, iid=True),
+            ("iid", "noniid"),
+        )
+        yield (
+            f"iid-root-mass-{seed}",
+            gen_instance("multicast", 5, 4, 2, seed=seed, iid=True, root_mass=True),
+            ("iid", "noniid"),
+        )
+
+
+DIFFERENTIAL = list(differential_instances())
+
+
+class TestAgainstReference:
+    """One step per client set, integer Monte-Carlo sums: the same reports,
+    field for field, as the per-draw construction of `construction_reference`."""
+
+    @pytest.mark.parametrize("name,inst,variants", DIFFERENTIAL, ids=[c[0] for c in DIFFERENTIAL])
+    def test_exact_and_derandomize(self, name, inst, variants):
+        scheme = scheme_for(inst)
+        for variant in variants:
+            assert evaluate_construction_exact(inst, scheme, variant) == construction_reference(
+                inst, scheme, variant
+            )
+            assert derandomize(inst, scheme, variant) == derandomize_reference(
+                inst, scheme, variant
+            )
+
+    @pytest.mark.parametrize("name,inst,variants", DIFFERENTIAL, ids=[c[0] for c in DIFFERENTIAL])
+    def test_monte_carlo(self, name, inst, variants):
+        scheme = scheme_for(inst)
+        for variant in variants:
+            for samples, seed in ((1, 0), (2, 3), (37, 11)):
+                got = evaluate_construction_mc(inst, scheme, variant, samples, seed)
+                ref = construction_reference(inst, scheme, variant, samples, seed)
+                assert got == ref
+                assert repr(got.stderr) == repr(ref.stderr)
 
 
 class TestEvaluateMc:
@@ -280,7 +345,7 @@ class TestGuards:
         assert rep.total == evaluate_construction_exact(inst, scheme, "noniid").total
         capped = dataclasses.replace(inst, support_cap=3)
         for run in (evaluate_construction_exact, derandomize):
-            with pytest.raises(SupportTooLargeError):
+            with pytest.raises(SupportTooLargeError, match="^draw support 4 exceeds cap 3$"):
                 run(capped, scheme, "noniid")
 
     @pytest.mark.parametrize(
@@ -304,6 +369,18 @@ class TestGuards:
             inst, scheme_for(inst), "iid"
         )
         assert construct_strategy_iid(inst, scheme, enumerated(["a"]))
+
+    def test_monte_carlo_needs_scheme_costs_on_the_graphs_grid(self, triangle):
+        """Monte-Carlo sums are integers over the graph's cost denominators;
+        a scheme cost off that grid raises rather than rounds."""
+        inst = iid_triangle(triangle)
+        scheme = scheme_for(inst)
+        off_grid = dataclasses.replace(
+            scheme,
+            approx=lambda clients: dataclasses.replace(scheme.approx(clients), cost=Fraction(1, 3)),
+        )
+        with pytest.raises(PreconditionError, match="edge costs"):
+            evaluate_construction_mc(inst, off_grid, "iid", 5, 0)
 
     def test_cap_bounds_regrouping(self, triangle):
         """Regrouping enumerates rho^n: 2^2 = 4 profiles here."""
