@@ -7,7 +7,9 @@ the cheapest BNE come from one bounded depth-first search over the pure
 strategy space (`_sweep`), in integers, with each profile's partial
 expected cost as the bound.  `strategy_cap` bounds the product of the menu
 sizes and is checked before any search.  `all_strategy_profiles` and
-`enumerate_pure_bne` enumerate every profile."""
+`enumerate_pure_bne` enumerate every profile.  `verify_bne` and the
+dynamics price deviations from one `games.interim_weights` table per player,
+and the dynamics' trace follows the exact potential identity."""
 
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from typing import NamedTuple, Optional
 
 from .errors import (
     NoConvergenceError,
+    PreconditionError,
     StrategySpaceTooLargeError,
     ZeroOptimumError,
 )
@@ -30,6 +33,7 @@ from .games import (
     expected_opt,
     expected_potential,
     harmonic,
+    interim_weights,
     use_probabilities,
     use_row,
 )
@@ -99,18 +103,30 @@ def interim_cost(
     return action_cost(inst, q, i, action)
 
 
+def _deviation_weights(inst: GameInstance, q: list[dict], i: int) -> dict:
+    """Player i's `interim_weights` over the elements of its menus and of
+    the actions it plays (q[i]'s keys), which no menu need list."""
+    menus = (a.elements for _, menu in inst.menus[i] for a in menu)
+    return interim_weights(inst, q, i, set(q[i]).union(*menus))
+
+
 def verify_bne(inst: GameInstance, s: tuple) -> EquilibriumReport:
     """Check the interim best-response inequality for every player, support
-    type, and feasible deviation.  Weak inequality with exact rationals."""
+    type, and feasible deviation, exactly: integer sums of one
+    `_deviation_weights` table per player, and a `Fraction` for the worst gap."""
     q = use_probabilities(inst, s)
     worst = None
     for i, entries in enumerate(inst.menus):
+        w = _deviation_weights(inst, q, i)
         for t, menu in entries:
-            current = interim_cost(inst, s, i, t, s[i][t], uses=q)
+            current = sum(map(w.__getitem__, s[i][t].elements))
             for alt in menu:
-                gap = current - interim_cost(inst, s, i, t, alt, uses=q)
+                gap = current - sum(map(w.__getitem__, alt.elements))
                 if gap > 0 and (worst is None or gap > worst[3]):
                     worst = (i, t, alt, gap)
+    if worst is not None:
+        sc = inst._scale
+        worst = (*worst[:3], Fraction(worst[3], sc.C * sc.L * sc.D_pow[inst.n - 1]))
     return EquilibriumReport(profile=s, is_bne=worst is None, worst_violation=worst)
 
 
@@ -259,28 +275,34 @@ def best_response_dynamics(
 ):
     """Round-robin exact interim best responses.  Each improving move
     strictly decreases the expected potential, so this terminates at a BNE
-    on exact-rational instances.  Ties keep the incumbent action."""
+    on exact-rational instances.  Ties keep the incumbent action.  A visit to
+    player i reads one `_deviation_weights` table, which i's moves leave
+    valid; by the exact potential identity, i's move at type t changes the
+    traced potential by P(t_i = t) times the change in i's interim cost."""
+    if max_rounds < 1:
+        raise PreconditionError(f"max_rounds must be at least 1, got {max_rounds}")
+    sc = inst._scale
+    den = sc.C * sc.L * sc.D_pow[inst.n]
     s = tuple(dict(p) for p in s0)
     q = use_probabilities(inst, s)
-    trace = [expected_potential(inst, s, uses=q)]
+    trace = [int(expected_potential(inst, s, uses=q) * den)] if return_trace else None
     for _ in range(max_rounds):
         changed = False
         for i, entries in enumerate(inst.menus):
-            for t, menu in entries:
-                incumbent = s[i][t]
-                best_act = incumbent
-                best_val = interim_cost(inst, s, i, t, incumbent, uses=q)
+            w = _deviation_weights(inst, q, i)
+            for (t, menu), p in zip(entries, sc.weights[i]):
+                current = best = sum(map(w.__getitem__, s[i][t].elements))
                 for alt in menu:
-                    val = interim_cost(inst, s, i, t, alt, uses=q)
-                    if val < best_val:
-                        best_act, best_val = alt, val
-                if best_act != incumbent:
-                    s[i][t] = best_act
-                    q[i] = use_row(inst, i, s[i])
+                    val = sum(map(w.__getitem__, alt.elements))
+                    if val < best:
+                        s[i][t], best = alt, val
+                if best < current:
                     changed = True
-                    trace.append(expected_potential(inst, s, uses=q))
+                    if return_trace:
+                        trace.append(trace[-1] + p * (best - current))
+            q[i] = use_row(inst, i, s[i])
         if not changed:
-            return (s, trace) if return_trace else tuple(s)
+            return (s, [Fraction(x, den) for x in trace]) if return_trace else s
     raise NoConvergenceError(max_rounds)
 
 

@@ -2,17 +2,18 @@
 fair-share player costs, the harmonic congestion potential, and exact
 expectations over finite independent type distributions.
 
-Expected cost, expected potential and interim costs are closed-form sums
-over elements of the exact law of each element's use count, and
-`expected_opt` sums the optimum over the law of the realized terminal set
-(sources, pairs or hyperedges), built player by player and solved once per
-set.  None enumerates type profiles, though `support_cap` still bounds the
-product support of `expected_opt`.  All are exact integer sums over
-denominators fixed per instance (`GameInstance._scale`: the lcm D of the
-probabilities' denominators, the lcm C of the element costs', and
-L = lcm(1..n)), made one `Fraction` at the end.  `weighted_product` is the
-one capped product enumeration, shared with `sampling`'s regrouping, and
-`_terminal_law` also gives `sampling` the law of a draw's client set.
+Expected cost, expected potential and a player's interim weight per
+element (`interim_weights`, whose sums are interim costs) are closed-form
+in the exact law of each element's use count, and `expected_opt` sums the
+optimum over the law of the realized terminal set (sources, pairs or
+hyperedges), built player by player and solved once per set.  None
+enumerates type profiles, though `support_cap` still bounds the product
+support of `expected_opt`.  All are exact integer sums over denominators
+fixed per instance (`GameInstance._scale`: the lcm D of the probabilities'
+denominators, the lcm C of the element costs', and L = lcm(1..n)), made
+one `Fraction` at the end.  `weighted_product` is the one capped product
+enumeration, shared with `sampling`'s regrouping, and `_terminal_law` also
+gives `sampling` the law of a draw's client set.
 
 Game kinds
 ----------
@@ -365,15 +366,21 @@ def count_law(inst: GameInstance, q: list[dict], e, skip: Optional[int] = None) 
     return law if lift == 1 else [x * lift for x in law]
 
 
+def interim_weights(inst: GameInstance, q: list[dict], i: int, elements) -> dict:
+    """Element -> w_i(e) = c_e * E[1/(1 + N_{-i,e})], what e adds to the
+    expected cost of any action of player i, as an integer over
+    `C*L*D^(n-1)`.  No row q[i] is read, so i's own moves leave it valid."""
+    sc = inst._scale
+    laws = ((e, count_law(inst, q, e, skip=i)) for e in elements)
+    return {e: sc.costs[e] * sum(map(operator.mul, law, sc.inv)) for e, law in laws}
+
+
 def action_cost(inst: GameInstance, q: list[dict], i: int, action: Action) -> Fraction:
     """Expected fair-share cost to player i of `action` when the others use
-    elements with the probabilities q (a `use_probabilities` table): sum of
-    c_e * E[1/(1 + N_{-i,e})]."""
+    elements with the probabilities q (a `use_probabilities` table): the sum
+    of its elements' `interim_weights`."""
     sc = inst._scale
-    tot = sum(
-        sc.costs[e] * sum(w * v for w, v in zip(count_law(inst, q, e, skip=i), sc.inv))
-        for e in action.elements
-    )
+    tot = sum(interim_weights(inst, q, i, action.elements).values())
     return Fraction(tot, sc.C * sc.L * sc.D_pow[inst.n - 1])
 
 
@@ -411,11 +418,11 @@ def expected_potential(inst: GameInstance, s: tuple, *, uses=None) -> Fraction:
 
 
 def expected_player_cost(inst: GameInstance, s: tuple, i: int) -> Fraction:
+    """Sum of P(i uses e) * w_i(e) over i's elements, from `interim_weights`."""
     q = use_probabilities(inst, s)
-    return sum(
-        (p * action_cost(inst, q, i, s[i][t]) for t, p in inst.players[i].distribution),
-        Fraction(0),
-    )
+    sc = inst._scale
+    w = interim_weights(inst, q, i, q[i])
+    return Fraction(sum(a * w[e] for e, a in q[i].items()), sc.C * sc.L * sc.D_pow[inst.n])
 
 
 def _terminal(inst: GameInstance, t):

@@ -8,7 +8,13 @@ from typing import Iterable, Optional
 import pytest
 
 from netgames import graph_from_costs
-from netgames.equilibria import _Row, _Sweep, all_strategy_profiles
+from netgames.equilibria import (
+    EquilibriumReport,
+    _Row,
+    _Sweep,
+    all_strategy_profiles,
+    interim_cost,
+)
 from netgames.games import (
     Action,
     GameInstance,
@@ -21,9 +27,10 @@ from netgames.games import (
     social_cost,
     type_profiles,
     use_probabilities,
+    use_row,
     weighted_product,
 )
-from netgames.errors import DisconnectedError
+from netgames.errors import DisconnectedError, NoConvergenceError
 from netgames.graphs import EdgeSet, Graph, Metric, _components, edge_key, shortest_path
 from netgames.sampling import (
     ConstructionReport,
@@ -382,6 +389,56 @@ def sweep_reference(inst: GameInstance) -> _Sweep:
             candidates.append(row)
     candidates.sort(key=lambda r: (r.cost, r.index))
     return _Sweep(s_star, s_tilde, candidates)
+
+
+def verify_bne_reference(inst: GameInstance, s: tuple) -> EquilibriumReport:
+    """`verify_bne` as first written, kept as its oracle: a menu scan that
+    prices the incumbent and every menu action by `interim_cost`."""
+    q = use_probabilities(inst, s)
+    worst = None
+    for i, entries in enumerate(inst.menus):
+        for t, menu in entries:
+            current = interim_cost(inst, s, i, t, s[i][t], uses=q)
+            for alt in menu:
+                gap = current - interim_cost(inst, s, i, t, alt, uses=q)
+                if gap > 0 and (worst is None or gap > worst[3]):
+                    worst = (i, t, alt, gap)
+    return EquilibriumReport(profile=s, is_bne=worst is None, worst_violation=worst)
+
+
+def best_response_dynamics_reference(
+    inst: GameInstance, s0: tuple, max_rounds: int = 1000, profiles: Optional[list] = None
+):
+    """`best_response_dynamics(..., return_trace=True)` as first written, kept
+    as its oracle: every action priced by `interim_cost`, and the expected
+    potential recomputed after every move.  `profiles`, when given, receives
+    a copy of the start profile and of the profile after each move."""
+    s = tuple(dict(p) for p in s0)
+    q = use_probabilities(inst, s)
+    trace = [expected_potential(inst, s, uses=q)]
+    if profiles is not None:
+        profiles.append(tuple(dict(p) for p in s))
+    for _ in range(max_rounds):
+        changed = False
+        for i, entries in enumerate(inst.menus):
+            for t, menu in entries:
+                incumbent = s[i][t]
+                best_act = incumbent
+                best_val = interim_cost(inst, s, i, t, incumbent, uses=q)
+                for alt in menu:
+                    val = interim_cost(inst, s, i, t, alt, uses=q)
+                    if val < best_val:
+                        best_act, best_val = alt, val
+                if best_act != incumbent:
+                    s[i][t] = best_act
+                    q[i] = use_row(inst, i, s[i])
+                    changed = True
+                    trace.append(expected_potential(inst, s, uses=q))
+                    if profiles is not None:
+                        profiles.append(tuple(dict(p) for p in s))
+        if not changed:
+            return s, trace
+    raise NoConvergenceError(max_rounds)
 
 
 def _reference_draws(inst: GameInstance, scheme, variant: str):
