@@ -5,7 +5,9 @@ link-by-link certificate of the potential-method inequality chain.
 The potential minimizer s*, the cost minimizer s~ and the candidates for
 the cheapest BNE come from one bounded depth-first search over the pure
 strategy space (`_sweep`), in integers, with each profile's partial
-expected cost as the bound.  `strategy_cap` bounds the product of the menu
+expected cost as the bound.  It computes one use-count law per distinct
+sorted non-zero column, and a candidate becomes a profile only when the
+best-BNE search reads it.  `strategy_cap` bounds the product of the menu
 sizes and is checked before any search.  `all_strategy_profiles` and
 `enumerate_pure_bne` enumerate every profile.  `verify_bne` and the
 dynamics price deviations from one `games.interim_weights` table per player,
@@ -17,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import (
     NoConvergenceError,
@@ -29,7 +31,7 @@ from .games import (
     GameInstance,
     Action,
     action_cost,
-    element_terms,
+    column_terms,
     expected_opt,
     expected_potential,
     harmonic,
@@ -140,7 +142,12 @@ class _Row(NamedTuple):
 class _Sweep(NamedTuple):
     min_potential: _Row  # s*, the first potential minimizer
     min_cost: _Row  # the first cost minimizer
-    candidates: list  # rows that may be the cheapest BNE, in (cost, index) order
+    leaves: list  # (cost, potential, digits) that may be the cheapest BNE, in (cost, index) order
+    row: Callable  # leaf -> _Row
+
+    def candidates(self):
+        """The candidates' rows in order, each built when it is read."""
+        return map(self.row, self.leaves)
 
 
 def _sweep(inst: GameInstance) -> _Sweep:
@@ -148,8 +155,10 @@ def _sweep(inst: GameInstance) -> _Sweep:
     the (player, type) slots in canonical order, last slot fastest.  The
     state is integer and changes one slot at a time: each element's column
     (q_1(e) .. q_n(e)) over D, and the running numerators of expected cost
-    (over C*D^n) and potential (over C*L*D^n).  An element's terms come from
-    `games.element_terms`, once per (element, column) in a call.
+    (over C*D^n) and potential (over C*L*D^n).  An element's terms are c_e
+    times `games.column_terms` of its column, which is computed once per
+    distinct sorted non-zero column in a call and read once per (element,
+    column) from a second memo.
 
     s* is a BNE and C(s*) <= Phi(s*), so the cheapest BNE costs at most the
     running minimum potential; only profiles within it are candidates.  A
@@ -158,17 +167,22 @@ def _sweep(inst: GameInstance) -> _Sweep:
     running minimum potential, no completion is a candidate, a potential
     minimizer (Phi >= C) or a cost minimizer (the least cost so far is at
     most C(s*) <= Phi(s*)), and the subtree is skipped.  Slots with one
-    action are folded into the start state."""
+    action are folded into the start state.  The candidates stay integer
+    leaves; a leaf becomes a `_Row` (profile and `Fraction`s) only when
+    `candidates` reaches it."""
     _check_strategy_space(inst)
     sc = inst._scale
     n, L = inst.n, sc.L
+    laws: dict = {}  # sorted non-zero column -> column_terms
     memo: dict = {}  # (element, column) -> (column, cost term, potential term)
 
     def state(e, column):
-        entry = memo.get((e, column))
-        if entry is None:
-            terms = element_terms(inst, [{e: a} for a in column], e)
-            entry = memo[(e, column)] = (column, *terms)
+        key = tuple(sorted(a for a in column if a))
+        if key not in laws:
+            laws[key] = column_terms(inst, key)
+        unit_cost, unit_pot = laws[key]
+        c = sc.costs[e]
+        entry = memo[(e, column)] = (column, c * unit_cost, c * unit_pot)
         return entry
 
     fixed: dict = {}  # element -> column of the single-action slots
@@ -189,7 +203,7 @@ def _sweep(inst: GameInstance) -> _Sweep:
     base = [(sum(c[1] for c in cols.values()), sum(c[2] for c in cols.values()))]
     base += [None] * depth  # numerators before each slot is played
     s_star = s_tilde = None  # (cost, potential, digits)
-    candidates = []
+    leaves = []
     k = 0
     while k >= 0:
         if k == depth:
@@ -201,7 +215,7 @@ def _sweep(inst: GameInstance) -> _Sweep:
                 s_tilde = leaf
             # A leaf is reached only if cost * L is at most the least
             # potential before it, or its own potential (Phi >= C).
-            candidates.append(leaf)
+            leaves.append(leaf)
             k -= 1
             continue
         for e, previous in undo[k]:
@@ -239,13 +253,13 @@ def _sweep(inst: GameInstance) -> _Sweep:
         index = sum(d * stride for d, stride in zip(picks, strides))
         return _Row(Fraction(cost, cost_den), Fraction(pot, pot_den), index, profile)
 
-    candidates.sort(key=lambda leaf: (leaf[0], leaf[2]))  # digits order as indices do
-    return _Sweep(row(s_star), row(s_tilde), [row(leaf) for leaf in candidates])
+    leaves.sort(key=lambda leaf: (leaf[0], leaf[2]))  # digits order as indices do
+    return _Sweep(row(s_star), row(s_tilde), leaves, row)
 
 
 def _best_bne_cost(inst: GameInstance, sweep: _Sweep) -> Fraction:
     """Cost of the first BNE in (cost, index) order; s* ends the search."""
-    return next(r.cost for r in sweep.candidates if verify_bne(inst, r.profile).is_bne)
+    return next(r.cost for r in sweep.candidates() if verify_bne(inst, r.profile).is_bne)
 
 
 def _nonzero_opt(inst: GameInstance) -> Fraction:

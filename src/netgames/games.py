@@ -397,15 +397,19 @@ def expected_social_cost(inst: GameInstance, s: tuple, *, uses=None) -> Fraction
     return Fraction(tot, sc.C * Dn)
 
 
-def element_terms(inst: GameInstance, q: list[dict], e) -> tuple[int, int]:
-    """Element e's terms in the expected cost and potential under the table
-    q, from its `count_law`: c_e * P(some player uses e) over `C*D^n` (the
-    term that `expected_social_cost` adds) and c_e * E[H_N] over `C*L*D^n`
-    (the term that `expected_potential` adds)."""
+def column_terms(inst: GameInstance, entries) -> tuple[int, int]:
+    """An element's terms in the expected cost and potential per unit of its
+    cost, from its use column (q_1(e) .. q_n(e) over D) with the non-zero
+    entries `entries`: P(N >= 1) over D^n (what `expected_social_cost`
+    adds) and E[H_N] over L*D^n (what `expected_potential` adds), N the
+    element's use count.  They depend on the multiset of entries only, so
+    columns that permute each other share them."""
     sc = inst._scale
-    law = count_law(inst, q, e)
-    c = sc.costs[e]
-    return c * (sc.D_pow[inst.n] - law[0]), c * sum(map(operator.mul, law, sc.harm))
+    law = [1]
+    for a in entries:  # `count_law`'s DP over the users only
+        law = [x * (sc.D - a) + y * a for x, y in zip(law + [0], [0] + law)]
+    lift = sc.D_pow[inst.n - len(entries)]  # the other players, who never use e
+    return sc.D_pow[inst.n] - lift * law[0], lift * sum(map(operator.mul, law, sc.harm))
 
 
 def expected_potential(inst: GameInstance, s: tuple, *, uses=None) -> Fraction:
@@ -413,7 +417,10 @@ def expected_potential(inst: GameInstance, s: tuple, *, uses=None) -> Fraction:
     `uses` is as for `expected_social_cost`."""
     q = use_probabilities(inst, s) if uses is None else uses
     sc = inst._scale
-    tot = sum(element_terms(inst, q, e)[1] for e in set().union(*q))
+    tot = sum(
+        sc.costs[e] * column_terms(inst, [a for row in q if (a := row.get(e, 0))])[1]
+        for e in set().union(*q)
+    )
     return Fraction(tot, sc.C * sc.L * sc.D_pow[inst.n])
 
 

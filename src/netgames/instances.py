@@ -92,11 +92,21 @@ def _encode_type(kind: str, t):
     return t if kind == "multicast" else list(t)
 
 
-def parse_instance(text: str) -> GameInstance:
+def _load_json(text: str, what: str):
+    """`json.loads(text)`, with every way it rejects a document a ParseError
+    whose message starts with `what`."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno}: {exc.msg}")
+        raise ParseError(f"{what}line {exc.lineno}: {exc.msg}")
+    except RecursionError:
+        raise ParseError(f"{what}nested too deeply")
+    except ValueError:  # an integer literal beyond Python's int-string limit
+        raise ParseError(f"{what}integer literal too long")
+
+
+def parse_instance(text: str) -> GameInstance:
+    doc = _load_json(text, "")
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     if doc.get("version") != FORMAT_VERSION:
@@ -214,10 +224,7 @@ def _field(doc, key: str, where: str):
 def parse_strategy(inst: GameInstance, text: str) -> tuple:
     """The profile in strategy file `text`: each action must be feasible
     for its type, and every support type needs one."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"strategy line {exc.lineno}: {exc.msg}")
+    doc = _load_json(text, "strategy ")
     players = _expect(_field(doc, "players", "strategy"), list, "players")
     if len(players) != inst.n:
         raise ValidationError("players", f"{len(players)} strategies for {inst.n} players")

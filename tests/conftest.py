@@ -11,7 +11,6 @@ from netgames import graph_from_costs
 from netgames.equilibria import (
     EquilibriumReport,
     _Row,
-    _Sweep,
     all_strategy_profiles,
     interim_cost,
 )
@@ -365,12 +364,12 @@ def terminal_law_reference(inst: GameInstance) -> dict:
     return groups
 
 
-def sweep_reference(inst: GameInstance) -> _Sweep:
+def sweep_reference(inst: GameInstance) -> tuple:
     """The strategy sweep as first written, kept as the oracle of the
     depth-first `equilibria._sweep`: every profile of `all_strategy_profiles`
     priced from scratch, s* and s~ the first strict minimizers, and the rows
     that cost at most the running minimum potential kept as candidates, in
-    (cost, index) order."""
+    (cost, index) order.  Returns the rows (s*, s~, candidates)."""
     s_star = s_tilde = None
     candidates = []
     for index, s in enumerate(all_strategy_profiles(inst)):
@@ -388,7 +387,7 @@ def sweep_reference(inst: GameInstance) -> _Sweep:
         if row.cost <= s_star.potential:
             candidates.append(row)
     candidates.sort(key=lambda r: (r.cost, r.index))
-    return _Sweep(s_star, s_tilde, candidates)
+    return s_star, s_tilde, candidates
 
 
 def verify_bne_reference(inst: GameInstance, s: tuple) -> EquilibriumReport:

@@ -17,6 +17,7 @@ from netgames.games import (
     GameInstance,
     PlayerSpec,
     action_cost,
+    column_terms,
     count_law,
     expected_player_cost,
     expected_potential,
@@ -141,6 +142,11 @@ def check_profile(inst, s):
             law = count_law(inst, q, e, skip=skip)
             scale = D ** (inst.n - (skip is not None))
             assert [Fraction(x, scale) for x in law] == count_law_reference(qf, e, skip)
+        # The terms read only the multiset of the column's non-zero entries.
+        law = count_law(inst, q, e)
+        entries = [row[e] for row in q if row.get(e)]
+        want = (D ** inst.n - law[0], sum(x * h for x, h in zip(law, inst._scale.harm)))
+        assert column_terms(inst, entries) == column_terms(inst, entries[::-1]) == want
     cost = expected_social_cost(inst, s)
     potential = expected_potential(inst, s)
     assert type(cost) is type(potential) is Fraction

@@ -27,6 +27,16 @@ MINIMAL = """
 }
 """
 
+# Deeper than the JSON decoder recurses, and an integer literal with more
+# digits than Python converts by default.
+DEEP = "[" * 100_000 + "]" * 100_000
+LONG_INT = "1" + "0" * 5000
+LONG_CAP = MINIMAL.replace('"version": 1,', f'"version": 1, "caps": {{"strategies": {LONG_INT}}},')
+LONG_ACTION = f'{{"players": [{{"strategies": [{{"type": "a", "action": {LONG_INT}}}]}}]}}'
+INT_LIMIT = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no int-string limit"
+)
+
 
 class TestParse:
     def test_minimal_multicast(self):
@@ -58,6 +68,19 @@ class TestParse:
     def test_syntax_error(self):
         with pytest.raises(ParseError):
             parse_instance("{not json")
+
+    def test_deep_nesting(self):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_instance(DEEP)
+        with pytest.raises(ParseError, match="strategy nested too deeply"):
+            parse_strategy(parse_instance(MINIMAL), DEEP)
+
+    @INT_LIMIT
+    def test_integer_literal_beyond_the_int_string_limit(self):
+        with pytest.raises(ParseError, match="integer literal too long"):
+            parse_instance(LONG_CAP)
+        with pytest.raises(ParseError, match="strategy integer literal too long"):
+            parse_strategy(parse_instance(MINIMAL), LONG_ACTION)
 
     def test_round_trip_generated(self):
         for seed in range(10):
@@ -418,6 +441,10 @@ TWO_POINT_MASSES = _minimal_with(
             None, ["bpos"], id="infinite-cap",
         ),
         pytest.param(MINIMAL, "{not json", ["eval"], id="strategy-not-json"),
+        pytest.param(DEEP, None, ["certify"], id="deeply-nested-instance"),
+        pytest.param(LONG_CAP, None, ["certify"], id="long-integer-cap", marks=INT_LIMIT),
+        pytest.param(MINIMAL, DEEP, ["eval"], id="deeply-nested-strategy"),
+        pytest.param(MINIMAL, LONG_ACTION, ["eval"], id="long-integer-strategy", marks=INT_LIMIT),
         pytest.param(MINIMAL, "{}", ["eval"], id="strategy-without-players"),
         pytest.param(
             MINIMAL, '{"players": [{}]}', ["eval"], id="strategy-without-strategies"

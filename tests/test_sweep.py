@@ -27,6 +27,7 @@ from netgames.games import (
     expected_potential,
     expected_social_cost,
     harmonic,
+    use_probabilities,
 )
 from netgames.instances import gen_instance
 
@@ -129,6 +130,13 @@ def test_ties_go_to_the_first_profile(inst):
     assert min_cost_profile(inst) == profiles[costs.index(min(costs))]
 
 
+THREE_KINDS = [
+    pytest.param(gen_instance("multicast", 5, 3, 2, seed=1), id="multicast"),
+    pytest.param(gen_instance("source-sink", 5, 3, 2, seed=2), id="source-sink"),
+    pytest.param(gen_instance("vertex-cover", 5, 3, 2, seed=0), id="vertex-cover"),
+]
+
+
 class _Counter:
     def __init__(self, monkeypatch, name):
         self.calls = 0
@@ -149,15 +157,7 @@ def test_certificate_sweeps_once_and_solves_the_optimum_once(monkeypatch):
     assert (sweeps.calls, optima.calls) == (1, 1)
 
 
-@pytest.mark.parametrize(
-    "inst",
-    [
-        gen_instance("multicast", 5, 3, 2, seed=1),
-        gen_instance("source-sink", 5, 3, 2, seed=2),
-        gen_instance("vertex-cover", 5, 3, 2, seed=0),
-    ],
-    ids=["multicast", "source-sink", "vertex-cover"],
-)
+@pytest.mark.parametrize("inst", THREE_KINDS)
 def test_bne_search_checks_only_profiles_no_costlier_than_s_star(inst, monkeypatch):
     checks = _Counter(monkeypatch, "verify_bne")
     cert = potential_method_certificate(inst)
@@ -180,21 +180,45 @@ def test_bne_search_stops_at_the_cheapest_equilibrium(monkeypatch):
     assert checks.calls == first + 1
 
 
-def test_sweep_prices_each_element_column_once(monkeypatch):
-    inst = gen_instance("multicast", 6, 3, 3, seed=2)
+def sorted_nonzero_columns(inst, s):
+    """Element -> the sorted non-zero entries of its use column under s."""
+    q = use_probabilities(inst, s)
+    return {e: tuple(sorted(a for row in q if (a := row.get(e, 0)))) for e in set().union(*q)}
+
+
+def test_sweep_computes_one_law_per_sorted_nonzero_column(monkeypatch):
+    inst = gen_instance("multicast", 6, 3, 3, seed=2, iid=True)
     priced = []
-    inner = equilibria.element_terms
+    inner = equilibria.column_terms
 
-    def counted(inst, q, e):
-        priced.append((e, tuple(row.get(e, 0) for row in q)))
-        return inner(inst, q, e)
+    def counted(inst, entries):
+        priced.append(tuple(entries))
+        return inner(inst, entries)
 
-    monkeypatch.setattr(equilibria, "element_terms", counted)
-    equilibria._sweep(inst)
+    monkeypatch.setattr(equilibria, "column_terms", counted)
+    sweep = equilibria._sweep(inst)
     assert len(priced) == len(set(priced))
-    # Far fewer than one pricing per (profile, element): most profiles are
-    # never reached, and the rest share their columns.
-    assert len(priced) < equilibria.strategy_space_size(inst)
+    assert all(0 not in key and list(key) == sorted(key) for key in priced)
+    states = set()  # (element, sorted column) of every row the sweep reached
+    for row in (sweep.min_potential, sweep.min_cost, *sweep.candidates()):
+        states |= sorted_nonzero_columns(inst, row.profile).items()
+    assert {key for _, key in states} <= set(priced)
+    # Elements whose columns permute each other share one law.
+    assert len(priced) < len(states)
+
+
+@pytest.mark.parametrize("inst", THREE_KINDS)
+def test_candidate_rows_are_built_only_when_read(inst, monkeypatch):
+    leaves = len(equilibria._sweep(inst).leaves)
+    rows = _Counter(monkeypatch, "_Row")
+    checks = _Counter(monkeypatch, "verify_bne")
+    information_gap_exact(inst)
+    min_potential_profile(inst)
+    assert rows.calls == 2 * 2  # s* and s~ of each sweep
+    rows.calls = 0
+    bpos_exact(inst)
+    assert rows.calls == 2 + checks.calls
+    assert checks.calls < leaves
 
 
 def test_menus_are_built_once_per_instance(monkeypatch):
@@ -263,19 +287,33 @@ DIFFERENTIAL = [
         pytest.param(gen_instance("vertex-cover", 6, 3, 2, seed=seed), id=f"vertex-cover-6-{seed}")
         for seed in range(4)
     ),
+    # One shared distribution: the columns permute each other, so elements
+    # and columns share the most laws.
+    *(
+        pytest.param(
+            gen_instance(kind, n_nodes, 3, 2, seed=seed, iid=True), id=f"{kind}-iid-{seed}"
+        )
+        for kind, n_nodes in (("multicast", 5), ("source-sink", 5), ("vertex-cover", 6))
+        for seed in range(4)
+    ),
 ]
+
+
+def materialized(sweep):
+    """The rows of a sweep: s*, s~ and every candidate."""
+    return sweep.min_potential, sweep.min_cost, list(sweep.candidates())
 
 
 @pytest.mark.parametrize("inst", DIFFERENTIAL)
 def test_sweep_equals_the_per_profile_reference(inst):
-    assert equilibria._sweep(inst) == sweep_reference(inst)
+    assert materialized(equilibria._sweep(inst)) == sweep_reference(inst)
 
 
 def test_many_single_action_players(triangle):
     """1,200 players whose only type is the root (one action each, the empty
     one) and one player with two types of two routes each."""
     inst = multicast(triangle, *[point_mass("r")] * 1200, uniform(["a", "b"]))
-    assert equilibria._sweep(inst) == sweep_reference(inst)
+    assert materialized(equilibria._sweep(inst)) == sweep_reference(inst)
     assert potential_method_certificate(inst).all_hold
 
 
