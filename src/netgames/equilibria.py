@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
@@ -154,11 +155,12 @@ def _sweep(inst: GameInstance) -> _Sweep:
     """s*, s~ and the cheapest-BNE candidates by one depth-first search over
     the (player, type) slots in canonical order, last slot fastest.  The
     state is integer and changes one slot at a time: each element's column
-    (q_1(e) .. q_n(e)) over D, and the running numerators of expected cost
-    (over C*D^n) and potential (over C*L*D^n).  An element's terms are c_e
-    times `games.column_terms` of its column, which is computed once per
-    distinct sorted non-zero column in a call and read once per (element,
-    column) from a second memo.
+    of q_j(e) over D for the players j with a multi-action slot (the others'
+    entries are fixed, kept once per element), and the running numerators
+    of expected cost (over C*D^n) and potential (over C*L*D^n).  An
+    element's terms are c_e times `games.column_terms` of its whole column,
+    computed once per distinct sorted non-zero column in a call and read
+    once per (element, column) from a second memo.
 
     s* is a BNE and C(s*) <= Phi(s*), so the cheapest BNE costs at most the
     running minimum potential; only profiles within it are candidates.  A
@@ -177,7 +179,7 @@ def _sweep(inst: GameInstance) -> _Sweep:
     memo: dict = {}  # (element, column) -> (column, cost term, potential term)
 
     def state(e, column):
-        key = tuple(sorted(a for a in column if a))
+        key = tuple(sorted(pinned.get(e, ()) + tuple(a for a in column if a)))
         if key not in laws:
             laws[key] = column_terms(inst, key)
         unit_cost, unit_pot = laws[key]
@@ -185,17 +187,21 @@ def _sweep(inst: GameInstance) -> _Sweep:
         entry = memo[(e, column)] = (column, c * unit_cost, c * unit_pot)
         return entry
 
-    fixed: dict = {}  # element -> column of the single-action slots
+    fixed: dict = defaultdict(Counter)  # element -> player -> entry of the single-action slots
     slots = []  # (player, weight, element tuple of each action)
     for i, entries in enumerate(inst.menus):
         for (_, menu), w in zip(entries, sc.weights[i]):
             if len(menu) == 1:
                 for e in menu[0].elements:
-                    fixed.setdefault(e, [0] * n)[i] += w
+                    fixed[e][i] += w
             else:
                 slots.append((i, w, [tuple(a.elements) for a in menu]))
+    movers = {i: p for p, i in enumerate(sorted({i for i, _, _ in slots}))}  # -> column position
+    slots = [(movers[i], w, options) for i, w, options in slots]
+    pinned = {e: tuple(a for i, a in row.items() if i not in movers) for e, row in fixed.items()}
+    start = {e: tuple(row[i] for i in movers) for e, row in fixed.items()}
     used = {e for _, _, options in slots for elements in options for e in elements}
-    cols = {e: state(e, tuple(fixed.get(e, (0,) * n))) for e in used | fixed.keys()}
+    cols = {e: state(e, start.get(e, (0,) * len(movers))) for e in used | fixed.keys()}
 
     depth = len(slots)
     digits = [-1] * depth  # action index per slot
@@ -222,7 +228,7 @@ def _sweep(inst: GameInstance) -> _Sweep:
             cols[e] = previous
         undo[k] = changed = []
         digits[k] += 1
-        i, w, options = slots[k]
+        p, w, options = slots[k]
         if digits[k] == len(options):
             digits[k] = -1
             k -= 1
@@ -231,7 +237,7 @@ def _sweep(inst: GameInstance) -> _Sweep:
         for e in options[digits[k]]:
             old = cols[e]
             column = old[0]
-            column = column[:i] + (column[i] + w,) + column[i + 1:]
+            column = column[:p] + (column[p] + w,) + column[p + 1:]
             new = cols[e] = memo.get((e, column)) or state(e, column)
             cost += new[1] - old[1]
             pot += new[2] - old[2]

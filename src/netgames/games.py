@@ -6,10 +6,12 @@ Expected cost, expected potential and a player's interim weight per
 element (`interim_weights`, whose sums are interim costs) are closed-form
 in the exact law of each element's use count, and `expected_opt` sums the
 optimum over the law of the realized terminal set (sources, pairs or
-hyperedges), built player by player and solved once per set.  None
-enumerates type profiles, though `support_cap` still bounds the product
-support of `expected_opt`.  All are exact integer sums over denominators
-fixed per instance (`GameInstance._scale`: the lcm D of the probabilities'
+hyperedges), built player by player over bitmasks of the sorted distinct
+terminals and solved once per mask; pair masks share one forest memo and
+hyperedge masks one cover memo for the call.  None enumerates type
+profiles, though `support_cap` still bounds the product support of
+`expected_opt`.  All are exact integer sums over denominators fixed per
+instance (`GameInstance._scale`: the lcm D of the probabilities'
 denominators, the lcm C of the element costs', and L = lcm(1..n)), made
 one `Fraction` at the end.  `weighted_product` is the one capped product
 enumeration, shared with `sampling`'s regrouping, and `_terminal_law` also
@@ -444,8 +446,12 @@ def _terminal(inst: GameInstance, t):
     return tuple(sorted(set(t)))
 
 
-def _graph_opt(inst: GameInstance, terminals: set) -> tuple[frozenset, Fraction]:
-    """Optimal edges on a terminal set: a Steiner tree with the root, or forest."""
+def ex_post_opt(inst: GameInstance, type_profile: tuple) -> tuple[frozenset, Fraction]:
+    """Optimal joint element set for one realized type profile, via the exact
+    combinatorial solver matching the game kind."""
+    if inst.kind in COVER_KINDS:
+        return graphs.cover_exact(inst.cover_cost_map(), [tuple(t) for t in type_profile])
+    terminals = {_terminal(inst, t) for t in type_profile} - {None}
     if not terminals:
         return EMPTY_ELEMENTS, Fraction(0)
     if inst.kind == "multicast":
@@ -455,42 +461,50 @@ def _graph_opt(inst: GameInstance, terminals: set) -> tuple[frozenset, Fraction]
     return solved.edges, solved.cost
 
 
-def ex_post_opt(inst: GameInstance, type_profile: tuple) -> tuple[frozenset, Fraction]:
-    """Optimal joint element set for one realized type profile, via the exact
-    combinatorial solver matching the game kind."""
-    if inst.kind in GRAPH_KINDS:
-        return _graph_opt(inst, {_terminal(inst, t) for t in type_profile} - {None})
-    return graphs.cover_exact(inst.cover_cost_map(), [tuple(t) for t in type_profile])
-
-
-def _terminal_law(inst: GameInstance, rows=None) -> dict:
+def _terminal_law(inst: GameInstance, rows=None) -> tuple[list, dict]:
     """The law of the realized terminal set, built row by row (at most
-    min(prefix support, 2^k) states): frozenset of terminals -> probability
-    times D^m, keyed in the canonical order of each set's first profile.
-    `rows` are m independent (distribution, integer weights over D) pairs;
-    by default the players' own, so m = n."""
+    min(prefix support, 2^k) states), as (terms, law): terms the k sorted
+    distinct terminals, and law a map from bitmask (bit j stands for
+    terms[j]) to probability times D^m, keyed in the canonical order of each
+    set's first profile.  `rows` are m independent (distribution, integer
+    weights over D) pairs; by default the players' own, so m = n."""
     if rows is None:
         rows = zip((spec.distribution for spec in inst.players), inst._scale.weights)
-    law = {EMPTY_ELEMENTS: 1}
-    for distribution, weights in rows:
-        step = [(_terminal(inst, t), w) for (t, _), w in zip(distribution, weights)]
+    steps = [[(_terminal(inst, t), w) for (t, _), w in zip(*row)] for row in rows]
+    terms = sorted({x for step in steps for x, _ in step} - {None})
+    bit = {x: 1 << j for j, x in enumerate(terms)}
+    law = {0: 1}
+    for step in steps:
+        step = [(bit.get(x, 0), w) for x, w in step]
         grown: dict = {}
         for S, w in law.items():
             for x, wx in step:
-                T = S if x is None or x in S else S | {x}
+                T = S | x
                 grown[T] = grown.get(T, 0) + w * wx
         law = grown
-    return law
+    return terms, law
+
+
+def _members(terms: list, mask: int) -> frozenset:
+    """The terminals of `_terminal_law`'s bitmask `mask`."""
+    return frozenset([x for j, x in enumerate(terms) if mask >> j & 1])
 
 
 def expected_opt(inst: GameInstance) -> Fraction:
     """E[OPT]: the ex-post optimum depends only on the realized terminal
-    set, so each set of `_terminal_law` is solved once, in the law's order
-    (the first error raised is that of the first type profile to fail)."""
+    set, so each mask of `_terminal_law` is solved once, as an integer over
+    C, in the law's order (the first error raised is that of the first type
+    profile to fail).  Pair masks share one `graphs.SteinerForests` and
+    hyperedge masks one `graphs.cover_cost_dp` for the call."""
     _check_support(inst, inst.support_size(), "product support")
-    sc, law = inst._scale, _terminal_law(inst)
-    if inst.kind in GRAPH_KINDS:
-        opt = lambda S: int(_graph_opt(inst, S)[1] * sc.C)
+    sc = inst._scale
+    terms, law = _terminal_law(inst)
+    if inst.kind == "multicast":
+        g, root = inst.graph, {inst.graph.root}
+        tree = lambda S: graphs.steiner_tree_exact(g, _members(terms, S) | root).cost
+        opt = lambda S: int(tree(S) * sc.C) if S else 0
+    elif inst.kind == "source-sink":
+        opt = graphs.SteinerForests(inst.graph, terms).cost
     else:
-        opt = graphs.cover_cost_dp(sc.costs, set().union(*law))
+        opt = graphs.cover_cost_dp(sc.costs, terms)
     return Fraction(sum(w * opt(S) for S, w in law.items()), sc.C * sc.D_pow[inst.n])

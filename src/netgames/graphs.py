@@ -8,7 +8,9 @@ results are reproducible.  Each `Graph` keeps one lazily filled integer
 path model (`_SteinerTable`), read by the Steiner tree and forest, the
 metric, the Steiner scheme's augmentation and the sampler's restricted
 action.  `shortest_path` (over `Fraction` costs) and the edge-capped
-`min_feasible_subset_bruteforce` are its independent oracles.
+`min_feasible_subset_bruteforce` are its independent oracles.  Forests and
+cost-only covers take bitmasks of a sorted pair or hyperedge list, with one
+memo per solver, so `games.expected_opt` solves each sub-forest once.
 """
 
 from __future__ import annotations
@@ -352,53 +354,77 @@ def steiner_tree_exact(g: Graph, terminals: Iterable[str]) -> EdgeSet:
     return EdgeSet(edges=edges, cost=Fraction(cost, table.scale))
 
 
-def steiner_forest_exact(g: Graph, pairs: Iterable[Edge]) -> EdgeSet:
-    """Minimum-cost edge set connecting every given node pair.
+class SteinerForests:
+    """Minimum-cost Steiner forests on the subsets of a sorted pair list, as
+    bitmasks (bit j stands for `pairs[j]`).  A forest's trees are Steiner
+    trees on the endpoints of the pairs they serve, so F(S) = min over the
+    blocks B of S that hold its lowest pair of ST(endpoints of B) + F(S - B),
+    the trees read from the graph's Dreyfus-Wagner table; a block spanning
+    two components is skipped.  Of the cheapest blocks, the first by size,
+    then in sorted order, wins.  F[S] = (cost, block, edges): the edges are
+    the union of the winning blocks' trees, which costs exactly F (a cheaper
+    union would beat the optimum).  F and the trees live as long as the
+    object, shared by every mask asked of it."""
 
-    Each tree of an optimal forest is a Steiner tree on the endpoints of the
-    pairs it serves, so with the pairs sorted, F(S) = min over blocks B of S
-    that hold S's first pair of ST(endpoints of B) + F(S - B), the trees
-    read from the graph's shared Dreyfus-Wagner table.  A block whose
-    endpoints span two components is skipped.  Blocks are tried by
-    increasing size, then in sorted order, and a later block wins only when
-    strictly cheaper; the edges are the union of the winning blocks' trees,
-    which costs exactly F (a cheaper union would beat the optimum)."""
-    pair_list = sorted({edge_key(u, v) for u, v in pairs if u != v})
-    if not pair_list:
-        return EdgeSet(edges=frozenset(), cost=Fraction(0))
-    table = g._steiner
-    for u, v in pair_list:
-        if u not in table.comp or v not in table.comp or table.comp[u] != table.comp[v]:
+    def __init__(self, g: Graph, pairs: list[Edge]):
+        self.pairs, self.table = pairs, g._steiner
+        comp = self.table.comp
+        self.bad = sum(  # the pairs that no forest connects
+            1 << j
+            for j, (u, v) in enumerate(pairs)
+            if u not in comp or v not in comp or comp[u] != comp[v]
+        )
+        self.trees: dict[int, Optional[tuple[int, frozenset]]] = {}
+        self.F: dict[int, tuple[int, int, frozenset]] = {0: (0, 0, frozenset())}
+
+    def cost(self, mask: int) -> int:
+        """F(mask), an integer over the table's scale.  DisconnectedError
+        names the mask's lowest pair that no forest connects."""
+        F, trees = self.F, self.trees
+        got = F.get(mask)
+        if got is not None:
+            return got[0]
+        if bad := mask & self.bad:
+            u, v = self.pairs[(bad & -bad).bit_length() - 1]
             raise DisconnectedError(f"pair ({u!r}, {v!r}) not connected in graph")
-
-    trees: dict[int, Optional[tuple[int, frozenset]]] = {}
-
-    def block_tree(block: int):
-        if block not in trees:
-            ends = sorted({n for i, p in enumerate(pair_list) if block >> i & 1 for n in p})
-            one_component = len({table.comp[n] for n in ends}) == 1
-            trees[block] = table.tree(ends) if one_component else None
-        return trees[block]
-
-    # F[mask] = (cost, winning blocks) over the pairs whose bits are in mask.
-    F: dict[int, tuple[int, tuple[int, ...]]] = {0: (0, ())}
-    for mask in range(1, 1 << len(pair_list)):
         first = mask & -mask
-        others = [1 << i for i in range(len(pair_list)) if (mask ^ first) >> i & 1]
-        best = None
-        for r in range(len(others) + 1):
-            for part in itertools.combinations(others, r):
-                block = first | sum(part)
-                tree = block_tree(block)
-                if tree is None:
-                    continue
-                cost, blocks = F[mask ^ block]
-                if best is None or tree[0] + cost < best[0]:
-                    best = (tree[0] + cost, (block,) + blocks)
-        F[mask] = best
-    cost, blocks = F[(1 << len(pair_list)) - 1]
-    edges = frozenset().union(*(trees[b][1] for b in blocks))
-    return EdgeSet(edges=edges, cost=Fraction(cost, table.scale))
+        rest = sub = mask ^ first
+        best = None  # (cost, block)
+        while True:  # every block first | sub, sub a subset of rest
+            block = first | sub
+            tree = trees[block] if block in trees else self._tree(block)
+            if tree is not None:
+                done = F.get(rest ^ sub)
+                cost = tree[0] + (done[0] if done else self.cost(rest ^ sub))
+                if best is None or cost < best[0] or cost == best[0] and _earlier(block, best[1]):
+                    best = (cost, block)
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+        cost, block = best
+        F[mask] = (cost, block, trees[block][1] | F[mask ^ block][2])
+        return cost
+
+    def _tree(self, block: int) -> Optional[tuple[int, frozenset]]:
+        ends = sorted({n for j, p in enumerate(self.pairs) if block >> j & 1 for n in p})
+        one_component = len({self.table.comp[n] for n in ends}) == 1
+        tree = self.trees[block] = self.table.tree(ends) if one_component else None
+        return tree
+
+
+def _earlier(a: int, b: int) -> bool:
+    """Whether block a comes before block b: fewer pairs, or as many and
+    the lowest pair in just one of them is in a."""
+    na, nb = a.bit_count(), b.bit_count()
+    return na < nb or na == nb and bool(a & (a ^ b) & -(a ^ b))
+
+
+def steiner_forest_exact(g: Graph, pairs: Iterable[Edge]) -> EdgeSet:
+    """Minimum-cost edge set connecting every given node pair: the full set
+    of a fresh `SteinerForests` over the sorted distinct pairs."""
+    forests = SteinerForests(g, sorted({edge_key(u, v) for u, v in pairs if u != v}))
+    cost = forests.cost(full := (1 << len(forests.pairs)) - 1)
+    return EdgeSet(edges=forests.F[full][2], cost=Fraction(cost, forests.table.scale))
 
 
 def min_feasible_subset_bruteforce(g: Graph, feasible: Callable[[frozenset], bool]) -> EdgeSet:
@@ -475,23 +501,29 @@ def cover_exact(
     return best[0][2], best[0][0]
 
 
-def cover_cost_dp(node_costs: dict, hyperedges: Iterable[tuple]) -> Callable[[Iterable], int]:
+def cover_cost_dp(node_costs: dict, hyperedges: Iterable[tuple]) -> Callable[[int], int]:
     """Cost-only `cover_exact` for many sets drawn from one support of
-    nonempty sorted hyperedges, with integer costs: returns f, f(hs) the
-    least cost of a node set hitting all of hs.  A bitmask DP over the sorted
-    support, memoized for the life of f: f(0) = 0 and f(S) is the least
-    c_v + f(S without v's hyperedges) over the nodes v of S's lowest one."""
+    nonempty sorted hyperedges, with integer costs: returns f, f(S) the
+    least cost of a node set hitting the hyperedges of bitmask S, bit j
+    standing for the j-th of the sorted distinct hyperedges.  A DP memoized
+    for the life of f: f(0) = 0 and f(S) is the least c_v + f(S without v's
+    hyperedges) over the nodes v of S's lowest one, read from one
+    precomputed (c_v, mask of the hyperedges v misses) list per hyperedge."""
     if len(node_costs) > DEFAULT_NODE_CAP:
         raise TooLargeError(f"{len(node_costs)} nodes exceeds enumeration cap {DEFAULT_NODE_CAP}")
     support = sorted(set(hyperedges))
-    bit = {h: 1 << j for j, h in enumerate(support)}
-    hits = {v: sum(bit[h] for h in support if v in h) for h in support for v in h}
+    hits = {v: sum(1 << j for j, h in enumerate(support) if v in h) for h in support for v in h}
+    options = [[(node_costs[v], ~hits[v]) for v in h] for h in support]
+    memo = {0: 0}
 
-    @functools.lru_cache(maxsize=None)
     def f(S: int) -> int:
-        if not S:
-            return 0
-        lowest = support[(S & -S).bit_length() - 1]
-        return min(node_costs[v] + f(S & ~hits[v]) for v in lowest)
+        got = memo.get(S)
+        if got is None:
+            for c, keep in options[(S & -S).bit_length() - 1]:
+                cost = c + f(S & keep)
+                if got is None or cost < got:
+                    got = cost
+            memo[S] = got
+        return got
 
-    return lambda hs: f(sum(bit[h] for h in set(hs)))
+    return f

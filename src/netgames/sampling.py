@@ -8,7 +8,8 @@ The constructed profile depends on a draw only through its client set (its
 non-root types), so every entry point solves each distinct set once: one
 `_draw_step`, the base solution A(D) with an augmentation and a restricted
 action per type.  The exact evaluation sums over the law of the client set
-(`games._terminal_law` over the draw's distributions), `derandomize` prices
+(`games._terminal_law` over the draw's distributions, each bitmask decoded
+to its set once), `derandomize` prices
 each set once while it walks the draws, and the Monte-Carlo estimator keeps
 a per-call memo from client set to its step, filling a type's entry the
 first time that type is realized.  Its sums are integers over the graph's
@@ -32,6 +33,7 @@ from .games import (
     Action,
     GameInstance,
     _check_support,
+    _members,
     _terminal_law,
     expected_opt,
     expected_social_cost,
@@ -188,7 +190,8 @@ def evaluate_construction_exact(
     _check_draws(inst, positions)
     opt = expected_opt(inst)
     sc = inst._scale
-    law = _terminal_law(inst, [(inst.players[i].distribution, sc.weights[i]) for i in positions])
+    rows = [(inst.players[i].distribution, sc.weights[i]) for i in positions]
+    terms, law = _terminal_law(inst, rows)
     types = _support_types(inst)
     mass: dict = {}  # type -> the sum of the players' probabilities of it, times D
     for spec, weights in zip(inst.players, sc.weights):
@@ -197,8 +200,8 @@ def evaluate_construction_exact(
     # Each sum is times D^m, m the draw's length; the augmentation's times D^(m+1).
     total = first_stage = augmentation = Fraction(0)
     best_ratio = None
-    for clients, w in law.items():
-        base, menu = _draw_step(inst, scheme, clients, types)
+    for mask, w in law.items():
+        base, menu = _draw_step(inst, scheme, _members(terms, mask), types)
         cost = expected_social_cost(inst, _profile(inst, menu))
         total += w * cost
         first_stage += w * base.cost

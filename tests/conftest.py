@@ -314,6 +314,48 @@ def restricted_action_reference(g: Graph, allowed: frozenset, source: str) -> Ac
     return Action(elements=p.edges, cost=p.cost)
 
 
+def steiner_forest_edges_reference(g: Graph, pairs) -> EdgeSet:
+    """`steiner_forest_exact` as first written, kept as the oracle of the
+    shared-memo `graphs.SteinerForests`: F over every mask of this call's
+    own sorted pair list, bottom up, blocks tried by size and then in
+    `itertools.combinations` order, a later block winning only when strictly
+    cheaper, and the trees read from the graph's Steiner table."""
+    pair_list = sorted({edge_key(u, v) for u, v in pairs if u != v})
+    if not pair_list:
+        return EdgeSet(edges=frozenset(), cost=Fraction(0))
+    table = g._steiner
+    for u, v in pair_list:
+        if u not in table.comp or v not in table.comp or table.comp[u] != table.comp[v]:
+            raise DisconnectedError(f"pair ({u!r}, {v!r}) not connected in graph")
+    trees: dict = {}
+
+    def block_tree(block: int):
+        if block not in trees:
+            ends = sorted({n for i, p in enumerate(pair_list) if block >> i & 1 for n in p})
+            one_component = len({table.comp[n] for n in ends}) == 1
+            trees[block] = table.tree(ends) if one_component else None
+        return trees[block]
+
+    F: dict = {0: (0, ())}
+    for mask in range(1, 1 << len(pair_list)):
+        first = mask & -mask
+        others = [1 << i for i in range(len(pair_list)) if (mask ^ first) >> i & 1]
+        best = None
+        for r in range(len(others) + 1):
+            for part in itertools.combinations(others, r):
+                block = first | sum(part)
+                tree = block_tree(block)
+                if tree is None:
+                    continue
+                cost, blocks = F[mask ^ block]
+                if best is None or tree[0] + cost < best[0]:
+                    best = (tree[0] + cost, (block,) + blocks)
+        F[mask] = best
+    cost, blocks = F[(1 << len(pair_list)) - 1]
+    edges = frozenset().union(*(trees[b][1] for b in blocks))
+    return EdgeSet(edges=edges, cost=Fraction(cost, table.scale))
+
+
 def steiner_forest_reference(g: Graph, pairs) -> Fraction:
     """Steiner forest cost as the cheapest partition of the pairs into
     blocks, each block priced by `steiner_tree_reference` on its endpoints;

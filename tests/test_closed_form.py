@@ -167,28 +167,24 @@ def test_expected_opt_equals_the_per_profile_sum(inst):
 
 def test_expected_opt_solves_each_terminal_set_once(triangle, monkeypatch):
     """Four players over {a, b, r}: 81 type profiles, but the optimum
-    depends only on the set of non-root sources, of which there are 4; the
-    three nonempty ones each take one Steiner tree."""
+    depends only on the set of non-root sources, of which there are 4 (the
+    law's masks); the three nonempty ones each take one Steiner tree."""
     inst = multicast(triangle, *[uniform(["a", "b", "r"])] * 4)
     want = sum(
         (w * ex_post_opt(inst, tp)[1] for tp, w in type_profiles(inst)), Fraction(0)
     )
-    solved, trees = [], []
-    graph_opt, steiner_tree_exact = games._graph_opt, graphs.steiner_tree_exact
-
-    def counted(inst, terminals):
-        solved.append(frozenset(terminals))
-        return graph_opt(inst, terminals)
+    trees = []
+    steiner_tree_exact = graphs.steiner_tree_exact
 
     def counted_tree(g, terminals):
         trees.append(frozenset(terminals))
         return steiner_tree_exact(g, terminals)
 
-    monkeypatch.setattr(games, "_graph_opt", counted)
     monkeypatch.setattr(graphs, "steiner_tree_exact", counted_tree)
     assert expected_opt(inst) == want
-    assert len(solved) == len(set(solved)) == 4
-    assert len(trees) == len(set(trees)) == 3
+    terms, law = games._terminal_law(inst)
+    assert terms == ["a", "b"] and sorted(law) == [0, 1, 2, 3]
+    assert sorted(map(sorted, trees)) == [["a", "b", "r"], ["a", "r"], ["b", "r"]]
 
 
 def test_interim_cost_of_every_deviation_equals_enumeration(inst):

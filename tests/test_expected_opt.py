@@ -1,6 +1,7 @@
 """`expected_opt` from the law of the realized terminal set: the law against
 the grouped type-profile enumeration, the cover DP against `cover_exact`,
-and the order in which the caps and solver errors are raised."""
+the shared forest memo against per-profile optima, and the order in which
+the caps and solver errors are raised."""
 
 import json
 import random
@@ -8,18 +9,18 @@ from fractions import Fraction
 
 import pytest
 
-from netgames import games
+from netgames import games, graphs
 from netgames.cli import main
 from netgames.errors import (
     DisconnectedError,
     SupportTooLargeError,
     TooLargeError,
 )
-from netgames.games import GameInstance, PlayerSpec, expected_opt, type_profiles
+from netgames.games import GameInstance, PlayerSpec, ex_post_opt, expected_opt, type_profiles
 from netgames.graphs import DEFAULT_NODE_CAP, cover_cost_dp, cover_exact, graph_from_costs
-from netgames.instances import serialize_instance
+from netgames.instances import gen_instance, serialize_instance
 
-from conftest import terminal_law_reference
+from conftest import random_connected_graph, terminal_law_reference
 from test_closed_form import INSTANCES
 
 
@@ -61,11 +62,12 @@ COVER_INSTANCES = [
     "inst", INSTANCES + COVER_INSTANCES[:20], ids=lambda inst: inst.kind
 )
 def test_terminal_law_equals_grouped_enumeration(inst):
-    law = games._terminal_law(inst)
+    terms, law = games._terminal_law(inst)
     scale = inst._scale.D ** inst.n
     assert sum(law.values()) == scale
     want = terminal_law_reference(inst)
-    assert [tuple(sorted(S)) for S in law] == list(want)
+    assert terms == sorted({x for key in want for x in key})
+    assert [tuple(sorted(games._members(terms, S))) for S in law] == list(want)
     assert [Fraction(w, scale) for w in law.values()] == [w for _, w in want.values()]
 
 
@@ -85,7 +87,7 @@ def test_repeated_hyperedges_and_loop_pairs():
         ),
         node_costs=(("a", Fraction(0)), ("b", Fraction(3)), ("c", Fraction(2))),
     )
-    assert len(games._terminal_law(inst)) == 2
+    assert len(games._terminal_law(inst)[1]) == 2
     assert expected_opt(inst) == per_profile_cover_opt(inst) == 2
 
 
@@ -99,15 +101,73 @@ def test_cover_dp_equals_cover_exact():
             for _ in range(rng.randint(1, 8))
         }
         f = cover_cost_dp(costs, support)
+        bit = {h: 1 << j for j, h in enumerate(sorted(support))}
         for _ in range(5):
             hs = rng.sample(sorted(support), rng.randint(0, len(support)))
-            assert f(hs) == cover_exact(costs, hs)[1]
+            assert f(sum(bit[h] for h in hs)) == cover_exact(costs, hs)[1]
 
 
 def test_cover_dp_cap():
     with pytest.raises(TooLargeError, match="^25 nodes exceeds enumeration cap 24$"):
         cover_cost_dp({f"n{i}": 1 for i in range(25)}, [])
-    assert cover_cost_dp({f"n{i}": 1 for i in range(DEFAULT_NODE_CAP)}, [("n0",)])([]) == 0
+    f = cover_cost_dp({f"n{i}": 1 for i in range(DEFAULT_NODE_CAP)}, [("n0",)])
+    assert (f(0), f(1)) == (0, 1)
+
+
+def random_source_sink_instance(rng):
+    """Up to 4 players on a connected graph with costs {0, 1, 2}, their
+    types drawn from a pool of a few pairs: pairs recur across players, in
+    both orientations, and the pool holds an (s, s) type."""
+    g = random_connected_graph(rng, max_nodes=6, max_edges=9, costs=(0, 1, 2))
+    nodes = list(g.nodes)
+    pool = [tuple(rng.sample(nodes, 2)) for _ in range(rng.randint(1, 4))]
+    pool += [pool[0][::-1], (nodes[-1], nodes[-1])]
+    players = []
+    for _ in range(rng.randint(1, 4)):
+        types = sorted(set(rng.choices(pool, k=rng.randint(1, 3))))
+        players.append(PlayerSpec(distribution=_distribution(rng, types)))
+    return GameInstance(kind="source-sink", players=tuple(players), graph=g)
+
+
+def test_expected_opt_of_source_sink_instances_equals_the_per_profile_sum():
+    for seed in range(60):
+        inst = random_source_sink_instance(random.Random(seed))
+        want = sum((w * ex_post_opt(inst, tp)[1] for tp, w in type_profiles(inst)), Fraction(0))
+        assert expected_opt(inst) == want
+
+
+def test_each_pair_mask_is_solved_once_per_call(monkeypatch):
+    """One `SteinerForests` serves every state of the law: each mask's F and
+    each block's tree are computed once in a call, fewer than the states'
+    own forests would compute apart, and the memo ends with the call."""
+    solved, built = [], []
+    cost, tree = graphs.SteinerForests.cost, graphs.SteinerForests._tree
+
+    def counted_cost(self, mask):
+        if mask not in self.F:
+            solved.append(mask)
+        return cost(self, mask)
+
+    def counted_tree(self, block):
+        built.append(block)
+        return tree(self, block)
+
+    monkeypatch.setattr(graphs.SteinerForests, "cost", counted_cost)
+    monkeypatch.setattr(graphs.SteinerForests, "_tree", counted_tree)
+    inst = gen_instance("source-sink", 7, 4, 3, seed=1)
+    terms, law = games._terminal_law(inst)
+    want = sum((w * ex_post_opt(inst, tp)[1] for tp, w in type_profiles(inst)), Fraction(0))
+    calls = []
+    for _ in range(2):
+        solved.clear()
+        built.clear()
+        assert expected_opt(inst) == want
+        assert len(solved) == len(set(solved)) and set(law) - {0} <= set(solved)
+        assert len(built) == len(set(built))
+        calls.append((sorted(solved), sorted(built)))
+    assert calls[0] == calls[1]
+    apart = sum((1 << S.bit_count()) - 1 for S in law)  # every nonempty submask of each state
+    assert len(solved) < apart
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +233,6 @@ def test_support_cap_counts_type_profiles_not_terminal_sets(triangle):
         graph=triangle,
         support_cap=15,
     )
-    assert len(games._terminal_law(inst)) == 2
+    assert len(games._terminal_law(inst)[1]) == 2
     with pytest.raises(SupportTooLargeError, match="^product support 16 exceeds cap 15$"):
         expected_opt(inst)

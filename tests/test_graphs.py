@@ -1,6 +1,7 @@
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -27,13 +28,22 @@ from netgames.errors import (
 )
 from netgames.costsharing import steiner_scheme
 from netgames.games import ex_post_opt, expected_opt
-from netgames.graphs import DEFAULT_EDGE_CAP, DEFAULT_NODE_CAP, Graph, _SteinerTable, _components
+from netgames.graphs import (
+    DEFAULT_EDGE_CAP,
+    DEFAULT_NODE_CAP,
+    Graph,
+    SteinerForests,
+    _SteinerTable,
+    _components,
+    edge_key,
+)
 from netgames.instances import gen_instance
 from netgames.sampling import evaluate_construction_exact
 
 from conftest import (
     mst_over_terminals,
     random_connected_graph,
+    steiner_forest_edges_reference,
     steiner_forest_reference,
     steiner_tree_reference,
 )
@@ -366,16 +376,63 @@ class TestSteinerForest:
                 assert pairs_predicate(g, tp)(edges)
         assert expected_opt(inst) > 0
 
+    @pytest.mark.parametrize("case", ["tied-pairs", "two-part", "unit-costs"])
+    def test_edges_equal_the_per_set_recurrence(self, case):
+        """Edges and cost equal those of the recurrence as first written: on
+        graphs with costs {0, 1, 2} and repeated, reversed and (s, s) pairs,
+        on one side of a two-part graph, and on unit-cost graphs with 3-6
+        distinct pairs, where equal-size blocks tie and only the sorted
+        block order picks the edges."""
+        rng = random.Random(7)
+        for _ in range(150):
+            if case == "two-part":
+                g = two_component_graph(rng)
+                side = rng.choice("LR")
+                pairs = tied_pairs(rng, [n for n in g.nodes if n.startswith(side)], rng.randint(1, 6))
+            elif case == "tied-pairs":
+                g = random_connected_graph(rng, max_nodes=7, max_edges=11, costs=(0, 1, 2))
+                pairs = tied_pairs(rng, list(g.nodes), rng.randint(1, 6))
+            else:
+                g = random_connected_graph(rng, max_nodes=8, max_edges=14, costs=(1,))
+                pairs = {tuple(rng.sample(list(g.nodes), 2)) for _ in range(rng.randint(3, 6))}
+            want = steiner_forest_edges_reference(fresh(g), pairs)
+            f = steiner_forest_exact(g, pairs)
+            assert (f.cost, sorted(f.edges)) == (want.cost, sorted(want.edges))
+
+    def test_one_memo_serves_every_subset(self):
+        """One `SteinerForests` over a sorted pair list, asked for its
+        subsets in shuffled order, gives each subset's own forest, and the
+        first pair (in sorted order) of a subset that cannot connect names
+        the error."""
+        rng = random.Random(61)
+        for _ in range(25):
+            g = two_component_graph(rng)
+            pair_list = sorted({edge_key(*p) for p in tied_pairs(rng, list(g.nodes), 6) if p[0] != p[1]})
+            forests = SteinerForests(g, pair_list)
+            masks = list(range(1 << len(pair_list)))
+            rng.shuffle(masks)
+            for mask in masks:
+                subset = [p for j, p in enumerate(pair_list) if mask >> j & 1]
+                try:
+                    want = steiner_forest_edges_reference(fresh(g), subset)
+                except DisconnectedError as err:
+                    with pytest.raises(DisconnectedError, match=f"^{re.escape(str(err))}$"):
+                        forests.cost(mask)
+                    continue
+                cost = Fraction(forests.cost(mask), forests.table.scale)
+                assert (cost, sorted(forests.F[mask][2])) == (want.cost, sorted(want.edges))
+
     def test_edges_do_not_depend_on_the_hash_seed(self):
         script = (
             "import random\n"
             "from conftest import random_connected_graph\n"
+            "from test_graphs import tied_pairs\n"
             "from netgames import steiner_forest_exact\n"
             "rng = random.Random(43)\n"
-            "for _ in range(40):\n"
-            "    g = random_connected_graph(rng, max_nodes=7, max_edges=12, costs=(0, 1, 2))\n"
-            "    nodes = list(g.nodes)\n"
-            "    pairs = [tuple(rng.sample(nodes, 2)) for _ in range(rng.randint(1, 4))]\n"
+            "for _ in range(60):\n"
+            "    costs = rng.choice([(0, 1, 2), (1,)])\n"
+            "    g = random_connected_graph(rng, max_nodes=7, max_edges=12, costs=costs)\n"
+            "    pairs = tied_pairs(rng, list(g.nodes), rng.randint(1, 6))\n"
             "    f = steiner_forest_exact(g, pairs)\n"
             "    print(f.cost, sorted(f.edges))\n"
         )
@@ -474,6 +531,14 @@ def fresh(g: Graph) -> Graph:
 
 def random_pairs(rng, nodes, k) -> set:
     return {tuple(rng.sample(list(nodes), 2)) for _ in range(k)}
+
+
+def tied_pairs(rng, nodes, k) -> list:
+    """k pairs drawn from a pool of k - 1 (or one), so pairs repeat, some
+    reversed, and some (s, s)."""
+    pool = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(max(k - 1, 1))]
+    picks = [rng.choice(pool) for _ in range(k)]
+    return [(v, u) if rng.random() < 0.3 else (u, v) for u, v in picks]
 
 
 def pairs_predicate(g, pairs):

@@ -317,6 +317,22 @@ def test_many_single_action_players(triangle):
     assert potential_method_certificate(inst).all_hold
 
 
+def test_many_single_action_players_on_a_shared_path():
+    """150 players whose only action at every type is the bridge (r, x) or
+    nothing, interleaved with three movers whose routes all cross it; one
+    mover also has a single-action type.  The sweep keys its columns by the
+    movers' entries, so each law must merge in the pinned ones."""
+    g = graph_from_costs(
+        {("r", "x"): Fraction(3), ("a", "x"): 1, ("b", "x"): 2, ("a", "b"): 1}, root="r"
+    )
+    pinned = [point_mass("x")] * 100 + [uniform(["x", "r"])] * 50
+    movers = uniform(["a", "b"]), uniform(["x", "a"]), uniform(["b", "r"])
+    inst = multicast(g, *pinned[:60], movers[0], *pinned[60:120], movers[1], *pinned[120:], movers[2])
+    assert [len(menu) for _, menu in inst.menus[60]] == [2, 2]
+    assert [len(menu) for _, menu in inst.menus[121]] == [1, 2]
+    assert materialized(equilibria._sweep(inst)) == sweep_reference(inst)
+
+
 def test_certify_a_space_just_under_the_default_cap():
     """9,561,344 profiles: pricing each one took about 40 minutes."""
     inst = gen_instance("multicast", 7, 3, 2, seed=6)
