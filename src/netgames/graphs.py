@@ -8,16 +8,20 @@ results are reproducible.  Each `Graph` keeps one lazily filled integer
 path model (`_SteinerTable`), read by the Steiner tree and forest, the
 metric, the Steiner scheme's augmentation and the sampler's restricted
 action.  `shortest_path` (over `Fraction` costs) and the edge-capped
-`min_feasible_subset_bruteforce` are its independent oracles.  Forests and
-cost-only covers take bitmasks of a sorted pair or hyperedge list, with one
-memo per solver, so `games.expected_opt` solves each sub-forest once.
+`min_feasible_subset_bruteforce` are its independent oracles.  The
+Dreyfus-Wagner labels and the forests are integers: terminal sets are
+masks of the sorted nodes and edge sets masks of the sorted edges, with
+the sorted-tuple tie rule read off the bits; an edge mask becomes a
+frozenset only in the `EdgeSet` returned.  Trees are capped at
+STEINER_TERMINAL_CAP terminals.  Forests and cost-only covers take bitmasks
+of a sorted pair or hyperedge list, with one memo per solver, so
+`games.expected_opt` solves each sub-forest once.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +39,7 @@ Edge = tuple[str, str]
 
 DEFAULT_EDGE_CAP = 20
 DEFAULT_NODE_CAP = 24
+STEINER_TERMINAL_CAP = 12
 
 
 def edge_key(u: str, v: str) -> Edge:
@@ -220,14 +225,17 @@ class _SteinerTable:
     """The integer path model of one graph, filled lazily: the integer
     costs (each cost times `scale`, the lcm of the edge cost denominators)
     and adjacency, the components, one lexicographic Dijkstra per node, and
-    the Dreyfus-Wagner labels dp[X][v] = cheapest (cost, edge
-    set) connecting {v} | X for a frozenset X of terminals.  A label depends
-    only on the graph and X (its base paths, split order, integer costs and
-    tie-breaks all do), so one table serves every terminal set, in any call
-    order, and no subset is built twice."""
+    the Dreyfus-Wagner labels dp[X][i] = cheapest (cost, edge mask)
+    connecting `nodes[i]` and the terminals of mask X.  Bit i of a terminal
+    mask stands for `nodes[i]` and bit j of an edge mask for `edges[j]`,
+    both sorted, so a mask's sorted edge tuple is its bits in ascending
+    order.  A label depends only on the graph and X (its base paths,
+    integer costs and tie-breaks all do), so one table serves every
+    terminal set, in any call order, and no subset is built twice."""
 
     def __init__(self, g: Graph):
         self.nodes = g.nodes
+        self.edges = [e for e, _ in g.edges]
         self.scale = math.lcm(*(c.denominator for _, c in g.edges))
         self.cost = {e: int(c * self.scale) for e, c in g.edges}
         self.adj = {
@@ -235,8 +243,30 @@ class _SteinerTable:
             for v in g.nodes
         }
         self.comp = _components(g.nodes, self.cost)
+        self.bit = {v: 1 << i for i, v in enumerate(self.nodes)}
+        groups: dict[str, list[int]] = {}
+        for i, v in enumerate(self.nodes):
+            groups.setdefault(self.comp[v], []).append(i)
+        masks = {c: sum(1 << i for i in group) for c, group in groups.items()}
+        # node index -> its component's node indices and node mask
+        self._members = [groups[self.comp[v]] for v in self.nodes]
+        self._comp_mask = [masks[self.comp[v]] for v in self.nodes]
+        m = len(self.edges)
+        self._edge_bit = {e: 1 << j for j, e in enumerate(self.edges)}
+        self._edge_cost = [self.cost[e] for e in self.edges]
+        # Relaxation keys are base-3 numerals, one digit per edge, edge 0's
+        # the most significant: edge j's digit weighs 3**(m - 1 - j).
+        self._pow3 = [3**k for k in range(m + 1)]
+        self._weight = [self._pow3[m - 1 - j] for j in range(m)]
+        index = {v: i for i, v in enumerate(self.nodes)}
+        digit = {e: (1 << j, self._weight[j]) for j, e in enumerate(self.edges)}
+        self._links = [  # (neighbour index, integer cost, edge bit, digit weight)
+            [(index[w], c, *digit[edge_key(v, w)]) for w, c in self.adj[v]] for v in self.nodes
+        ]
         self._paths: dict[str, dict[str, tuple]] = {}
-        self.dp: dict[frozenset, dict[str, tuple[int, frozenset]]] = {}
+        self.dp: dict[int, list[Optional[tuple[int, int]]]] = {}
+        self._decoded: dict[int, frozenset] = {}
+        self._shared_cost: dict[int, int] = {}
 
     def paths(self, v: str) -> dict[str, tuple]:
         """node -> (integer cost, node sequence) of its cheapest path from v."""
@@ -245,102 +275,141 @@ class _SteinerTable:
             reached = self._paths[v] = _lex_dijkstra(self.adj.__getitem__, v)
         return reached
 
-    def tree(self, terms: list[str]) -> tuple[int, frozenset]:
-        """(integer cost, edges) of the Steiner tree on sorted terminals of
-        one component: the label of the least terminal in dp[the others]."""
-        if len(terms) == 1:
-            return 0, frozenset()
-        return self.labels(frozenset(terms[1:]))[terms[0]]
+    def tree(self, terms: Iterable[str]) -> tuple[int, frozenset]:
+        """(integer cost, edges) of the Steiner tree on terminals of one
+        component: `span` of their mask, the edges decoded once per mask."""
+        cost, mask = self.span(sum(self.bit[t] for t in terms))
+        return cost, self.decode(mask)
 
-    def labels(self, X: frozenset) -> dict[str, tuple[int, frozenset]]:
+    def decode(self, mask: int) -> frozenset:
+        """The edges of an edge mask."""
+        edges = self._decoded.get(mask)
+        if edges is None:
+            edges = frozenset(e for j, e in enumerate(self.edges) if mask >> j & 1)
+            self._decoded[mask] = edges
+        return edges
+
+    def span(self, terms: int) -> tuple[int, int]:
+        """(integer cost, edge mask) of the Steiner tree on a nonempty
+        terminal mask of one component: the label of its lowest terminal in
+        dp[the others].  More than STEINER_TERMINAL_CAP terminals raise
+        TooLargeError before any subset is built."""
+        if (k := terms.bit_count()) > STEINER_TERMINAL_CAP:
+            raise TooLargeError(f"{k} terminals exceeds Steiner cap {STEINER_TERMINAL_CAP}")
+        first = terms & -terms
+        if terms == first:
+            return 0, 0
+        return self.labels(terms ^ first)[first.bit_length() - 1]
+
+    def labels(self, X: int) -> list[Optional[tuple[int, int]]]:
         got = self.dp.get(X)
         if got is None:
             got = self.dp[X] = self._build(X)
         return got
 
-    def _build(self, X: frozenset) -> dict[str, tuple[int, frozenset]]:
+    def _build(self, X: int) -> list[Optional[tuple[int, int]]]:
         # Base case: a terminal's label at v is v's cheapest path to it.
         # Otherwise labels combine two sub-solutions at the same node and
         # then relax along graph edges.  States carry real edge sets and
         # their true cost, so overlapping sub-solutions only help.
-        # Candidates are ranked by (cost, sorted edges); the sorted tuple is
-        # built only on a cost tie.
-        if len(X) == 1:
-            (t,) = X
-            labels = {}
-            for v in self.nodes:
-                if self.comp[v] == self.comp[t]:
-                    cost, seq = self.paths(v)[t]
-                    labels[v] = (cost, _path_edges(seq))
+        # Candidates are ranked by (cost, sorted edge tuple), a total order,
+        # so the order of the splits does not matter.
+        labels: list[Optional[tuple[int, int]]] = [None] * len(self.nodes)
+        anchor = X & -X
+        members = self._members[anchor.bit_length() - 1]
+        if X == anchor:
+            t = self.nodes[X.bit_length() - 1]
+            for i in members:
+                cost, seq = self.paths(self.nodes[i])[t]
+                path = zip(seq, seq[1:])
+                labels[i] = (cost, sum(self._edge_bit[edge_key(a, b)] for a, b in path))
             return labels
-        anchor = min(X)
-        others = sorted(X - {anchor})
+        rest = sub = X ^ anchor
         splits = []
-        for r in range(len(others)):
-            for part in itertools.combinations(others, r):
-                X1 = frozenset(part) | {anchor}
-                splits.append((self.labels(X1), self.labels(X - X1)))
-        labels: dict[str, tuple[int, frozenset]] = {}
-        keys: dict[str, tuple] = {}
-        for v in self.nodes:
-            best = best_key = None
+        while sub:  # anchor | sub against the rest, sub a proper submask of rest
+            sub = (sub - 1) & rest
+            splits.append((self.labels(anchor | sub), self.labels(rest ^ sub)))
+        shared_cost = self._shared_cost
+        for i in members:  # every member has a label in every subset
+            best_cost = best = None
             for dp1, dp2 in splits:
-                s1 = dp1.get(v)
-                s2 = dp2.get(v)
-                if s1 is None or s2 is None:
-                    continue
-                cost = s1[0] + s2[0]
-                shared = s1[1] & s2[1]
-                if shared:
-                    cost -= sum(self.cost[e] for e in shared)
-                if best is not None and cost > best[0]:
-                    continue
-                edges = s1[1] | s2[1]
-                if best is not None and cost == best[0]:
-                    if best_key is None:
-                        best_key = tuple(sorted(best[1]))
-                    key = tuple(sorted(edges))
-                    if key >= best_key:
-                        continue
-                    best_key = key
-                else:
-                    best_key = None
-                best = (cost, edges)
-            if best is not None:
-                labels[v] = best
-                keys[v] = tuple(sorted(best[1])) if best_key is None else best_key
-        # Relax labels along graph edges (Dijkstra-style sweep).  A
-        # label's cost grows by c only when the edge is new to its set.
-        heap = [(c, keys[v], v) for v, (c, _) in labels.items()]
+                cost, edges = dp1[i]
+                cost2, edges2 = dp2[i]
+                cost += cost2
+                if shared := edges & edges2:
+                    got = shared_cost.get(shared)
+                    if got is None:
+                        got = shared_cost[shared] = _bit_sum(shared, self._edge_cost)
+                    cost -= got
+                if best_cost is None or cost < best_cost:
+                    best_cost, best = cost, edges | edges2
+                elif cost == best_cost and _sorts_before(edges | edges2, best):
+                    best = edges | edges2
+            labels[i] = (best_cost, best)
+        # Relax labels along graph edges (Dijkstra-style sweep), popping the
+        # least (cost, key, node).  A label's cost grows by c only when the
+        # edge is new to its set.  The key sorts like the sorted edge tuple:
+        # edge j's digit is 1 if j is in the set, 2 if it is not but a
+        # higher edge is, and 0 above the set's top edge.
+        pow3, m = self._pow3, len(self.edges)
+        keys: list[Optional[int]] = [None] * len(self.nodes)
+        heap = []
+        for i in members:  # 2 for every digit below the top, less 1 per edge
+            cost, edges = labels[i]
+            keys[i] = pow3[m] - pow3[m - edges.bit_length()] - _bit_sum(edges, self._weight)
+            heap.append((cost, keys[i], i))
         heapq.heapify(heap)
         settled = set()
         while heap:
-            cost_v, key, v = heapq.heappop(heap)
-            if v in settled or key != keys[v]:
+            cost_v, key_v, v = heapq.heappop(heap)
+            if v in settled or key_v != keys[v]:
                 continue
             settled.add(v)
             edges_v = labels[v][1]
-            for nxt, c in self.adj[v]:
-                e = edge_key(v, nxt)
-                cost = cost_v if e in edges_v else cost_v + c
-                label = labels.get(nxt)
-                if label is not None and cost > label[0]:
+            top = pow3[m - edges_v.bit_length()]
+            for w, c, bit, weight in self._links[v]:
+                if edges_v & bit:
+                    cost, edges, key = cost_v, edges_v, key_v
+                else:  # below the top, the edge's digit drops from 2 to 1;
+                    # above, the digits from the top up rise from 0 to 2
+                    # and the edge's to 1
+                    cost, edges = cost_v + c, edges_v | bit
+                    key = key_v - weight if bit < edges_v else key_v + top - 2 * weight
+                label = labels[w]
+                if label is not None and (cost > label[0] or cost == label[0] and key >= keys[w]):
                     continue
-                edges = edges_v | {e}
-                key = tuple(sorted(edges))
-                if label is not None and cost == label[0] and key >= keys[nxt]:
-                    continue
-                labels[nxt] = (cost, edges)
-                keys[nxt] = key
-                heapq.heappush(heap, (cost, key, nxt))
+                labels[w] = (cost, edges)
+                keys[w] = key
+                heapq.heappush(heap, (cost, key, w))
         return labels
+
+
+def _bit_sum(mask: int, values: list[int]) -> int:
+    """The sum of values[j] over the set bits j of mask."""
+    total = 0
+    while mask:
+        low = mask & -mask
+        total += values[low.bit_length() - 1]
+        mask ^= low
+    return total
+
+
+def _sorts_before(a: int, b: int) -> bool:
+    """Whether edge mask a sorts before edge mask b as sorted edge tuples.
+    At the lowest edge x in just one of them, the mask holding x comes first
+    if the other has an edge above x, and last if the other ends below x."""
+    x = (a ^ b) & -(a ^ b)
+    if a & x:
+        return b >= x << 1
+    return bool(x) and a < x << 1
 
 
 def steiner_tree_exact(g: Graph, terminals: Iterable[str]) -> EdgeSet:
     """Minimum-cost edge set connecting all terminals (Dreyfus-Wagner dynamic
     program over terminal subsets), with lexicographic tie-breaking.  The
     DP's labels live in the graph's shared table, so a call only builds the
-    subsets that no earlier call on the same graph has built."""
+    subsets that no earlier call on the same graph has built.  More than
+    STEINER_TERMINAL_CAP distinct terminals raise TooLargeError."""
     terms = sorted(set(terminals))
     if not terms:
         raise PreconditionError("terminal set must be nonempty")
@@ -361,21 +430,24 @@ class SteinerForests:
     blocks B of S that hold its lowest pair of ST(endpoints of B) + F(S - B),
     the trees read from the graph's Dreyfus-Wagner table; a block spanning
     two components is skipped.  Of the cheapest blocks, the first by size,
-    then in sorted order, wins.  F[S] = (cost, block, edges): the edges are
-    the union of the winning blocks' trees, which costs exactly F (a cheaper
-    union would beat the optimum).  F and the trees live as long as the
-    object, shared by every mask asked of it."""
+    then in sorted order, wins.  F[S] = (cost, block, edge mask): the edges
+    are the union of the winning blocks' trees, which costs exactly F (a
+    cheaper union would beat the optimum).  F and the trees live as long as
+    the object, shared by every mask asked of it."""
 
     def __init__(self, g: Graph, pairs: list[Edge]):
         self.pairs, self.table = pairs, g._steiner
-        comp = self.table.comp
+        comp, bit = self.table.comp, self.table.bit
         self.bad = sum(  # the pairs that no forest connects
             1 << j
             for j, (u, v) in enumerate(pairs)
             if u not in comp or v not in comp or comp[u] != comp[v]
         )
-        self.trees: dict[int, Optional[tuple[int, frozenset]]] = {}
-        self.F: dict[int, tuple[int, int, frozenset]] = {0: (0, 0, frozenset())}
+        self.ends = [  # each pair's node mask
+            0 if self.bad >> j & 1 else bit[u] | bit[v] for j, (u, v) in enumerate(pairs)
+        ]
+        self.trees: dict[int, Optional[tuple[int, int]]] = {}
+        self.F: dict[int, tuple[int, int, int]] = {0: (0, 0, 0)}
 
     def cost(self, mask: int) -> int:
         """F(mask), an integer over the table's scale.  DisconnectedError
@@ -405,10 +477,13 @@ class SteinerForests:
         F[mask] = (cost, block, trees[block][1] | F[mask ^ block][2])
         return cost
 
-    def _tree(self, block: int) -> Optional[tuple[int, frozenset]]:
-        ends = sorted({n for j, p in enumerate(self.pairs) if block >> j & 1 for n in p})
-        one_component = len({self.table.comp[n] for n in ends}) == 1
-        tree = self.trees[block] = self.table.tree(ends) if one_component else None
+    def _tree(self, block: int) -> Optional[tuple[int, int]]:
+        ends = 0
+        for j in range(block.bit_length()):
+            if block >> j & 1:
+                ends |= self.ends[j]
+        one_component = not ends & ~self.table._comp_mask[(ends & -ends).bit_length() - 1]
+        tree = self.trees[block] = self.table.span(ends) if one_component else None
         return tree
 
 
@@ -424,7 +499,8 @@ def steiner_forest_exact(g: Graph, pairs: Iterable[Edge]) -> EdgeSet:
     of a fresh `SteinerForests` over the sorted distinct pairs."""
     forests = SteinerForests(g, sorted({edge_key(u, v) for u, v in pairs if u != v}))
     cost = forests.cost(full := (1 << len(forests.pairs)) - 1)
-    return EdgeSet(edges=forests.F[full][2], cost=Fraction(cost, forests.table.scale))
+    table = forests.table
+    return EdgeSet(edges=table.decode(forests.F[full][2]), cost=Fraction(cost, table.scale))
 
 
 def min_feasible_subset_bruteforce(g: Graph, feasible: Callable[[frozenset], bool]) -> EdgeSet:

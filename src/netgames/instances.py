@@ -44,7 +44,7 @@ from .games import (
     PlayerSpec,
     feasible_actions,
 )
-from .graphs import Graph
+from .graphs import Graph, edge_key
 
 FORMAT_VERSION = 1
 GEN_KINDS = ("multicast", "source-sink", "vertex-cover")  # the kinds gen_instance draws
@@ -268,8 +268,10 @@ def _random_graph(rng: random.Random, n_nodes: int, rooted: bool) -> Graph:
         edges[key] = Fraction(rng.randint(1, 10), rng.randint(1, 4))
     for i in range(n_nodes):
         for j in range(i + 1, n_nodes):
+            # The draw is keyed by index order and the edge by name order
+            # ('v10' < 'v2'): a tree edge is drawn for but never added twice.
             key = (nodes[i], nodes[j])
-            if key not in edges and rng.random() < 0.4:
+            if key not in edges and rng.random() < 0.4 and edge_key(*key) not in edges:
                 edges[key] = Fraction(rng.randint(1, 10), rng.randint(1, 4))
     root = rng.choice(nodes) if rooted else None
     return Graph(nodes=tuple(nodes), edges=tuple(edges.items()), root=root)

@@ -30,7 +30,15 @@ from netgames.games import (
     weighted_product,
 )
 from netgames.errors import DisconnectedError, NoConvergenceError
-from netgames.graphs import EdgeSet, Graph, Metric, _components, edge_key, shortest_path
+from netgames.graphs import (
+    EdgeSet,
+    Graph,
+    Metric,
+    _components,
+    _lex_dijkstra,
+    edge_key,
+    shortest_path,
+)
 from netgames.sampling import (
     ConstructionReport,
     SampleProfile,
@@ -172,6 +180,86 @@ def steiner_tree_reference(g: Graph, terminals: Iterable[str]) -> EdgeSet:
 
     cost, edges = dp[(base, frozenset(rest))]
     return EdgeSet(edges=frozenset(edges), cost=cost)
+
+
+class SteinerLabelsReference:
+    """The graph's Dreyfus-Wagner table as first written on frozensets, kept
+    as the oracle of the bitmask labels of `graphs._SteinerTable`:
+    labels(X)[v] = (integer cost, edge set) connecting {v} | X for a
+    frozenset X of terminals, ranked by (cost, sorted edge tuple), the
+    tuple built for every candidate."""
+
+    def __init__(self, g: Graph):
+        self.nodes = g.nodes
+        self.scale = math.lcm(*(c.denominator for _, c in g.edges))
+        self.cost = {e: int(c * self.scale) for e, c in g.edges}
+        self.adj = {
+            v: [(nxt, self.cost[edge_key(v, nxt)]) for nxt, _ in g.neighbors(v)]
+            for v in g.nodes
+        }
+        self.comp = _components(g.nodes, self.cost)
+        self.paths = {v: _lex_dijkstra(self.adj.__getitem__, v) for v in g.nodes}
+        self.dp: dict[frozenset, dict[str, tuple[int, frozenset]]] = {}
+
+    def labels(self, X: frozenset) -> dict[str, tuple[int, frozenset]]:
+        if X not in self.dp:
+            self.dp[X] = self._build(X)
+        return self.dp[X]
+
+    def _build(self, X: frozenset) -> dict[str, tuple[int, frozenset]]:
+        if len(X) == 1:
+            (t,) = X
+            labels = {}
+            for v in self.nodes:
+                if self.comp[v] == self.comp[t]:
+                    cost, seq = self.paths[v][t]
+                    labels[v] = (cost, frozenset(edge_key(a, b) for a, b in zip(seq, seq[1:])))
+            return labels
+        anchor = min(X)
+        others = sorted(X - {anchor})
+        splits = []
+        for r in range(len(others)):
+            for part in itertools.combinations(others, r):
+                X1 = frozenset(part) | {anchor}
+                splits.append((self.labels(X1), self.labels(X - X1)))
+        labels: dict[str, tuple[int, frozenset]] = {}
+        keys: dict[str, tuple] = {}
+        for v in self.nodes:
+            best = best_key = None
+            for dp1, dp2 in splits:
+                s1 = dp1.get(v)
+                s2 = dp2.get(v)
+                if s1 is None or s2 is None:
+                    continue
+                edges = s1[1] | s2[1]
+                cost = s1[0] + s2[0] - sum(self.cost[e] for e in s1[1] & s2[1])
+                key = (cost, tuple(sorted(edges)))
+                if best_key is None or key < best_key:
+                    best, best_key = (key[0], edges), key
+            if best is not None:
+                labels[v] = best
+                keys[v] = best_key[1]
+        heap = [(c, keys[v], v) for v, (c, _) in labels.items()]
+        heapq.heapify(heap)
+        settled = set()
+        while heap:
+            cost_v, key, v = heapq.heappop(heap)
+            if v in settled or key != keys[v]:
+                continue
+            settled.add(v)
+            edges_v = labels[v][1]
+            for nxt, c in self.adj[v]:
+                e = edge_key(v, nxt)
+                cost = cost_v if e in edges_v else cost_v + c
+                edges = edges_v | {e}
+                key = tuple(sorted(edges))
+                label = labels.get(nxt)
+                if label is not None and (cost, key) >= (label[0], keys[nxt]):
+                    continue
+                labels[nxt] = (cost, edges)
+                keys[nxt] = key
+                heapq.heappush(heap, (cost, key, nxt))
+        return labels
 
 
 def multicast(graph, *specs):

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import netgames
+from netgames import graphs
 from netgames import (
     cover_exact,
     graph_from_costs,
@@ -41,6 +42,7 @@ from netgames.instances import gen_instance
 from netgames.sampling import evaluate_construction_exact
 
 from conftest import (
+    SteinerLabelsReference,
     mst_over_terminals,
     random_connected_graph,
     steiner_forest_edges_reference,
@@ -420,7 +422,8 @@ class TestSteinerForest:
                         forests.cost(mask)
                     continue
                 cost = Fraction(forests.cost(mask), forests.table.scale)
-                assert (cost, sorted(forests.F[mask][2])) == (want.cost, sorted(want.edges))
+                edges = forests.table.decode(forests.F[mask][2])
+                assert (cost, sorted(edges)) == (want.cost, sorted(want.edges))
 
     def test_edges_do_not_depend_on_the_hash_seed(self):
         script = (
@@ -522,6 +525,77 @@ class TestSteinerTable:
         assert built
         assert len(built) == len(set(built))
         assert len({t for t, _ in built}) == 1
+
+    @pytest.mark.parametrize("case", ["int", "half", "two-part", "wide"])
+    def test_labels_equal_the_frozenset_table(self, case):
+        """Every label of the bitmask table, cost and decoded edges, equals
+        the frozenset table's, for every subset of a terminal pool: on
+        tie-heavy costs {0, 1, 2} and halves, on each part of a two-part
+        graph, and on graphs of 11-13 nodes (so 'n10' sorts before 'n2')
+        and 33-40 edges."""
+        rng = random.Random(59)
+        for _ in range(20 if case == "wide" else 40):
+            if case == "two-part":
+                g, side = two_component_graph(rng), rng.choice("LRZ")
+                pool = [n for n in g.nodes if n[0] == side]
+            else:
+                if case == "wide":
+                    g = wide_graph(rng, rng.randint(11, 13), rng.randint(33, 40))
+                else:
+                    costs = (0, 1, 2) if case == "int" else (0, Fraction(1, 2), 1, Fraction(3, 2))
+                    g = random_connected_graph(rng, max_nodes=8, max_edges=13, costs=costs)
+                pool = rng.sample(list(g.nodes), min(6, len(g.nodes)))
+            table, ref = g._steiner, SteinerLabelsReference(g)
+            for r in range(1, len(pool) + 1):
+                for X in itertools.combinations(pool, r):
+                    got = table.labels(sum(table.bit[t] for t in X))
+                    assert len(got) == len(g.nodes)
+                    labels = {v: (l[0], table.decode(l[1])) for v, l in zip(g.nodes, got) if l}
+                    assert labels == ref.labels(frozenset(X))
+
+    def test_forests_on_wide_graphs(self):
+        """`SteinerForests` over 5 pairs of a graph of 11-13 nodes and 33-40
+        edges gives every subset the edges of the recurrence as first
+        written."""
+        rng = random.Random(67)
+        for _ in range(6):
+            g = wide_graph(rng, rng.randint(11, 13), rng.randint(33, 40))
+            pair_list = sorted({edge_key(*rng.sample(list(g.nodes), 2)) for _ in range(5)})
+            forests = SteinerForests(g, pair_list)
+            for mask in range(1 << len(pair_list)):
+                subset = [p for j, p in enumerate(pair_list) if mask >> j & 1]
+                want = steiner_forest_edges_reference(fresh(g), subset)
+                cost = Fraction(forests.cost(mask), forests.table.scale)
+                edges = forests.table.decode(forests.F[mask][2])
+                assert (cost, sorted(edges)) == (want.cost, sorted(want.edges))
+
+    def test_terminal_cap(self, monkeypatch):
+        """A tree on more distinct terminals than the cap, or a forest block
+        with more distinct ends, raises TooLargeError before any subset of
+        the table is built; the cap itself is allowed."""
+        rng = random.Random(71)
+        g = wide_graph(rng, 16, 40)
+        nodes = list(g.nodes)
+        with pytest.raises(TooLargeError, match="^13 terminals exceeds Steiner cap 12$"):
+            steiner_tree_exact(g, nodes[:13] + nodes[:2])
+        with pytest.raises(TooLargeError, match="^14 terminals exceeds Steiner cap 12$"):
+            steiner_forest_exact(g, list(zip(nodes[:7], nodes[7:14])))
+        assert g._steiner.dp == {}
+        monkeypatch.setattr(graphs, "STEINER_TERMINAL_CAP", 3)
+        assert steiner_tree_exact(g, nodes[:3]) == steiner_tree_reference(g, nodes[:3])
+        with pytest.raises(TooLargeError, match="^4 terminals exceeds Steiner cap 3$"):
+            steiner_tree_exact(g, nodes[:4])
+
+
+def wide_graph(rng, n: int, m: int) -> Graph:
+    """A random connected graph on n nodes and m edges, costs in {0, 1, 2}."""
+    nodes = [f"n{j}" for j in range(n)]
+    order = rng.sample(nodes, n)
+    costs = {edge_key(a, b): rng.choice((0, 1, 2)) for a, b in zip(order, order[1:])}
+    extra = [p for p in itertools.combinations(nodes, 2) if edge_key(*p) not in costs]
+    for p in rng.sample(extra, m - len(costs)):
+        costs[edge_key(*p)] = rng.choice((0, 1, 2))
+    return graph_from_costs(costs, nodes=nodes)
 
 
 def fresh(g: Graph) -> Graph:

@@ -161,6 +161,51 @@ class TestGen:
             assert [t for t, _ in spec.distribution] == [other, inst.graph.root]
 
 
+    def test_graphs_past_ten_nodes_generate(self, monkeypatch):
+        """Where the generator as first written worked, its instances stay
+        byte-identical; where it drew a spanning-tree edge again under its
+        index-ordered key ('v10' sorts before 'v2'), now it generates."""
+        fixed, old_failures = {}, 0
+        cases = [
+            (kind, n, seed)
+            for kind in ("multicast", "source-sink")
+            for n in (11, 13, 16)
+            for seed in range(12)
+        ]
+        for case in cases:
+            fixed[case] = serialize_instance(gen_instance(case[0], case[1], 2, 2, seed=case[2]))
+        monkeypatch.setattr(instances, "_random_graph", random_graph_reference)
+        for case in cases:
+            try:
+                was = serialize_instance(gen_instance(case[0], case[1], 2, 2, seed=case[2]))
+            except PreconditionError as err:
+                assert "duplicate edge" in str(err)
+                old_failures += 1
+                continue
+            assert fixed[case] == was
+        assert 0 < old_failures < len(cases)
+
+
+def random_graph_reference(rng: random.Random, n_nodes: int, rooted: bool) -> instances.Graph:
+    """`instances._random_graph` as first written: a pair drawn after the
+    spanning tree is keyed in index order, so past ten nodes it can repeat a
+    tree edge keyed in name order and fail with "duplicate edge"."""
+    nodes = [f"v{j}" for j in range(n_nodes)]
+    edges = {}
+    shuffled = nodes[:]
+    rng.shuffle(shuffled)
+    for a, b in zip(shuffled, shuffled[1:]):
+        key = (a, b) if a <= b else (b, a)
+        edges[key] = Fraction(rng.randint(1, 10), rng.randint(1, 4))
+    for i in range(n_nodes):
+        for j in range(i + 1, n_nodes):
+            key = (nodes[i], nodes[j])
+            if key not in edges and rng.random() < 0.4:
+                edges[key] = Fraction(rng.randint(1, 10), rng.randint(1, 4))
+    root = rng.choice(nodes) if rooted else None
+    return instances.Graph(nodes=tuple(nodes), edges=tuple(edges.items()), root=root)
+
+
 class TestStrategyFiles:
     def test_round_trip(self):
         inst = parse_instance(MINIMAL)
