@@ -1,20 +1,17 @@
 """Exact-rational analysis of Bayesian network design games: equilibria,
 price-of-stability and information-gap ratios, strict cost-sharing schemes,
-and sampling-and-augmentation strategy constructions."""
+and sampling-and-augmentation strategy constructions.  The brute-force
+test oracles stay in their modules and are not re-exported here."""
 
 from .graphs import (
     Graph,
-    Path,
     EdgeSet,
     Metric,
     edge_key,
     graph_from_costs,
-    shortest_path,
     metric_closure,
     steiner_tree_exact,
     steiner_forest_exact,
-    cover_exact,
-    min_feasible_subset_bruteforce,
 )
 from .games import (
     Action,
@@ -26,22 +23,18 @@ from .games import (
     expected_player_cost,
     expected_potential,
     expected_social_cost,
-    ex_post_opt,
     feasible_actions,
     harmonic,
     player_cost,
     potential_difference_check,
     rosenthal_potential,
     social_cost,
-    type_profiles,
 )
 from .equilibria import (
     CertificateReport,
     EquilibriumReport,
-    all_strategy_profiles,
     best_response_dynamics,
     bpos_exact,
-    enumerate_pure_bne,
     information_gap_exact,
     min_cost_profile,
     min_potential_profile,

@@ -58,7 +58,7 @@ def steiner_scheme(g: Graph) -> CostSharingScheme:
         touched = {root} | {n for e in solution.edges for n in e}
         if x in touched:
             return EdgeSet(edges=frozenset(), cost=Fraction(0))
-        if x not in g.nodes:
+        if x not in table.adj:
             raise UnreachableError(x, min(touched))
         # Cheapest path from x to the tree, ties to the least node sequence:
         # the least entry of x's Dijkstra in the graph's table over the tree.

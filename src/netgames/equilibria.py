@@ -9,7 +9,8 @@ expected cost as the bound.  It computes one use-count law per distinct
 sorted non-zero column, and a candidate becomes a profile only when the
 best-BNE search reads it.  `strategy_cap` bounds the product of the menu
 sizes and is checked before any search.  `all_strategy_profiles` and
-`enumerate_pure_bne` enumerate every profile.  `verify_bne` and the
+`enumerate_pure_bne` enumerate every profile; they are module-level test
+oracles, not package exports.  `verify_bne` and the
 dynamics price deviations from one `games.interim_weights` table per player,
 and the dynamics' trace follows the exact potential identity."""
 
@@ -31,7 +32,6 @@ from .errors import (
 from .games import (
     GameInstance,
     Action,
-    action_cost,
     column_terms,
     expected_opt,
     expected_potential,
@@ -100,10 +100,13 @@ def interim_cost(
 ) -> Fraction:
     """Player i's expected cost at type t playing `action`, with opponents
     following s on their realized types.  Types are independent, so t
-    matters only through `action`.  `uses` is s's use-probability table
+    matters only through `action`: the sum of its elements'
+    `games.interim_weights`.  `uses` is s's use-probability table
     (`games.use_probabilities`) when the caller already holds it."""
     q = use_probabilities(inst, s) if uses is None else uses
-    return action_cost(inst, q, i, action)
+    sc = inst._scale
+    tot = sum(interim_weights(inst, q, i, action.elements).values())
+    return Fraction(tot, sc.C * sc.L * sc.D_pow[inst.n - 1])
 
 
 def _deviation_weights(inst: GameInstance, q: list[dict], i: int) -> dict:
@@ -136,14 +139,13 @@ def verify_bne(inst: GameInstance, s: tuple) -> EquilibriumReport:
 class _Row(NamedTuple):
     cost: Fraction
     potential: Fraction
-    index: int  # position in canonical order
     profile: tuple
 
 
 class _Sweep(NamedTuple):
     min_potential: _Row  # s*, the first potential minimizer
     min_cost: _Row  # the first cost minimizer
-    leaves: list  # (cost, potential, digits) that may be the cheapest BNE, in (cost, index) order
+    leaves: list  # (cost, potential, digits) that may be the cheapest BNE, by cost, then canonically
     row: Callable  # leaf -> _Row
 
     def candidates(self):
@@ -246,7 +248,6 @@ def _sweep(inst: GameInstance) -> _Sweep:
             base[k + 1] = (cost, pot)
             k += 1
 
-    strides = [math.prod(len(o) for _, _, o in slots[k + 1:]) for k in range(depth)]
     cost_den, pot_den = sc.C * sc.D_pow[n], sc.C * L * sc.D_pow[n]
 
     def row(leaf):
@@ -256,15 +257,14 @@ def _sweep(inst: GameInstance) -> _Sweep:
             {t: menu[next(it)] if len(menu) > 1 else menu[0] for t, menu in entries}
             for entries in inst.menus
         )
-        index = sum(d * stride for d, stride in zip(picks, strides))
-        return _Row(Fraction(cost, cost_den), Fraction(pot, pot_den), index, profile)
+        return _Row(Fraction(cost, cost_den), Fraction(pot, pot_den), profile)
 
-    leaves.sort(key=lambda leaf: (leaf[0], leaf[2]))  # digits order as indices do
+    leaves.sort(key=lambda leaf: (leaf[0], leaf[2]))  # digits sort in canonical order
     return _Sweep(row(s_star), row(s_tilde), leaves, row)
 
 
 def _best_bne_cost(inst: GameInstance, sweep: _Sweep) -> Fraction:
-    """Cost of the first BNE in (cost, index) order; s* ends the search."""
+    """Cost of the first BNE by cost, then canonical order; s* ends the search."""
     return next(r.cost for r in sweep.candidates() if verify_bne(inst, r.profile).is_bne)
 
 

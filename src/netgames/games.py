@@ -15,7 +15,9 @@ instance (`GameInstance._scale`: the lcm D of the probabilities'
 denominators, the lcm C of the element costs', and L = lcm(1..n)), made
 one `Fraction` at the end.  `weighted_product` is the one capped product
 enumeration, shared with `sampling`'s regrouping, and `_terminal_law` also
-gives `sampling` the law of a draw's client set.
+gives `sampling` the law of a draw's client set.  Path menus walk the
+graph's Steiner-table adjacency.  `type_profiles` and `ex_post_opt` are
+module-level test oracles.
 
 Game kinds
 ----------
@@ -33,8 +35,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import NoFeasibleActionError, SupportTooLargeError, ValidationError
 from . import graphs
@@ -205,10 +206,6 @@ class GameInstance:
             return self.graph.cost(e)
         return self._cover_costs[e]
 
-    def cover_cost_map(self) -> Mapping:
-        """Read-only node -> cost map of a cover instance."""
-        return MappingProxyType(self._cover_costs)
-
     def support_size(self) -> int:
         size = 1
         for spec in self.players:
@@ -217,23 +214,18 @@ class GameInstance:
 
 
 def _all_simple_paths(g: Graph, s: str, target: str) -> list[tuple[str, ...]]:
-    """All simple s->target node sequences, in lexicographic order."""
-    if s == target:
-        return [(s,)]
-    out = []
-
-    def dfs(seq, seen):
-        node = seq[-1]
-        for nxt, _ in g.neighbors(node):
-            if nxt in seen:
-                continue
+    """All simple s->target node sequences (s != target), by a depth-first
+    walk of the Steiner table's adjacency on an explicit stack, so no path
+    length meets the recursion limit."""
+    adj = g._steiner.adj
+    out, stack = [], [(s,)]
+    while stack:
+        seq = stack.pop()
+        for nxt, _ in adj[seq[-1]]:
             if nxt == target:
                 out.append(seq + (nxt,))
-            else:
-                dfs(seq + (nxt,), seen | {nxt})
-
-    dfs((s,), {s})
-    out.sort()
+            elif nxt not in seq:
+                stack.append(seq + (nxt,))
     return out
 
 
@@ -243,28 +235,22 @@ def _path_action(g: Graph, seq: tuple[str, ...]) -> Action:
 
 
 def feasible_actions(inst: GameInstance, i: int, t) -> list[Action]:
-    """All minimal feasible actions of player i at type t, lexicographic order."""
-    if inst.kind == "multicast":
-        if t == inst.graph.root:
-            return [EMPTY_ACTION]
-        seqs = _all_simple_paths(inst.graph, t, inst.graph.root)
-        if not seqs:
-            raise NoFeasibleActionError(f"no path from {t!r} to root")
-        acts = [_path_action(inst.graph, seq) for seq in seqs]
-    elif inst.kind == "source-sink":
-        s, r = t
+    """All minimal feasible actions of player i at type t, lexicographic order.
+    Distinct simple paths have distinct edge sets, so no action repeats."""
+    if inst.kind in GRAPH_KINDS:
+        g = inst.graph
+        s, r = (t, g.root) if inst.kind == "multicast" else t
         if s == r:
             return [EMPTY_ACTION]
-        seqs = _all_simple_paths(inst.graph, s, r)
+        seqs = _all_simple_paths(g, s, r)
         if not seqs:
-            raise NoFeasibleActionError(f"no path from {s!r} to {r!r}")
-        acts = [_path_action(inst.graph, seq) for seq in seqs]
+            where = "root" if inst.kind == "multicast" else repr(r)
+            raise NoFeasibleActionError(f"no path from {s!r} to {where}")
+        acts = [_path_action(g, seq) for seq in seqs]
     else:
-        costs = inst.cover_cost_map()
-        acts = [
-            Action(elements=frozenset([n]), cost=costs[n]) for n in sorted(set(t))
-        ]
-    return sorted(set(acts), key=Action.sort_key)
+        costs = inst._cover_costs
+        acts = [Action(elements=frozenset([n]), cost=costs[n]) for n in sorted(set(t))]
+    return sorted(acts, key=Action.sort_key)
 
 
 def congestion(profile: Iterable[Action]) -> dict:
@@ -377,19 +363,9 @@ def interim_weights(inst: GameInstance, q: list[dict], i: int, elements) -> dict
     return {e: sc.costs[e] * sum(map(operator.mul, law, sc.inv)) for e, law in laws}
 
 
-def action_cost(inst: GameInstance, q: list[dict], i: int, action: Action) -> Fraction:
-    """Expected fair-share cost to player i of `action` when the others use
-    elements with the probabilities q (a `use_probabilities` table): the sum
-    of its elements' `interim_weights`."""
-    sc = inst._scale
-    tot = sum(interim_weights(inst, q, i, action.elements).values())
-    return Fraction(tot, sc.C * sc.L * sc.D_pow[inst.n - 1])
-
-
-def expected_social_cost(inst: GameInstance, s: tuple, *, uses=None) -> Fraction:
-    """Sum over elements e of c_e * P(some player uses e).  `uses` is s's
-    `use_probabilities` table when the caller already holds it."""
-    q = use_probabilities(inst, s) if uses is None else uses
+def expected_social_cost(inst: GameInstance, s: tuple) -> Fraction:
+    """Sum over elements e of c_e * P(some player uses e)."""
+    q = use_probabilities(inst, s)
     sc = inst._scale
     D, Dn = sc.D, sc.D_pow[inst.n]
     tot = sum(
@@ -416,7 +392,8 @@ def column_terms(inst: GameInstance, entries) -> tuple[int, int]:
 
 def expected_potential(inst: GameInstance, s: tuple, *, uses=None) -> Fraction:
     """Sum over elements e of c_e * E[H_N], N the number of users of e.
-    `uses` is as for `expected_social_cost`."""
+    `uses` is s's `use_probabilities` table when the caller already holds
+    it."""
     q = use_probabilities(inst, s) if uses is None else uses
     sc = inst._scale
     tot = sum(
@@ -450,7 +427,7 @@ def ex_post_opt(inst: GameInstance, type_profile: tuple) -> tuple[frozenset, Fra
     """Optimal joint element set for one realized type profile, via the exact
     combinatorial solver matching the game kind."""
     if inst.kind in COVER_KINDS:
-        return graphs.cover_exact(inst.cover_cost_map(), [tuple(t) for t in type_profile])
+        return graphs.cover_exact(inst._cover_costs, [tuple(t) for t in type_profile])
     terminals = {_terminal(inst, t) for t in type_profile} - {None}
     if not terminals:
         return EMPTY_ELEMENTS, Fraction(0)
@@ -504,6 +481,7 @@ def expected_opt(inst: GameInstance) -> Fraction:
         tree = lambda S: graphs.steiner_tree_exact(g, _members(terms, S) | root).cost
         opt = lambda S: int(tree(S) * sc.C) if S else 0
     elif inst.kind == "source-sink":
+        # Over the Steiner table's scale, which is C (same edge cost denominators).
         opt = graphs.SteinerForests(inst.graph, terms).cost
     else:
         opt = graphs.cover_cost_dp(sc.costs, terms)

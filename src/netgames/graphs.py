@@ -4,11 +4,13 @@ forest, hitting sets) that the game layer uses as its optimum.
 
 Costs are `fractions.Fraction` at the interface; every argmin is broken
 lexicographically under the canonical (sorted) node/edge ordering so
-results are reproducible.  Each `Graph` keeps one lazily filled integer
-path model (`_SteinerTable`), read by the Steiner tree and forest, the
-metric, the Steiner scheme's augmentation and the sampler's restricted
-action.  `shortest_path` (over `Fraction` costs) and the edge-capped
-`min_feasible_subset_bruteforce` are its independent oracles.  The
+results are reproducible.  A `Graph` holds no adjacency of its own: its
+one adjacency is that of its lazily filled integer path model
+(`_SteinerTable`), read by the Steiner tree and forest, the metric, the
+Steiner scheme's augmentation, the sampler's restricted action and the
+game's path menus.  `shortest_path` (over `Fraction` neighbour lists it
+builds itself), the edge-capped `min_feasible_subset_bruteforce` and
+`cover_exact` are module-level test oracles, not package exports.  The
 Dreyfus-Wagner labels and the forests are integers: terminal sets are
 masks of the sorted nodes and edge sets masks of the sorted edges, with
 the sorted-tuple tie rule read off the bits; an edge mask becomes a
@@ -74,22 +76,9 @@ class Graph:
         if self.root is not None and self.root not in self.nodes:
             raise PreconditionError(f"root {self.root!r} not a node")
         object.__setattr__(self, "_cost", dict(self.edges))
-        adj = {n: [] for n in self.nodes}
-        for (u, v), c in self.edges:
-            adj[u].append((v, c))
-            adj[v].append((u, c))
-        for n in adj:
-            adj[n].sort()
-        object.__setattr__(self, "_adj", adj)
 
     def cost(self, e: Edge) -> Fraction:
         return self._cost[e]
-
-    def neighbors(self, u: str) -> list[tuple[str, Fraction]]:
-        return self._adj[u]
-
-    def has_edge(self, u: str, v: str) -> bool:
-        return edge_key(u, v) in self._cost
 
     def edge_keys(self) -> list[Edge]:
         return [k for k, _ in self.edges]
@@ -132,7 +121,6 @@ class Metric:
     Dijkstra in the graph's Steiner table, which runs on first use."""
 
     def __init__(self, g: Graph):
-        self.nodes = g.nodes
         self._table = g._steiner
 
     def d(self, u: str, v: str) -> Fraction:
@@ -172,11 +160,16 @@ def _components(nodes, edges):
 
 def shortest_path(g: Graph, u: str, v: str) -> Path:
     """Cheapest simple u-v path; ties go to the lexicographically smallest
-    node sequence.  The Dijkstra stops at v; `steiner_tree_exact` runs the
-    same loop to completion once per node."""
+    node sequence.  The Dijkstra stops at v, over `Fraction` neighbour
+    lists of its own, so it stays independent of the Steiner table, which
+    runs the same loop on integer costs."""
     if u not in g.nodes or v not in g.nodes:
         raise UnreachableError(u, v)
-    reached = _lex_dijkstra(g.neighbors, u, stop=(v,))
+    adj = {n: [] for n in g.nodes}
+    for (a, b), c in g.edges:
+        adj[a].append((b, c))
+        adj[b].append((a, c))
+    reached = _lex_dijkstra(adj.__getitem__, u, stop=(v,))
     if v not in reached:
         raise UnreachableError(u, v)
     cost, seq = reached[v]
@@ -238,10 +231,10 @@ class _SteinerTable:
         self.edges = [e for e, _ in g.edges]
         self.scale = math.lcm(*(c.denominator for _, c in g.edges))
         self.cost = {e: int(c * self.scale) for e, c in g.edges}
-        self.adj = {
-            v: [(nxt, self.cost[edge_key(v, nxt)]) for nxt, _ in g.neighbors(v)]
-            for v in g.nodes
-        }
+        self.adj = {v: [] for v in self.nodes}  # neighbours sorted, as the edges are
+        for (u, v), c in self.cost.items():
+            self.adj[u].append((v, c))
+            self.adj[v].append((u, c))
         self.comp = _components(g.nodes, self.cost)
         self.bit = {v: 1 << i for i, v in enumerate(self.nodes)}
         groups: dict[str, list[int]] = {}
@@ -274,12 +267,6 @@ class _SteinerTable:
         if reached is None:
             reached = self._paths[v] = _lex_dijkstra(self.adj.__getitem__, v)
         return reached
-
-    def tree(self, terms: Iterable[str]) -> tuple[int, frozenset]:
-        """(integer cost, edges) of the Steiner tree on terminals of one
-        component: `span` of their mask, the edges decoded once per mask."""
-        cost, mask = self.span(sum(self.bit[t] for t in terms))
-        return cost, self.decode(mask)
 
     def decode(self, mask: int) -> frozenset:
         """The edges of an edge mask."""
@@ -413,14 +400,14 @@ def steiner_tree_exact(g: Graph, terminals: Iterable[str]) -> EdgeSet:
     terms = sorted(set(terminals))
     if not terms:
         raise PreconditionError("terminal set must be nonempty")
-    for t in terms:
-        if t not in g.nodes:
-            raise DisconnectedError(f"terminal {t!r} not in graph")
     table = g._steiner
+    for t in terms:
+        if t not in table.bit:
+            raise DisconnectedError(f"terminal {t!r} not in graph")
     if len({table.comp[t] for t in terms}) > 1:
         raise DisconnectedError("terminals not mutually reachable")
-    cost, edges = table.tree(terms)
-    return EdgeSet(edges=edges, cost=Fraction(cost, table.scale))
+    cost, mask = table.span(sum(table.bit[t] for t in terms))
+    return EdgeSet(edges=table.decode(mask), cost=Fraction(cost, table.scale))
 
 
 class SteinerForests:

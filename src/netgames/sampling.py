@@ -9,12 +9,14 @@ non-root types), so every entry point solves each distinct set once: one
 `_draw_step`, the base solution A(D) with an augmentation and a restricted
 action per type.  The exact evaluation sums over the law of the client set
 (`games._terminal_law` over the draw's distributions, each bitmask decoded
-to its set once), `derandomize` prices
-each set once while it walks the draws, and the Monte-Carlo estimator keeps
-a per-call memo from client set to its step, filling a type's entry the
-first time that type is realized.  Its sums are integers over the graph's
-Steiner-table scale.  `inst.support_cap` bounds the number of draws that the
-exact evaluation and `derandomize` stand for, not the number of sets."""
+to its set once), `derandomize` prices each set once while it walks the
+draws, and the Monte-Carlo estimator keeps a per-call memo from client set
+to its step, filling a type's entry the first time that type is realized.
+Its sums are integers over the graph's Steiner-table scale, and a
+restricted action is one Dijkstra over that table's adjacency.  A
+`SampleProfile` is the draw's types alone.  `inst.support_cap` bounds the
+number of draws that the exact evaluation and `derandomize` stand for, not
+the number of sets."""
 
 from __future__ import annotations
 
@@ -46,7 +48,6 @@ from . import graphs
 @dataclass(frozen=True)
 class SampleProfile:
     types: tuple
-    provenance: str  # "seed=<s>,draw=<k>" or "enumerated"
 
 
 @dataclass(frozen=True)
@@ -108,9 +109,9 @@ def _restricted_action(g: Graph, allowed: frozenset, source: str) -> Action:
     adjacency, by one lexicographic Dijkstra stopped at the root."""
     if source == g.root:
         return EMPTY_ACTION
-    if source not in g.nodes:
-        raise UnreachableError(source, g.root)
     table = g._steiner
+    if source not in table.adj:
+        raise UnreachableError(source, g.root)
     reached = graphs._lex_dijkstra(
         lambda v: [(w, c) for w, c in table.adj[v] if edge_key(v, w) in allowed],
         source,
@@ -325,7 +326,7 @@ def derandomize(
     _check_draws(inst, positions)
     draws = itertools.product(*(inst.players[i].support() for i in positions))
     D = min(draws, key=lambda D: (price(D)[0], D))
-    return SampleProfile(types=D, provenance="enumerated"), price(D)[1]
+    return SampleProfile(types=D), price(D)[1]
 
 
 def regrouping_sides(inst: GameInstance, scheme: CostSharingScheme):

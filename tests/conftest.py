@@ -15,6 +15,7 @@ from netgames.equilibria import (
     interim_cost,
 )
 from netgames.games import (
+    EMPTY_ACTION,
     Action,
     GameInstance,
     PlayerSpec,
@@ -29,7 +30,7 @@ from netgames.games import (
     use_row,
     weighted_product,
 )
-from netgames.errors import DisconnectedError, NoConvergenceError
+from netgames.errors import DisconnectedError, NoConvergenceError, NoFeasibleActionError
 from netgames.graphs import (
     EdgeSet,
     Graph,
@@ -103,6 +104,17 @@ def mst_over_terminals(m: Metric, terminals) -> tuple[EdgeSet, Fraction]:
     return es, total
 
 
+def neighbors(g: Graph) -> dict[str, list[tuple[str, Fraction]]]:
+    """Node -> sorted (neighbour, `Fraction` cost) list, built from the
+    edges alone, so the oracles below share no adjacency with the code
+    they check."""
+    adj = {v: [] for v in g.nodes}
+    for (u, v), c in g.edges:
+        adj[u].append((v, c))
+        adj[v].append((u, c))
+    return {v: sorted(pairs) for v, pairs in adj.items()}
+
+
 def _candidate_key(cost: Fraction, edges: frozenset) -> tuple:
     return (cost, tuple(sorted(edges)))
 
@@ -137,6 +149,7 @@ def steiner_tree_reference(g: Graph, terminals: Iterable[str]) -> EdgeSet:
 
     base = terms[0]
     rest = terms[1:]
+    adj = neighbors(g)
     for size in range(2, len(rest) + 1):
         for subset in itertools.combinations(rest, size):
             X = frozenset(subset)
@@ -168,7 +181,7 @@ def steiner_tree_reference(g: Graph, terminals: Iterable[str]) -> EdgeSet:
                     continue
                 settled.add(v)
                 cost_v, edges_v = labels[v]
-                for nxt, c in g.neighbors(v):
+                for nxt, c in adj[v]:
                     edges = edges_v | {edge_key(v, nxt)}
                     cost = g.edge_set_cost(edges)
                     cand = (cost, edges)
@@ -194,8 +207,8 @@ class SteinerLabelsReference:
         self.scale = math.lcm(*(c.denominator for _, c in g.edges))
         self.cost = {e: int(c * self.scale) for e, c in g.edges}
         self.adj = {
-            v: [(nxt, self.cost[edge_key(v, nxt)]) for nxt, _ in g.neighbors(v)]
-            for v in g.nodes
+            v: [(nxt, self.cost[edge_key(v, nxt)]) for nxt, _ in pairs]
+            for v, pairs in neighbors(g).items()
         }
         self.comp = _components(g.nodes, self.cost)
         self.paths = {v: _lex_dijkstra(self.adj.__getitem__, v) for v in g.nodes}
@@ -262,8 +275,65 @@ class SteinerLabelsReference:
         return labels
 
 
+def _all_simple_paths_reference(g: Graph, s: str, target: str) -> list[tuple[str, ...]]:
+    adj = neighbors(g)
+    out = []
+
+    def dfs(seq, seen):
+        for nxt, _ in adj[seq[-1]]:
+            if nxt in seen:
+                continue
+            if nxt == target:
+                out.append(seq + (nxt,))
+            else:
+                dfs(seq + (nxt,), seen | {nxt})
+
+    dfs((s,), {s})
+    out.sort()
+    return out
+
+
+def feasible_actions_reference(inst: GameInstance, i: int, t) -> list[Action]:
+    """`games.feasible_actions` as first written, kept as the oracle of its
+    iterative walk: a recursive walk of `neighbors`, the paths sorted, and
+    the actions deduplicated before the `Action.sort_key` sort."""
+
+    def path_action(seq):
+        edges = frozenset(edge_key(a, b) for a, b in zip(seq, seq[1:]))
+        return Action(elements=edges, cost=inst.graph.edge_set_cost(edges))
+
+    if inst.kind == "multicast":
+        if t == inst.graph.root:
+            return [EMPTY_ACTION]
+        seqs = _all_simple_paths_reference(inst.graph, t, inst.graph.root)
+        if not seqs:
+            raise NoFeasibleActionError(f"no path from {t!r} to root")
+        acts = [path_action(seq) for seq in seqs]
+    elif inst.kind == "source-sink":
+        s, r = t
+        if s == r:
+            return [EMPTY_ACTION]
+        seqs = _all_simple_paths_reference(inst.graph, s, r)
+        if not seqs:
+            raise NoFeasibleActionError(f"no path from {s!r} to {r!r}")
+        acts = [path_action(seq) for seq in seqs]
+    else:
+        costs = dict(inst.node_costs)
+        acts = [Action(elements=frozenset([n]), cost=costs[n]) for n in sorted(set(t))]
+    return sorted(set(acts), key=Action.sort_key)
+
+
 def multicast(graph, *specs):
     return GameInstance(kind="multicast", players=tuple(specs), graph=graph)
+
+
+def long_path_game(n=1200):
+    """A multicast game on an n-node path, the root at one end and the one
+    player's source at the other: the only path is longer than Python's
+    default recursion limit."""
+    nodes = [f"v{j:04d}" for j in range(n)]
+    g = graph_from_costs({(a, b): 1 for a, b in zip(nodes, nodes[1:])}, nodes=nodes, root=nodes[0])
+    return multicast(g, point_mass(nodes[-1]))
 
 
 def random_connected_graph(
@@ -421,7 +491,11 @@ def steiner_forest_edges_reference(g: Graph, pairs) -> EdgeSet:
         if block not in trees:
             ends = sorted({n for i, p in enumerate(pair_list) if block >> i & 1 for n in p})
             one_component = len({table.comp[n] for n in ends}) == 1
-            trees[block] = table.tree(ends) if one_component else None
+            if one_component:
+                cost, mask = table.span(sum(table.bit[n] for n in ends))
+                trees[block] = (cost, table.decode(mask))
+            else:
+                trees[block] = None
         return trees[block]
 
     F: dict = {0: (0, ())}
@@ -498,25 +572,21 @@ def sweep_reference(inst: GameInstance) -> tuple:
     """The strategy sweep as first written, kept as the oracle of the
     depth-first `equilibria._sweep`: every profile of `all_strategy_profiles`
     priced from scratch, s* and s~ the first strict minimizers, and the rows
-    that cost at most the running minimum potential kept as candidates, in
-    (cost, index) order.  Returns the rows (s*, s~, candidates)."""
+    that cost at most the running minimum potential kept as candidates, by
+    cost and then in canonical order (a stable sort of the enumeration).
+    Returns the rows (s*, s~, candidates)."""
     s_star = s_tilde = None
     candidates = []
-    for index, s in enumerate(all_strategy_profiles(inst)):
+    for s in all_strategy_profiles(inst):
         q = use_probabilities(inst, s)
-        row = _Row(
-            expected_social_cost(inst, s, uses=q),
-            expected_potential(inst, s, uses=q),
-            index,
-            s,
-        )
+        row = _Row(expected_social_cost(inst, s), expected_potential(inst, s, uses=q), s)
         if s_star is None or row.potential < s_star.potential:
             s_star = row
         if s_tilde is None or row.cost < s_tilde.cost:
             s_tilde = row
         if row.cost <= s_star.potential:
             candidates.append(row)
-    candidates.sort(key=lambda r: (r.cost, r.index))
+    candidates.sort(key=lambda r: r.cost)
     return s_star, s_tilde, candidates
 
 
@@ -661,4 +731,4 @@ def derandomize_reference(inst: GameInstance, scheme, variant: str):
         for D, _ in _reference_draws(inst, scheme, variant)
     )
     D, s = min(built, key=lambda c: (expected_social_cost(inst, c[1]), c[0]))
-    return SampleProfile(types=D, provenance="enumerated"), s
+    return SampleProfile(types=D), s

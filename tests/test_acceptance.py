@@ -18,7 +18,6 @@ from netgames import (
     check_cross_monotonicity,
     check_strictness,
     evaluate_construction_exact,
-    ex_post_opt,
     expected_opt,
     expected_player_cost,
     expected_potential,
@@ -26,7 +25,6 @@ from netgames import (
     graph_from_costs,
     harmonic,
     information_gap_exact,
-    min_feasible_subset_bruteforce,
     min_potential_profile,
     potential_method_certificate,
     regrouping_sides,
@@ -38,8 +36,8 @@ from netgames import (
 )
 from netgames.equilibria import strategy_space_size
 from netgames.errors import ZeroOptimumError
-from netgames.games import GameInstance, PlayerSpec, type_profiles
-from netgames.graphs import _components
+from netgames.games import GameInstance, PlayerSpec, ex_post_opt, type_profiles
+from netgames.graphs import _components, min_feasible_subset_bruteforce
 from netgames.instances import gen_instance
 
 sys.path.insert(0, "tests")

@@ -154,7 +154,6 @@ def test_expectations_equal_enumeration(inst):
 def test_expectations_with_and_without_the_use_table(inst):
     for s in random_profiles(inst, random.Random(9), 3):
         q = use_probabilities(inst, s)
-        assert expected_social_cost(inst, s, uses=q) == expected_social_cost(inst, s)
         assert expected_potential(inst, s, uses=q) == expected_potential(inst, s)
 
 

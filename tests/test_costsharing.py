@@ -9,12 +9,11 @@ from netgames import (
     check_strictness,
     graph_from_costs,
     metric_closure,
-    min_feasible_subset_bruteforce,
     steiner_scheme,
     steiner_tree_exact,
 )
 from netgames.errors import DisconnectedError
-from netgames.graphs import EdgeSet
+from netgames.graphs import EdgeSet, min_feasible_subset_bruteforce
 
 from conftest import mst_over_terminals, random_connected_graph
 

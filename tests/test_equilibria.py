@@ -7,7 +7,6 @@ import pytest
 from netgames import (
     best_response_dynamics,
     bpos_exact,
-    enumerate_pure_bne,
     expected_potential,
     expected_social_cost,
     feasible_actions,
@@ -20,6 +19,7 @@ from netgames import (
 )
 from netgames.equilibria import (
     all_strategy_profiles,
+    enumerate_pure_bne,
     min_cost_profile,
     strategy_space_size,
 )

@@ -11,12 +11,11 @@ import pytest
 
 from netgames import graph_from_costs
 from netgames.costsharing import steiner_scheme
-from netgames.equilibria import all_strategy_profiles, verify_bne
+from netgames.equilibria import all_strategy_profiles, interim_cost, verify_bne
 from netgames.errors import UnreachableError
 from netgames.games import (
     GameInstance,
     PlayerSpec,
-    action_cost,
     column_terms,
     count_law,
     expected_player_cost,
@@ -150,12 +149,12 @@ def check_profile(inst, s):
     cost = expected_social_cost(inst, s)
     potential = expected_potential(inst, s)
     assert type(cost) is type(potential) is Fraction
-    assert cost == expected_social_cost(inst, s, uses=q) == expected_social_cost_reference(inst, s)
+    assert cost == expected_social_cost_reference(inst, s)
     assert potential == expected_potential(inst, s, uses=q) == expected_potential_reference(inst, s)
     for i, entries in enumerate(inst.menus):
         for t, acts in entries:
             for a in acts:
-                got = action_cost(inst, q, i, a)
+                got = interim_cost(inst, s, i, t, a, uses=q)
                 assert type(got) is Fraction
                 assert got == action_cost_reference(inst, qf, i, a)
         want = sum(

@@ -44,7 +44,7 @@ def random_cover_instance(rng, kind):
 
 
 def per_profile_cover_opt(inst):
-    costs = inst.cover_cost_map()
+    costs = dict(inst.node_costs)
     return sum(
         (w * cover_exact(costs, [tuple(t) for t in tp])[1] for tp, w in type_profiles(inst)),
         Fraction(0),
@@ -223,6 +223,33 @@ def test_bpos_on_disconnected_pairs_exits_1_with_the_error_line(tmp_path, capsys
     out, err = capsys.readouterr()
     assert out == ""
     assert err == json.dumps({"error": "pair ('b', 'd') not connected in graph"}) + "\n"
+
+
+def graph_instances():
+    """Generated multicast and source-sink games, and random graphs with
+    fractional costs (denominators up to 3, and 7 and 9) under one player."""
+    for kind in ("multicast", "source-sink"):
+        for seed in range(10):
+            yield gen_instance(kind, 3 + seed % 6, 3, 2, seed=seed)
+    for seed in range(10):
+        rng = random.Random(seed)
+        costs = None if seed % 2 else (0, Fraction(1, 7), Fraction(2, 9), 3)
+        g = random_connected_graph(rng, costs=costs)
+        pair = (g.nodes[0], g.nodes[-1])
+        yield GameInstance(kind="multicast", players=(PlayerSpec(((g.nodes[-1], 1),)),), graph=g)
+        yield GameInstance(kind="source-sink", players=(PlayerSpec(((pair, 1),)),), graph=g)
+
+
+def test_instance_and_steiner_table_share_one_integer_scale():
+    """`expected_opt` reads tree and forest costs, integers over the graph's
+    Steiner-table scale, as integers over `inst._scale.C`."""
+    scales = set()
+    for inst in graph_instances():
+        table = inst.graph._steiner
+        assert inst._scale.C == table.scale
+        assert inst._scale.costs == table.cost
+        scales.add(table.scale)
+    assert len(scales) > 3
 
 
 def test_support_cap_counts_type_profiles_not_terminal_sets(triangle):

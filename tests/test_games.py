@@ -8,7 +8,6 @@ from netgames import (
     Action,
     EMPTY_ACTION,
     congestion,
-    ex_post_opt,
     expected_opt,
     expected_player_cost,
     expected_potential,
@@ -20,13 +19,20 @@ from netgames import (
     potential_difference_check,
     rosenthal_potential,
     social_cost,
-    type_profiles,
 )
-from netgames.errors import SupportTooLargeError, ValidationError
-from netgames.games import GameInstance, PlayerSpec
+from netgames.errors import NoFeasibleActionError, SupportTooLargeError, ValidationError
+from netgames.games import GameInstance, PlayerSpec, ex_post_opt, type_profiles
 from netgames.instances import gen_instance
 
-from conftest import multicast, point_mass, profile_actions, uniform
+from conftest import (
+    feasible_actions_reference,
+    long_path_game,
+    multicast,
+    point_mass,
+    profile_actions,
+    random_connected_graph,
+    uniform,
+)
 
 
 def shared_edge_instance(n=2):
@@ -82,6 +88,79 @@ class TestFeasibleActions:
                     if _is_simple_path(g, frozenset(sub), t, g.root):
                         expect.add(frozenset(sub))
             assert got == expect
+
+
+def every_type(graph, kind):
+    """A one-player game of `kind` on `graph` whose player ranges uniformly
+    over every type: each node (multicast), or each ordered node pair,
+    (s, s) included (source-sink)."""
+    nodes = graph.nodes
+    types = nodes if kind == "multicast" else list(itertools.product(nodes, repeat=2))
+    return GameInstance(kind=kind, players=(uniform(types),), graph=graph)
+
+
+def compare_menus(inst) -> int:
+    """Assert that every (player, type) menu equals the reference's, or
+    raises the reference's NoFeasibleActionError text; return how many
+    raised."""
+    raised = 0
+    for i, spec in enumerate(inst.players):
+        for t in spec.support():
+            try:
+                want = feasible_actions_reference(inst, i, t)
+            except NoFeasibleActionError as err:
+                with pytest.raises(NoFeasibleActionError) as got:
+                    feasible_actions(inst, i, t)
+                assert str(got.value) == str(err)
+                raised += 1
+            else:
+                assert feasible_actions(inst, i, t) == want
+    return raised
+
+
+K7 = graph_from_costs(
+    {(f"k{a}", f"k{b}"): 1 for a, b in itertools.combinations(range(7), 2)}, root="k0"
+)
+TIE_COSTS = {"costs-0-1-2": (0, 1, 2), "half-costs": (Fraction(1, 2), 1, Fraction(3, 2))}
+
+
+class TestMenusAgainstTheRecursiveWalk:
+    @pytest.mark.parametrize("kind", ["multicast", "source-sink"])
+    @pytest.mark.parametrize("costs", TIE_COSTS.values(), ids=TIE_COSTS.keys())
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_graphs_with_tied_costs(self, seed, costs, kind):
+        g = random_connected_graph(random.Random(seed), max_nodes=6, max_edges=11, costs=costs)
+        assert compare_menus(every_type(g, kind)) == 0
+
+    @pytest.mark.parametrize("kind", ["multicast", "source-sink"])
+    def test_k7(self, kind):
+        inst = every_type(K7, kind)
+        assert compare_menus(inst) == 0
+        # 1 + 5 + 5*4 + 5*4*3 + 5*4*3*2 + 5! paths between two nodes of K7
+        assert len(feasible_actions(inst, 0, inst.players[0].support()[1])) == 326
+
+    @pytest.mark.parametrize("kind", ["multicast", "source-sink"])
+    def test_an_unreachable_source_raises_the_same_error(self, kind):
+        g = graph_from_costs(
+            {("a", "r"): 1, ("a", "b"): 1, ("b", "r"): 2, ("c", "d"): Fraction(1, 2)},
+            nodes=["a", "b", "c", "d", "e", "r"],
+            root="r",
+        )
+        assert compare_menus(every_type(g, kind)) > 0
+
+    @pytest.mark.parametrize("kind", ["vertex-cover", "hypergraph-cover"])
+    def test_cover_kinds(self, kind):
+        costs = (("u", Fraction(0)), ("v", Fraction(1, 2)), ("w", Fraction(1)), ("x", Fraction(1)))
+        size = 2 if kind == "vertex-cover" else 3
+        types = list(itertools.product([v for v, _ in costs], repeat=size))
+        inst = GameInstance(kind=kind, players=(uniform(types),), node_costs=costs)
+        assert compare_menus(inst) == 0
+
+
+def test_menu_of_a_path_longer_than_the_recursion_limit():
+    inst = long_path_game()
+    (act,) = feasible_actions(inst, 0, inst.players[0].support()[0])
+    assert act.cost == 1199 and len(act.elements) == 1199
 
 
 def _is_simple_path(g, edges, s, r):

@@ -15,6 +15,8 @@ from netgames import instances
 from netgames.errors import ParseError, PreconditionError, ValidationError
 from netgames.instances import gen_instance, parse_instance, serialize_instance
 
+from conftest import long_path_game
+
 MINIMAL = """
 {
   "version": 1,
@@ -225,6 +227,19 @@ def run_cli(*argv, expect=0):
 
 
 class TestCli:
+    def test_bne_and_eval_on_a_path_longer_than_the_recursion_limit(self, tmp_path):
+        inst_path, strategy_path = tmp_path / "path.json", tmp_path / "strategy.json"
+        inst_path.write_text(serialize_instance(long_path_game()))
+        for argv in (
+            ["bne", "--instance", str(inst_path), "--out", str(strategy_path)],
+            ["eval", "--instance", str(inst_path), "--strategy", str(strategy_path)],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "netgames.cli", *argv], capture_output=True, text=True
+            )
+            assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["expected_social_cost"] == "1199"
+
     def test_bpos_parallel_edges(self, tmp_path):
         path = tmp_path / "inst.json"
         doc = json.loads(MINIMAL)

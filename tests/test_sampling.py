@@ -16,11 +16,11 @@ from netgames import (
     expected_social_cost,
     feasible_actions,
     regrouping_sides,
-    shortest_path,
     steiner_scheme,
 )
 from netgames.errors import PreconditionError, SupportTooLargeError, UnreachableError
 from netgames.games import GameInstance, PlayerSpec
+from netgames.graphs import shortest_path
 from netgames.instances import gen_instance
 from netgames.sampling import _clients, _restricted_action
 
@@ -45,7 +45,7 @@ def iid_triangle(triangle):
 
 
 def enumerated(types):
-    return SampleProfile(types=tuple(types), provenance="enumerated")
+    return SampleProfile(types=tuple(types))
 
 
 def counting_scheme(scheme):
