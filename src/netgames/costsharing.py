@@ -4,8 +4,9 @@ A scheme bundles an approximation algorithm A (clients -> element set), an
 augmentation algorithm B (solution, new client -> extra elements), a share
 function xi, and declared constants (alpha, beta).  The rooted Steiner-tree
 scheme ships here: A is the exact Steiner tree, B routes a newcomer along a
-shortest path to the current tree, and a client's share is half its distance
-to the other clients and the root.
+shortest path to the current tree (`graphs.nearest`), and a client's share
+is half its distance to the other clients and the root, which reads the
+same query through the metric.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from . import graphs
-from .errors import PreconditionError, UnreachableError
+from .errors import PreconditionError
 from .graphs import EdgeSet, Graph
 
 
@@ -48,23 +49,15 @@ def steiner_scheme(g: Graph) -> CostSharingScheme:
         raise PreconditionError("steiner scheme needs a rooted graph")
     root = g.root
     metric = graphs.metric_closure(g)
-    table = g._steiner
 
     def approx(clients: frozenset) -> EdgeSet:
         terminals = set(clients) | {root}
         return graphs.steiner_tree_exact(g, terminals)
 
     def augment(solution: EdgeSet, x) -> EdgeSet:
-        touched = {root} | {n for e in solution.edges for n in e}
-        if x in touched:
-            return EdgeSet(edges=frozenset(), cost=Fraction(0))
-        if x not in table.adj:
-            raise UnreachableError(x, min(touched))
-        # Cheapest path from x to the tree, ties to the least node sequence:
-        # the least entry of x's Dijkstra in the graph's table over the tree.
-        reached = table.paths(x)
-        cost, seq = min(reached[n] for n in touched)
-        return EdgeSet(edges=graphs._path_edges(seq), cost=Fraction(cost, table.scale))
+        # Cheapest path from x to the tree, ties to the least node sequence
+        # (the empty path when x is on it).
+        return graphs.nearest(g, x, {root} | {n for e in solution.edges for n in e})
 
     def share(clients: frozenset, x) -> Fraction:
         if x not in clients:

@@ -15,9 +15,9 @@ instance (`GameInstance._scale`: the lcm D of the probabilities'
 denominators, the lcm C of the element costs', and L = lcm(1..n)), made
 one `Fraction` at the end.  `weighted_product` is the one capped product
 enumeration, shared with `sampling`'s regrouping, and `_terminal_law` also
-gives `sampling` the law of a draw's client set.  Path menus walk the
-graph's Steiner-table adjacency.  `type_profiles` and `ex_post_opt` are
-module-level test oracles.
+gives `sampling` the law of a draw's client set.  Path menus are the
+graph's `graphs.simple_paths`; no path code runs here.  `type_profiles`
+and `ex_post_opt` are module-level test oracles.
 
 Game kinds
 ----------
@@ -150,11 +150,11 @@ class GameInstance:
 
     def _validate_type(self, i, t):
         if self.kind == "multicast":
-            if t not in self.graph.nodes:
+            if t not in self.graph._node_set:
                 raise ValidationError(f"players[{i}]", f"unknown source {t!r}")
         elif self.kind == "source-sink":
             s, r = t
-            if s not in self.graph.nodes or r not in self.graph.nodes:
+            if s not in self.graph._node_set or r not in self.graph._node_set:
                 raise ValidationError(f"players[{i}]", f"unknown node in pair {t!r}")
         elif self.kind == "vertex-cover" and len(t) != 2:
             raise ValidationError(f"players[{i}]", f"pair type {t!r} must have 2 nodes")
@@ -213,27 +213,6 @@ class GameInstance:
         return size
 
 
-def _all_simple_paths(g: Graph, s: str, target: str) -> list[tuple[str, ...]]:
-    """All simple s->target node sequences (s != target), by a depth-first
-    walk of the Steiner table's adjacency on an explicit stack, so no path
-    length meets the recursion limit."""
-    adj = g._steiner.adj
-    out, stack = [], [(s,)]
-    while stack:
-        seq = stack.pop()
-        for nxt, _ in adj[seq[-1]]:
-            if nxt == target:
-                out.append(seq + (nxt,))
-            elif nxt not in seq:
-                stack.append(seq + (nxt,))
-    return out
-
-
-def _path_action(g: Graph, seq: tuple[str, ...]) -> Action:
-    edges = graphs._path_edges(seq)
-    return Action(elements=edges, cost=g.edge_set_cost(edges))
-
-
 def feasible_actions(inst: GameInstance, i: int, t) -> list[Action]:
     """All minimal feasible actions of player i at type t, lexicographic order.
     Distinct simple paths have distinct edge sets, so no action repeats."""
@@ -242,11 +221,11 @@ def feasible_actions(inst: GameInstance, i: int, t) -> list[Action]:
         s, r = (t, g.root) if inst.kind == "multicast" else t
         if s == r:
             return [EMPTY_ACTION]
-        seqs = _all_simple_paths(g, s, r)
-        if not seqs:
+        paths = graphs.simple_paths(g, s, r)
+        if not paths:
             where = "root" if inst.kind == "multicast" else repr(r)
             raise NoFeasibleActionError(f"no path from {s!r} to {where}")
-        acts = [_path_action(g, seq) for seq in seqs]
+        acts = [Action(elements=p.edges, cost=p.cost) for p in paths]
     else:
         costs = inst._cover_costs
         acts = [Action(elements=frozenset([n]), cost=costs[n]) for n in sorted(set(t))]
@@ -341,17 +320,21 @@ def count_law(inst: GameInstance, q: list[dict], e, skip: Optional[int] = None) 
     """Exact law of the number of players other than `skip` using e, each
     player j independently with probability q[j][e] / D: entry k is the
     probability of k users times D^m, m the number of players counted
-    (n, or n - 1 with `skip`).  Poisson-binomial DP on (D - a, a), O(n^2)."""
-    D = inst._scale.D
-    law = [1]
-    users = 0
-    for j, row in enumerate(q):
-        a = row.get(e, 0)
-        if a and j != skip:
-            law = [x * (D - a) + y * a for x, y in zip(law + [0], [0] + law)]
-            users += 1
-    lift = inst._scale.D_pow[len(q) - (skip is not None) - users]
+    (n, or n - 1 with `skip`): `_users_law` lifted by the non-users."""
+    users = [a for j, row in enumerate(q) if j != skip and (a := row.get(e, 0))]
+    lift = inst._scale.D_pow[len(q) - (skip is not None) - len(users)]
+    law = _users_law(inst._scale.D, users)
     return law if lift == 1 else [x * lift for x in law]
+
+
+def _users_law(D: int, entries) -> list[int]:
+    """Law of the user count of players using an element with probabilities a / D,
+    a in `entries`: entry k is P(k users) times D^len(entries).  Poisson-binomial DP."""
+    law = [1]
+    for a in entries:
+        b = D - a
+        law = [x * b + y * a for x, y in zip(law + [0], [0] + law)]
+    return law
 
 
 def interim_weights(inst: GameInstance, q: list[dict], i: int, elements) -> dict:
@@ -363,16 +346,19 @@ def interim_weights(inst: GameInstance, q: list[dict], i: int, elements) -> dict
     return {e: sc.costs[e] * sum(map(operator.mul, law, sc.inv)) for e, law in laws}
 
 
-def expected_social_cost(inst: GameInstance, s: tuple) -> Fraction:
-    """Sum over elements e of c_e * P(some player uses e)."""
-    q = use_probabilities(inst, s)
-    sc = inst._scale
-    D, Dn = sc.D, sc.D_pow[inst.n]
-    tot = sum(
-        sc.costs[e] * (Dn - math.prod(D - row.get(e, 0) for row in q))
+def _column_sum(inst: GameInstance, q: list[dict], k: int) -> int:
+    """The sum over the elements e that q uses of c_e * column_terms(e's column)[k]."""
+    costs = inst._scale.costs
+    return sum(
+        costs[e] * column_terms(inst, [a for row in q if (a := row.get(e, 0))])[k]
         for e in set().union(*q)
     )
-    return Fraction(tot, sc.C * Dn)
+
+
+def expected_social_cost(inst: GameInstance, s: tuple) -> Fraction:
+    """Sum over elements e of c_e * P(some player uses e)."""
+    sc = inst._scale
+    return Fraction(_column_sum(inst, use_probabilities(inst, s), 0), sc.C * sc.D_pow[inst.n])
 
 
 def column_terms(inst: GameInstance, entries) -> tuple[int, int]:
@@ -383,9 +369,7 @@ def column_terms(inst: GameInstance, entries) -> tuple[int, int]:
     element's use count.  They depend on the multiset of entries only, so
     columns that permute each other share them."""
     sc = inst._scale
-    law = [1]
-    for a in entries:  # `count_law`'s DP over the users only
-        law = [x * (sc.D - a) + y * a for x, y in zip(law + [0], [0] + law)]
+    law = _users_law(sc.D, entries)
     lift = sc.D_pow[inst.n - len(entries)]  # the other players, who never use e
     return sc.D_pow[inst.n] - lift * law[0], lift * sum(map(operator.mul, law, sc.harm))
 
@@ -396,11 +380,7 @@ def expected_potential(inst: GameInstance, s: tuple, *, uses=None) -> Fraction:
     it."""
     q = use_probabilities(inst, s) if uses is None else uses
     sc = inst._scale
-    tot = sum(
-        sc.costs[e] * column_terms(inst, [a for row in q if (a := row.get(e, 0))])[1]
-        for e in set().union(*q)
-    )
-    return Fraction(tot, sc.C * sc.L * sc.D_pow[inst.n])
+    return Fraction(_column_sum(inst, q, 1), sc.C * sc.L * sc.D_pow[inst.n])
 
 
 def expected_player_cost(inst: GameInstance, s: tuple, i: int) -> Fraction:

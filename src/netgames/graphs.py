@@ -4,20 +4,20 @@ forest, hitting sets) that the game layer uses as its optimum.
 
 Costs are `fractions.Fraction` at the interface; every argmin is broken
 lexicographically under the canonical (sorted) node/edge ordering so
-results are reproducible.  A `Graph` holds no adjacency of its own: its
-one adjacency is that of its lazily filled integer path model
-(`_SteinerTable`), read by the Steiner tree and forest, the metric, the
-Steiner scheme's augmentation, the sampler's restricted action and the
-game's path menus.  `shortest_path` (over `Fraction` neighbour lists it
-builds itself), the edge-capped `min_feasible_subset_bruteforce` and
-`cover_exact` are module-level test oracles, not package exports.  The
-Dreyfus-Wagner labels and the forests are integers: terminal sets are
-masks of the sorted nodes and edge sets masks of the sorted edges, with
-the sorted-tuple tie rule read off the bits; an edge mask becomes a
-frozenset only in the `EdgeSet` returned.  Trees are capped at
-STEINER_TERMINAL_CAP terminals.  Forests and cost-only covers take bitmasks
-of a sorted pair or hyperedge list, with one memo per solver, so
-`games.expected_opt` solves each sub-forest once.
+results are reproducible.  A `Graph`'s one adjacency is the node-indexed
+link list of its lazily filled integer path model (`_SteinerTable`), which
+no other module reads: the metric, `nearest` (the scheme's augmentation),
+`route` (the sampler's restricted action), `simple_paths` (path menus) and
+the Steiner solvers all query it here, on one Dijkstra kernel that returns
+edge masks.  `shortest_path` (on `Fraction` link lists of its own), the
+edge-capped `min_feasible_subset_bruteforce` and `cover_exact` are
+module-level test oracles, not package exports.  The Dreyfus-Wagner labels
+and the forests are integers: terminal sets are masks of the sorted nodes
+and edge sets masks of the sorted edges, with the sorted-tuple tie rule
+read off the bits; an edge mask becomes a frozenset only in the `EdgeSet`
+returned.  Trees are capped at STEINER_TERMINAL_CAP terminals.  Forests and
+cost-only covers take bitmasks of a sorted pair or hyperedge list, with one
+memo per solver, so `games.expected_opt` solves each sub-forest once.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Container, Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import (
     DisconnectedError,
@@ -57,6 +57,7 @@ class Graph:
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(sorted(self.nodes)))
+        object.__setattr__(self, "_node_set", frozenset(self.nodes))
         seen = set()
         canon = []
         for (u, v), c in self.edges:
@@ -65,7 +66,7 @@ class Graph:
             k = edge_key(u, v)
             if k in seen:
                 raise PreconditionError(f"duplicate edge {k}")
-            if u not in self.nodes or v not in self.nodes:
+            if u not in self._node_set or v not in self._node_set:
                 raise PreconditionError(f"edge {k} references unknown node")
             c = Fraction(c)
             if c < 0:
@@ -73,7 +74,7 @@ class Graph:
             seen.add(k)
             canon.append((k, c))
         object.__setattr__(self, "edges", tuple(sorted(canon)))
-        if self.root is not None and self.root not in self.nodes:
+        if self.root is not None and self.root not in self._node_set:
             raise PreconditionError(f"root {self.root!r} not a node")
         object.__setattr__(self, "_cost", dict(self.edges))
 
@@ -82,9 +83,6 @@ class Graph:
 
     def edge_keys(self) -> list[Edge]:
         return [k for k, _ in self.edges]
-
-    def edge_set_cost(self, edges: Iterable[Edge]) -> Fraction:
-        return sum((self._cost[e] for e in edges), Fraction(0))
 
     def is_connected(self) -> bool:
         return len(set(self._steiner.comp.values())) <= 1
@@ -121,25 +119,21 @@ class Metric:
     Dijkstra in the graph's Steiner table, which runs on first use."""
 
     def __init__(self, g: Graph):
-        self._table = g._steiner
+        self._g = g
 
     def d(self, u: str, v: str) -> Fraction:
         if u == v:
             return Fraction(0)
-        table = self._table
-        if u not in table.adj or v not in table.adj:
+        if u not in self._g._node_set or v not in self._g._node_set:
             raise KeyError(edge_key(u, v))
-        return Fraction(table.paths(u)[v][0], table.scale)
+        return nearest(self._g, u, (v,)).cost
 
     def d_to_set(self, targets: Iterable[str], x: str) -> Fraction:
-        """Distance from x to the nearest node of a nonempty target set: the
-        least integer cost over the targets in x's Dijkstra, made one
-        `Fraction`.  An unknown node raises KeyError, as `d` does."""
-        table = self._table
-        if x not in table.adj:
+        """Distance from x to the nearest node of a nonempty target set.  An
+        unknown node raises KeyError, as `d` does."""
+        if x not in self._g._node_set:
             return min(self.d(x, t) for t in targets)
-        reached = table.paths(x)
-        return Fraction(min(reached[t][0] for t in targets), table.scale)
+        return nearest(self._g, x, targets).cost
 
 
 def _components(nodes, edges):
@@ -160,50 +154,117 @@ def _components(nodes, edges):
 
 def shortest_path(g: Graph, u: str, v: str) -> Path:
     """Cheapest simple u-v path; ties go to the lexicographically smallest
-    node sequence.  The Dijkstra stops at v, over `Fraction` neighbour
-    lists of its own, so it stays independent of the Steiner table, which
-    runs the same loop on integer costs."""
-    if u not in g.nodes or v not in g.nodes:
+    node sequence.  The Dijkstra stops at v, on `Fraction` link lists of its
+    own rather than the Steiner table's integer ones."""
+    if u not in g._node_set or v not in g._node_set:
         raise UnreachableError(u, v)
-    adj = {n: [] for n in g.nodes}
-    for (a, b), c in g.edges:
-        adj[a].append((b, c))
-        adj[b].append((a, c))
-    reached = _lex_dijkstra(adj.__getitem__, u, stop=(v,))
-    if v not in reached:
+    index = {n: i for i, n in enumerate(g.nodes)}
+    reached = _lex_dijkstra(_link_lists(index, g.edges, [0] * len(g.edges)), index[u], index[v])
+    if index[v] not in reached:
         raise UnreachableError(u, v)
-    cost, seq = reached[v]
-    return Path(nodes=seq, edges=_path_edges(seq), cost=Fraction(cost))
+    cost, seq, mask = reached[index[v]]
+    nodes = tuple(g.nodes[i] for i in seq)
+    return Path(nodes=nodes, edges=_decode(g.edge_keys(), mask), cost=Fraction(cost))
 
 
-def _lex_dijkstra(
-    neighbors: Callable[[str], list], source: str, stop: Container = ()
-) -> dict[str, tuple]:
-    """node -> (cost, node sequence) of its cheapest path from `source`, for
-    every node settled up to the first one in `stop` (every reachable node
-    when no node of `stop` is reached).  `neighbors(node)` lists (neighbor,
-    edge cost).  Priorities are (cost, node-sequence) and sequences compare
-    lexicographically, so a node's first pop is its tie-broken answer, and
-    with non-negative costs the pops come in increasing priority: the first
-    node of `stop` popped has the least (cost, sequence) of them all."""
-    heap = [(0, (source,))]
-    best: dict[str, tuple] = {}
+def simple_paths(g: Graph, s: str, target: str) -> list[EdgeSet]:
+    """Every simple s->target path (s != target), in no fixed order: a
+    depth-first walk on an explicit stack of (node, visited-node mask,
+    integer cost, edge mask), so no length meets the recursion limit.  A
+    menu can hold 10^5 paths, so their edges stay out of the `decode` memo."""
+    table = g._steiner
+    start, stop = table.index[s], table.index.get(target)
+    out, stack = [], [(start, 1 << start, 0, 0)]
+    while stack:
+        v, seen, cost, mask = stack.pop()
+        for w, c, bit, _ in table._links[v]:
+            if w == stop:
+                cost_w = Fraction(cost + c, table.scale)
+                out.append(EdgeSet(edges=_decode(table.edges, mask | bit), cost=cost_w))
+            elif not seen >> w & 1:
+                stack.append((w, seen | 1 << w, cost + c, mask | bit))
+    return out
+
+
+def nearest(g: Graph, x: str, targets: Iterable[str]) -> EdgeSet:
+    """The least (cost, node sequence) path from x to a node of a nonempty
+    target set, read from x's Dijkstra in the graph's table.  An unknown x
+    raises UnreachableError(x, least target); a target that x does not
+    reach raises KeyError(target)."""
+    if x not in g._node_set:
+        raise UnreachableError(x, min(targets))
+    table = g._steiner
+    index, reached, best = table.index, table.paths(table.index[x]), None
+    for t in targets:
+        if (path := reached.get(index.get(t))) is None:
+            raise KeyError(t)
+        if best is None or path < best:
+            best = path
+    cost, _, mask = best
+    return EdgeSet(edges=table.decode(mask), cost=Fraction(cost, table.scale))
+
+
+def route(g: Graph, source: str, target: str, allowed: frozenset) -> EdgeSet:
+    """The least (cost, node sequence) source->target path over the edges
+    of `allowed` (edges not in the graph are ignored), by one Dijkstra
+    stopped at target.  An unknown source or unreachable target raises
+    UnreachableError."""
+    if source not in g._node_set:
+        raise UnreachableError(source, target)
+    table = g._steiner
+    mask = sum(table._edge_bit.get(e, 0) for e in allowed)
+    stop = table.index.get(target)
+    reached = _lex_dijkstra(table._links, table.index[source], stop, mask)
+    if stop not in reached:
+        raise UnreachableError(source, target)
+    cost, _, path = reached[stop]
+    return EdgeSet(edges=table.decode(path), cost=Fraction(cost, table.scale))
+
+
+def _link_lists(index: dict, edges: Iterable, weights: list) -> list[list[tuple]]:
+    """Per node index, its (neighbour index, cost, edge bit, weight) links:
+    edge j of the sorted ((u, v), cost) `edges` has bit j and weights[j]."""
+    links: list[list[tuple]] = [[] for _ in index]
+    for j, ((u, v), c) in enumerate(edges):
+        links[index[u]].append((index[v], c, 1 << j, weights[j]))
+        links[index[v]].append((index[u], c, 1 << j, weights[j]))
+    return links
+
+
+def _lex_dijkstra(links: list, source: int, stop=None, allowed: int = -1) -> dict[int, tuple]:
+    """node -> (cost, node sequence, edge mask) of its cheapest path from
+    `source` over the edges of mask `allowed`, for every node settled up to
+    `stop` (every reachable node if `stop` is not reached).  Nodes index the
+    sorted nodes, so sequences compare like names.  The heap pops the least
+    (cost, sequence), and no sequence is pushed twice, so masks are never
+    compared and a node's first pop is its answer."""
+    heap = [(0, (source,), 0)]
+    best: dict[int, tuple] = {}
     while heap:
-        cost, seq = heapq.heappop(heap)
+        cost, seq, mask = entry = heapq.heappop(heap)
         node = seq[-1]
         if node in best:
             continue
-        best[node] = (cost, seq)
-        if node in stop:
+        best[node] = entry
+        if node == stop:
             break
-        for nxt, c in neighbors(node):
-            if nxt not in best:
-                heapq.heappush(heap, (cost + c, seq + (nxt,)))
+        for nxt, c, bit, _ in links[node]:
+            if bit & allowed and nxt not in best:
+                heapq.heappush(heap, (cost + c, seq + (nxt,), mask | bit))
     return best
 
 
-def _path_edges(seq: tuple[str, ...]) -> frozenset:
-    return frozenset(edge_key(a, b) for a, b in zip(seq, seq[1:]))
+def _decode(edges: list, mask: int) -> frozenset:
+    """The edges of an edge mask, bit j standing for edges[j]."""
+    return frozenset(edges[j] for j in _bits(mask))
+
+
+def _bits(mask: int):
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def metric_closure(g: Graph) -> Metric:
@@ -216,10 +277,11 @@ def metric_closure(g: Graph) -> Metric:
 
 class _SteinerTable:
     """The integer path model of one graph, filled lazily: the integer
-    costs (each cost times `scale`, the lcm of the edge cost denominators)
-    and adjacency, the components, one lexicographic Dijkstra per node, and
-    the Dreyfus-Wagner labels dp[X][i] = cheapest (cost, edge mask)
-    connecting `nodes[i]` and the terminals of mask X.  Bit i of a terminal
+    costs (each cost times `scale`, the lcm of the edge cost denominators),
+    the graph's one adjacency (`_links`, by node index), the components,
+    one Dijkstra per node (`paths`), and the Dreyfus-Wagner labels dp[X][i]
+    = cheapest (cost, edge mask) connecting `nodes[i]` and the terminals of
+    mask X.  Bit i of a terminal
     mask stands for `nodes[i]` and bit j of an edge mask for `edges[j]`,
     both sorted, so a mask's sorted edge tuple is its bits in ascending
     order.  A label depends only on the graph and X (its base paths,
@@ -231,12 +293,8 @@ class _SteinerTable:
         self.edges = [e for e, _ in g.edges]
         self.scale = math.lcm(*(c.denominator for _, c in g.edges))
         self.cost = {e: int(c * self.scale) for e, c in g.edges}
-        self.adj = {v: [] for v in self.nodes}  # neighbours sorted, as the edges are
-        for (u, v), c in self.cost.items():
-            self.adj[u].append((v, c))
-            self.adj[v].append((u, c))
         self.comp = _components(g.nodes, self.cost)
-        self.bit = {v: 1 << i for i, v in enumerate(self.nodes)}
+        self.index = {v: i for i, v in enumerate(self.nodes)}
         groups: dict[str, list[int]] = {}
         for i, v in enumerate(self.nodes):
             groups.setdefault(self.comp[v], []).append(i)
@@ -246,34 +304,30 @@ class _SteinerTable:
         self._comp_mask = [masks[self.comp[v]] for v in self.nodes]
         m = len(self.edges)
         self._edge_bit = {e: 1 << j for j, e in enumerate(self.edges)}
-        self._edge_cost = [self.cost[e] for e in self.edges]
+        self._edge_cost = list(self.cost.values())
         # Relaxation keys are base-3 numerals, one digit per edge, edge 0's
         # the most significant: edge j's digit weighs 3**(m - 1 - j).
         self._pow3 = [3**k for k in range(m + 1)]
         self._weight = [self._pow3[m - 1 - j] for j in range(m)]
-        index = {v: i for i, v in enumerate(self.nodes)}
-        digit = {e: (1 << j, self._weight[j]) for j, e in enumerate(self.edges)}
-        self._links = [  # (neighbour index, integer cost, edge bit, digit weight)
-            [(index[w], c, *digit[edge_key(v, w)]) for w, c in self.adj[v]] for v in self.nodes
-        ]
-        self._paths: dict[str, dict[str, tuple]] = {}
+        # (neighbour index, integer cost, edge bit, digit weight)
+        self._links = _link_lists(self.index, self.cost.items(), self._weight)
+        self._paths: dict[int, dict[int, tuple]] = {}
         self.dp: dict[int, list[Optional[tuple[int, int]]]] = {}
         self._decoded: dict[int, frozenset] = {}
         self._shared_cost: dict[int, int] = {}
 
-    def paths(self, v: str) -> dict[str, tuple]:
-        """node -> (integer cost, node sequence) of its cheapest path from v."""
-        reached = self._paths.get(v)
+    def paths(self, i: int) -> dict[int, tuple]:
+        """node index -> (integer cost, node sequence, edge mask) of its path from i."""
+        reached = self._paths.get(i)
         if reached is None:
-            reached = self._paths[v] = _lex_dijkstra(self.adj.__getitem__, v)
+            reached = self._paths[i] = _lex_dijkstra(self._links, i)
         return reached
 
     def decode(self, mask: int) -> frozenset:
         """The edges of an edge mask."""
         edges = self._decoded.get(mask)
         if edges is None:
-            edges = frozenset(e for j, e in enumerate(self.edges) if mask >> j & 1)
-            self._decoded[mask] = edges
+            edges = self._decoded[mask] = _decode(self.edges, mask)
         return edges
 
     def span(self, terms: int) -> tuple[int, int]:
@@ -305,11 +359,9 @@ class _SteinerTable:
         anchor = X & -X
         members = self._members[anchor.bit_length() - 1]
         if X == anchor:
-            t = self.nodes[X.bit_length() - 1]
             for i in members:
-                cost, seq = self.paths(self.nodes[i])[t]
-                path = zip(seq, seq[1:])
-                labels[i] = (cost, sum(self._edge_bit[edge_key(a, b)] for a, b in path))
+                cost, _, mask = self.paths(i)[X.bit_length() - 1]
+                labels[i] = (cost, mask)
             return labels
         rest = sub = X ^ anchor
         splits = []
@@ -402,11 +454,11 @@ def steiner_tree_exact(g: Graph, terminals: Iterable[str]) -> EdgeSet:
         raise PreconditionError("terminal set must be nonempty")
     table = g._steiner
     for t in terms:
-        if t not in table.bit:
+        if t not in table.index:
             raise DisconnectedError(f"terminal {t!r} not in graph")
     if len({table.comp[t] for t in terms}) > 1:
         raise DisconnectedError("terminals not mutually reachable")
-    cost, mask = table.span(sum(table.bit[t] for t in terms))
+    cost, mask = table.span(sum(1 << table.index[t] for t in terms))
     return EdgeSet(edges=table.decode(mask), cost=Fraction(cost, table.scale))
 
 
@@ -424,14 +476,15 @@ class SteinerForests:
 
     def __init__(self, g: Graph, pairs: list[Edge]):
         self.pairs, self.table = pairs, g._steiner
-        comp, bit = self.table.comp, self.table.bit
+        comp, index = self.table.comp, self.table.index
         self.bad = sum(  # the pairs that no forest connects
             1 << j
             for j, (u, v) in enumerate(pairs)
             if u not in comp or v not in comp or comp[u] != comp[v]
         )
         self.ends = [  # each pair's node mask
-            0 if self.bad >> j & 1 else bit[u] | bit[v] for j, (u, v) in enumerate(pairs)
+            0 if self.bad >> j & 1 else 1 << index[u] | 1 << index[v]
+            for j, (u, v) in enumerate(pairs)
         ]
         self.trees: dict[int, Optional[tuple[int, int]]] = {}
         self.F: dict[int, tuple[int, int, int]] = {0: (0, 0, 0)}
@@ -503,14 +556,7 @@ def min_feasible_subset_bruteforce(g: Graph, feasible: Callable[[frozenset], boo
     scaled = [int(g.cost(k) * denom_lcm) for k in keys]
     best = None  # (scaled cost, sorted edge tuple, frozenset)
     for mask in range(1 << len(keys)):
-        cost = 0
-        m = mask
-        i = 0
-        while m:
-            if m & 1:
-                cost += scaled[i]
-            m >>= 1
-            i += 1
+        cost = _bit_sum(mask, scaled)
         if best is not None:
             if cost > best[0]:
                 continue

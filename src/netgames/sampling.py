@@ -12,8 +12,8 @@ action per type.  The exact evaluation sums over the law of the client set
 to its set once), `derandomize` prices each set once while it walks the
 draws, and the Monte-Carlo estimator keeps a per-call memo from client set
 to its step, filling a type's entry the first time that type is realized.
-Its sums are integers over the graph's Steiner-table scale, and a
-restricted action is one Dijkstra over that table's adjacency.  A
+Its sums are integers over the instance's cost scale, and a restricted
+action is the graph's `graphs.route` over the allowed edges.  A
 `SampleProfile` is the draw's types alone.  `inst.support_cap` bounds the
 number of draws that the exact evaluation and `derandomize` stand for, not
 the number of sets."""
@@ -29,9 +29,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .costsharing import CostSharingScheme
-from .errors import PreconditionError, UnreachableError
+from .errors import PreconditionError
 from .games import (
-    EMPTY_ACTION,
     Action,
     GameInstance,
     _check_support,
@@ -41,7 +40,7 @@ from .games import (
     expected_social_cost,
     weighted_product,
 )
-from .graphs import Graph, EdgeSet, edge_key
+from .graphs import EdgeSet
 from . import graphs
 
 
@@ -103,26 +102,6 @@ def _support_types(inst: GameInstance) -> list:
     return list(dict.fromkeys(t for spec in inst.players for t in spec.support()))
 
 
-def _restricted_action(g: Graph, allowed: frozenset, source: str) -> Action:
-    """Cheapest feasible action inside the allowed element set: the shortest
-    source->root path over the allowed edges of the Steiner table's integer
-    adjacency, by one lexicographic Dijkstra stopped at the root."""
-    if source == g.root:
-        return EMPTY_ACTION
-    table = g._steiner
-    if source not in table.adj:
-        raise UnreachableError(source, g.root)
-    reached = graphs._lex_dijkstra(
-        lambda v: [(w, c) for w, c in table.adj[v] if edge_key(v, w) in allowed],
-        source,
-        stop=(g.root,),
-    )
-    if g.root not in reached:
-        raise UnreachableError(source, g.root)
-    cost, seq = reached[g.root]
-    return Action(elements=graphs._path_edges(seq), cost=Fraction(cost, table.scale))
-
-
 def _clients(inst: GameInstance, D: tuple) -> frozenset:
     # Duplicates collapse; the root is never a client of the base solution.
     return frozenset(t for t in D if t != inst.graph.root)
@@ -131,9 +110,11 @@ def _clients(inst: GameInstance, D: tuple) -> frozenset:
 def _augmented(
     inst: GameInstance, scheme: CostSharingScheme, base: EdgeSet, t
 ) -> tuple[EdgeSet, Action]:
-    """(B(base, t), cheapest action inside base | B(base, t)) for type t."""
+    """(B(base, t), cheapest action inside base | B(base, t)) for type t: the
+    graph's least t->root route over those edges."""
     aug = scheme.augment(base, t)
-    return aug, _restricted_action(inst.graph, base.edges | aug.edges, t)
+    path = graphs.route(inst.graph, t, inst.graph.root, base.edges | aug.edges)
+    return aug, Action(elements=path.edges, cost=path.cost)
 
 
 def _draw_step(
@@ -258,10 +239,10 @@ def evaluate_construction_mc(
         raise PreconditionError("need at least one sample")
     players = [_sampler(spec.distribution) for spec in inst.players]
     draws = [players[i] for i in _draw_players(inst, scheme, variant)]
-    table = inst.graph._steiner
+    sc = inst._scale
     rng = random.Random(seed)
     # client set -> (A(D), its cost, type -> (augmentation cost, action edges));
-    # every cost and sum below is an integer over the table's scale.
+    # every cost and sum below is an integer over the cost scale C.
     steps: dict = {}
     values = []
     first_stage = augmentation = 0
@@ -272,17 +253,17 @@ def evaluate_construction_mc(
         step = steps.get(clients)
         if step is None:
             base = scheme.approx(clients)
-            step = steps[clients] = (base, _over(table.scale, base.cost), {})
+            step = steps[clients] = (base, _over(sc.C, base.cost), {})
         base, base_cost, menu = step
         for t in realized:
             if t not in menu:
                 aug, action = _augmented(inst, scheme, base, t)
-                menu[t] = (_over(table.scale, aug.cost), action.elements)
+                menu[t] = (_over(sc.C, aug.cost), action.elements)
         used = frozenset().union(*(menu[t][1] for t in realized))
-        values.append(sum(table.cost[e] for e in used))
+        values.append(sum(sc.costs[e] for e in used))
         first_stage += base_cost
         augmentation += sum(menu[t][0] for t in realized)
-    unit = samples * table.scale
+    unit = samples * sc.C
     total = sum(values)
     mean = Fraction(total, unit)
     if samples > 1:

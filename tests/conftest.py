@@ -36,7 +36,6 @@ from netgames.graphs import (
     Graph,
     Metric,
     _components,
-    _lex_dijkstra,
     edge_key,
     shortest_path,
 )
@@ -104,6 +103,29 @@ def mst_over_terminals(m: Metric, terminals) -> tuple[EdgeSet, Fraction]:
     return es, total
 
 
+def edge_set_cost(g: Graph, edges: Iterable) -> Fraction:
+    """The total cost of an edge set of g."""
+    return sum((g.cost(e) for e in edges), Fraction(0))
+
+
+def lex_dijkstra_reference(neighbors, source: str) -> dict[str, tuple]:
+    """node -> (cost, node sequence) of its cheapest path from `source`,
+    ties to the least node sequence, over the node names themselves: a heap
+    of (cost, sequence) whose first pop of a node is its answer.  It shares
+    no code with the index-and-mask kernel in `graphs`."""
+    heap = [(0, (source,))]
+    best: dict[str, tuple] = {}
+    while heap:
+        cost, seq = heapq.heappop(heap)
+        if seq[-1] in best:
+            continue
+        best[seq[-1]] = (cost, seq)
+        for nxt, c in neighbors(seq[-1]):
+            if nxt not in best:
+                heapq.heappush(heap, (cost + c, seq + (nxt,)))
+    return best
+
+
 def neighbors(g: Graph) -> dict[str, list[tuple[str, Fraction]]]:
     """Node -> sorted (neighbour, `Fraction` cost) list, built from the
     edges alone, so the oracles below share no adjacency with the code
@@ -166,7 +188,7 @@ def steiner_tree_reference(g: Graph, terminals: Iterable[str]) -> EdgeSet:
                         if s1 is None or s2 is None:
                             continue
                         edges = s1[1] | s2[1]
-                        cost = g.edge_set_cost(edges)
+                        cost = edge_set_cost(g, edges)
                         if best is None or _candidate_key(cost, edges) < _candidate_key(*best):
                             best = (cost, edges)
                 if best is not None:
@@ -183,7 +205,7 @@ def steiner_tree_reference(g: Graph, terminals: Iterable[str]) -> EdgeSet:
                 cost_v, edges_v = labels[v]
                 for nxt, c in adj[v]:
                     edges = edges_v | {edge_key(v, nxt)}
-                    cost = g.edge_set_cost(edges)
+                    cost = edge_set_cost(g, edges)
                     cand = (cost, edges)
                     if nxt not in labels or _candidate_key(*cand) < _candidate_key(*labels[nxt]):
                         labels[nxt] = cand
@@ -211,7 +233,7 @@ class SteinerLabelsReference:
             for v, pairs in neighbors(g).items()
         }
         self.comp = _components(g.nodes, self.cost)
-        self.paths = {v: _lex_dijkstra(self.adj.__getitem__, v) for v in g.nodes}
+        self.paths = {v: lex_dijkstra_reference(self.adj.__getitem__, v) for v in g.nodes}
         self.dp: dict[frozenset, dict[str, tuple[int, frozenset]]] = {}
 
     def labels(self, X: frozenset) -> dict[str, tuple[int, frozenset]]:
@@ -300,7 +322,7 @@ def feasible_actions_reference(inst: GameInstance, i: int, t) -> list[Action]:
 
     def path_action(seq):
         edges = frozenset(edge_key(a, b) for a, b in zip(seq, seq[1:]))
-        return Action(elements=edges, cost=inst.graph.edge_set_cost(edges))
+        return Action(elements=edges, cost=edge_set_cost(inst.graph, edges))
 
     if inst.kind == "multicast":
         if t == inst.graph.root:
@@ -492,7 +514,7 @@ def steiner_forest_edges_reference(g: Graph, pairs) -> EdgeSet:
             ends = sorted({n for i, p in enumerate(pair_list) if block >> i & 1 for n in p})
             one_component = len({table.comp[n] for n in ends}) == 1
             if one_component:
-                cost, mask = table.span(sum(table.bit[n] for n in ends))
+                cost, mask = table.span(sum(1 << table.index[n] for n in ends))
                 trees[block] = (cost, table.decode(mask))
             else:
                 trees[block] = None

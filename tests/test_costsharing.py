@@ -53,7 +53,7 @@ class TestSteinerScheme:
                 scheme.share(frozenset(g.nodes), x)
             else:
                 scheme.augment(EdgeSet(edges=frozenset(), cost=Fraction(0)), x)
-            assert g._steiner._paths.keys() == {x}
+            assert g._steiner._paths.keys() == {g.nodes.index(x)}
 
     def test_augmentation_example(self, triangle, scheme):
         base = scheme.approx(frozenset({"a"}))

@@ -30,6 +30,7 @@ from conftest import (
     action_cost_reference,
     augment_reference,
     count_law_reference,
+    edge_set_cost,
     expected_potential_reference,
     expected_social_cost_reference,
     multicast,
@@ -217,7 +218,7 @@ def solutions(g, scheme, rng):
     out = [EdgeSet(edges=frozenset(), cost=Fraction(0))]
     for _ in range(3):
         chosen = frozenset(e for e in g.edge_keys() if rng.random() < 0.3)
-        out.append(EdgeSet(edges=chosen, cost=g.edge_set_cost(chosen)))
+        out.append(EdgeSet(edges=chosen, cost=edge_set_cost(g, chosen)))
         terms = rng.sample(list(g.nodes), rng.randint(1, len(g.nodes)))
         out.append(scheme.approx(frozenset(terms)))
     return out

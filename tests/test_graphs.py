@@ -43,6 +43,8 @@ from netgames.sampling import evaluate_construction_exact
 
 from conftest import (
     SteinerLabelsReference,
+    _all_simple_paths_reference,
+    edge_set_cost,
     mst_over_terminals,
     random_connected_graph,
     steiner_forest_edges_reference,
@@ -94,6 +96,23 @@ class TestShortestPath:
         g = graph_from_costs({("a", "b"): Fraction(1)}, nodes=["a", "b", "z"])
         with pytest.raises(UnreachableError):
             shortest_path(g, "a", "z")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_least_cost_then_node_sequence_over_all_simple_paths(self, seed):
+        """The tie rule against plain enumeration, which shares no code with
+        the Dijkstra kernel: on random graphs with costs in {0, 1, 2}, the
+        path is the least (cost, node sequence) of all simple u-v paths."""
+        rng = random.Random(seed)
+        for _ in range(100):
+            g = random_connected_graph(rng, max_nodes=7, max_edges=14, costs=(0, 1, 2))
+            for u, v in itertools.permutations(g.nodes, 2):
+                best = min(
+                    (sum(g.cost(edge_key(a, b)) for a, b in zip(seq, seq[1:])), seq)
+                    for seq in _all_simple_paths_reference(g, u, v)
+                )
+                p = shortest_path(g, u, v)
+                assert (p.cost, p.nodes) == best
+                assert p.edges == frozenset(edge_key(a, b) for a, b in zip(p.nodes, p.nodes[1:]))
 
     def test_matches_bruteforce_enumeration(self, triangle):
         # Brute-force all simple a->r paths on the triangle.
@@ -337,7 +356,7 @@ class TestSteinerForest:
             oracle = min_feasible_subset_bruteforce(g, pairs_predicate(g, pairs))
             assert f.cost == oracle.cost
             assert pairs_predicate(g, pairs)(f.edges)
-            assert g.edge_set_cost(f.edges) == f.cost
+            assert edge_set_cost(g, f.edges) == f.cost
 
     def test_pairs_in_different_components(self):
         """Pairs in two components of a disconnected graph solve; blocks
@@ -548,7 +567,7 @@ class TestSteinerTable:
             table, ref = g._steiner, SteinerLabelsReference(g)
             for r in range(1, len(pool) + 1):
                 for X in itertools.combinations(pool, r):
-                    got = table.labels(sum(table.bit[t] for t in X))
+                    got = table.labels(sum(1 << table.index[t] for t in X))
                     assert len(got) == len(g.nodes)
                     labels = {v: (l[0], table.decode(l[1])) for v, l in zip(g.nodes, got) if l}
                     assert labels == ref.labels(frozenset(X))

@@ -25,6 +25,7 @@ from netgames.instances import gen_instance
 from conftest import (
     action_cost_reference,
     best_response_dynamics_reference,
+    edge_set_cost,
     multicast,
     point_mass,
     uniform,
@@ -121,7 +122,7 @@ def cover_instance():
 def off_menu_profiles():
     inst = pendant_instance()
     detour = frozenset({edge_key("a", "r"), edge_key("b", "x")})
-    off = Action(elements=detour, cost=inst.graph.edge_set_cost(detour))
+    off = Action(elements=detour, cost=edge_set_cost(inst.graph, detour))
     menus = inst.menus
     yield inst, ({"a": off, "b": menus[0][1][1][0]}, {"a": menus[1][0][1][-1]})
     yield inst, ({"a": menus[0][0][1][0], "b": menus[0][1][1][0]}, {"a": off})

@@ -20,9 +20,9 @@ from netgames import (
 )
 from netgames.errors import PreconditionError, SupportTooLargeError, UnreachableError
 from netgames.games import GameInstance, PlayerSpec
-from netgames.graphs import shortest_path
+from netgames.graphs import route, shortest_path
 from netgames.instances import gen_instance
-from netgames.sampling import _clients, _restricted_action
+from netgames.sampling import _clients
 
 from conftest import (
     construction_reference,
@@ -393,8 +393,8 @@ class TestGuards:
 
 
 class TestRestrictedAction:
-    """The construction's cheapest action inside A(D) | B(A(D), t), one
-    filtered Dijkstra, against the new-`Graph` oracle."""
+    """The construction's cheapest action inside A(D) | B(A(D), t), the
+    graph's `route` over those edges, against the new-`Graph` oracle."""
 
     @pytest.mark.parametrize("costs", [(0, 1, 2), None], ids=["tie-heavy", "fractional"])
     def test_matches_reference(self, costs):
@@ -409,15 +409,22 @@ class TestRestrictedAction:
                         ref = restricted_action_reference(g, allowed, source)
                     except UnreachableError as exc:
                         with pytest.raises(UnreachableError) as got:
-                            _restricted_action(g, allowed, source)
+                            route(g, source, g.root, allowed)
                         assert str(got.value) == str(exc)
                         continue
-                    assert _restricted_action(g, allowed, source) == ref
+                    path = route(g, source, g.root, allowed)
+                    assert (path.edges, path.cost) == (ref.elements, ref.cost)
 
     def test_unknown_source(self, triangle):
         allowed = frozenset(triangle.edge_keys())
         with pytest.raises(UnreachableError) as got:
-            _restricted_action(triangle, allowed, "x")
+            route(triangle, "x", triangle.root, allowed)
         with pytest.raises(UnreachableError) as ref:
             restricted_action_reference(triangle, allowed, "x")
         assert str(got.value) == str(ref.value)
+
+    def test_edges_outside_the_graph_are_ignored(self, triangle):
+        allowed = frozenset({("a", "b"), ("b", "r")})
+        foreign = allowed | {("q", "z"), ("a", "z")}
+        assert route(triangle, "a", "r", foreign) == route(triangle, "a", "r", allowed)
+        assert route(triangle, "a", "r", allowed).edges == allowed
