@@ -5,14 +5,15 @@ link-by-link certificate of the potential-method inequality chain.
 The potential minimizer s*, the cost minimizer s~ and the candidates for
 the cheapest BNE come from one bounded depth-first search over the pure
 strategy space (`_sweep`), in integers, with each profile's partial
-expected cost as the bound.  It computes one use-count law per distinct
-sorted non-zero column, and a candidate becomes a profile only when the
-best-BNE search reads it.  `strategy_cap` bounds the product of the menu
-sizes and is checked before any search.  `all_strategy_profiles` and
+expected cost as the bound.  Its state is one integer code per element's
+use column, priced from one use-count law per distinct sorted non-zero
+column, and a candidate becomes a profile only when the best-BNE search
+reads it.  `strategy_cap` bounds the product of the menu sizes and is
+checked before any search.  `all_strategy_profiles` and
 `enumerate_pure_bne` enumerate every profile; they are module-level test
-oracles, not package exports.  `verify_bne` and the
-dynamics price deviations from one `games.interim_weights` table per player,
-and the dynamics' trace follows the exact potential identity."""
+oracles, not package exports.  `verify_bne` and the dynamics price
+deviations from one `games.interim_weights` table per player, and the
+dynamics' trace follows the exact potential identity."""
 
 from __future__ import annotations
 
@@ -156,13 +157,16 @@ class _Sweep(NamedTuple):
 def _sweep(inst: GameInstance) -> _Sweep:
     """s*, s~ and the cheapest-BNE candidates by one depth-first search over
     the (player, type) slots in canonical order, last slot fastest.  The
-    state is integer and changes one slot at a time: each element's column
-    of q_j(e) over D for the players j with a multi-action slot (the others'
-    entries are fixed, kept once per element), and the running numerators
-    of expected cost (over C*D^n) and potential (over C*L*D^n).  An
-    element's terms are c_e times `games.column_terms` of its whole column,
-    computed once per distinct sorted non-zero column in a call and read
-    once per (element, column) from a second memo.
+    state is integer and changes one slot at a time: the running numerators
+    of expected cost (over C*D^n) and potential (over C*L*D^n), and each
+    touched element's column code, sum of q_p(e) * (D+1)^p over the movers p
+    (players with a multi-action slot, whose entries are at most D), so a
+    slot option is a tuple of (element index, code increment).  An element's
+    terms are c_e times `games.column_terms` of its column: the code decoded
+    and joined with the other players' entries, which never change.
+    Elements whose other entries agree share one memo from code to those
+    terms, and each distinct sorted non-zero column is priced once per call.
+    The last slot's options are priced in one loop, with no step per leaf.
 
     s* is a BNE and C(s*) <= Phi(s*), so the cheapest BNE costs at most the
     running minimum potential; only profiles within it are candidates.  A
@@ -176,76 +180,86 @@ def _sweep(inst: GameInstance) -> _Sweep:
     `candidates` reaches it."""
     _check_strategy_space(inst)
     sc = inst._scale
-    n, L = inst.n, sc.L
-    laws: dict = {}  # sorted non-zero column -> column_terms
-    memo: dict = {}  # (element, column) -> (column, cost term, potential term)
-
-    def state(e, column):
-        key = tuple(sorted(pinned.get(e, ()) + tuple(a for a in column if a)))
-        if key not in laws:
-            laws[key] = column_terms(inst, key)
-        unit_cost, unit_pot = laws[key]
-        c = sc.costs[e]
-        entry = memo[(e, column)] = (column, c * unit_cost, c * unit_pot)
-        return entry
-
+    n, L, base = inst.n, sc.L, sc.D + 1
     fixed: dict = defaultdict(Counter)  # element -> player -> entry of the single-action slots
-    slots = []  # (player, weight, element tuple of each action)
+    slots = []  # (player, weight, element sets of the actions)
     for i, entries in enumerate(inst.menus):
         for (_, menu), w in zip(entries, sc.weights[i]):
             if len(menu) == 1:
                 for e in menu[0].elements:
                     fixed[e][i] += w
             else:
-                slots.append((i, w, [tuple(a.elements) for a in menu]))
-    movers = {i: p for p, i in enumerate(sorted({i for i, _, _ in slots}))}  # -> column position
-    slots = [(movers[i], w, options) for i, w, options in slots]
-    pinned = {e: tuple(a for i, a in row.items() if i not in movers) for e, row in fixed.items()}
-    start = {e: tuple(row[i] for i in movers) for e, row in fixed.items()}
-    used = {e for _, _, options in slots for elements in options for e in elements}
-    cols = {e: state(e, start.get(e, (0,) * len(movers))) for e in used | fixed.keys()}
+                slots.append((i, w, [a.elements for a in menu]))
+    movers = {i: base**p for p, i in enumerate(sorted({s[0] for s in slots}))}  # -> digit weight
+    elements = sorted(fixed.keys() | {e for _, _, options in slots for a in options for e in a})
+    index = {e: x for x, e in enumerate(elements)}
+    pinned = [sorted(a for i, a in fixed[e].items() if i not in movers) for e in elements]
+    costs = [sc.costs[e] for e in elements]
+    laws: dict = {}  # sorted non-zero column -> column_terms
+    groups: dict = {}  # pinned entries -> {column code -> column_terms}
+    memos = [groups.setdefault(tuple(p), {}) for p in pinned]  # per element: its group's memo
 
-    depth = len(slots)
-    digits = [-1] * depth  # action index per slot
-    undo = [[] for _ in range(depth)]  # (element, previous state) per slot
-    base = [(sum(c[1] for c in cols.values()), sum(c[2] for c in cols.values()))]
-    base += [None] * depth  # numerators before each slot is played
-    s_star = s_tilde = None  # (cost, potential, digits)
-    leaves = []
+    def price(x, code):
+        entries, rest = pinned[x].copy(), code
+        while rest:
+            if a := rest % base:
+                entries.append(a)
+            rest //= base
+        key = tuple(sorted(entries))
+        law = laws.get(key) or laws.setdefault(key, column_terms(inst, key))
+        return memos[x].setdefault(code, law)
+
+    code = [sum(a * movers[i] for i, a in fixed[e].items() if i in movers) for e in elements]
+    term = [price(x, c) for x, c in enumerate(code)]  # per element: its current column_terms
+    slots = [[tuple([(x, w * movers[i], memos[x], costs[x]) for x in map(index.get, a)])
+              for a in options] for i, w, options in slots]  # (element, code step, memo, cost)
+
+    cost, pot = (sum(c * t[k] for c, t in zip(costs, term)) for k in (0, 1))
+    # With no multi-action slot, the start state is the one leaf.
+    leaves = [] if slots else [(cost, pot, ())]
+    s_star = s_tilde = leaves[0] if leaves else None  # (cost, potential, digits)
+    *inner, last = slots or [[]]
+    depth = len(inner)
+    digits = [-1] * depth  # action index per inner slot
+    states = [(cost, pot, code, term)] + [None] * depth  # before each slot is played
     k = 0
     while k >= 0:
-        if k == depth:
-            cost, pot = base[k]
-            leaf = (cost, pot, tuple(digits))
-            if s_star is None or pot < s_star[1]:
-                s_star = leaf
-            if s_tilde is None or cost < s_tilde[0]:
-                s_tilde = leaf
-            # A leaf is reached only if cost * L is at most the least
-            # potential before it, or its own potential (Phi >= C).
-            leaves.append(leaf)
+        if k == depth:  # price the last slot's options from this state
+            cost_k, pot_k, code, term = states[k]
+            for j, option in enumerate(last):
+                cost, pot = cost_k, pot_k
+                for x, step, memo, ce in option:
+                    c = code[x] + step
+                    new = memo.get(c) or price(x, c)
+                    old = term[x]
+                    cost += ce * (new[0] - old[0])
+                    pot += ce * (new[1] - old[1])
+                # A leaf is kept only if cost * L is at most the least
+                # potential before it, or its own potential (Phi >= C).
+                if s_star is None or cost * L <= s_star[1]:
+                    leaf = (cost, pot, (*digits, j))
+                    if s_star is None or pot < s_star[1]:
+                        s_star = leaf
+                    if s_tilde is None or cost < s_tilde[0]:
+                        s_tilde = leaf
+                    leaves.append(leaf)
             k -= 1
             continue
-        for e, previous in undo[k]:
-            cols[e] = previous
-        undo[k] = changed = []
-        digits[k] += 1
-        p, w, options = slots[k]
-        if digits[k] == len(options):
+        j = digits[k] = digits[k] + 1
+        if j == len(inner[k]):
             digits[k] = -1
             k -= 1
             continue
-        cost, pot = base[k]
-        for e in options[digits[k]]:
-            old = cols[e]
-            column = old[0]
-            column = column[:p] + (column[p] + w,) + column[p + 1:]
-            new = cols[e] = memo.get((e, column)) or state(e, column)
-            cost += new[1] - old[1]
-            pot += new[2] - old[2]
-            changed.append((e, old))
+        cost, pot, code, term = states[k]
+        code, term = code.copy(), term.copy()
+        for x, step, memo, ce in inner[k][j]:
+            c = code[x] = code[x] + step
+            new = memo.get(c) or price(x, c)
+            old, term[x] = term[x], new
+            cost += ce * (new[0] - old[0])
+            pot += ce * (new[1] - old[1])
         if s_star is None or cost * L <= s_star[1]:
-            base[k + 1] = (cost, pot)
+            states[k + 1] = (cost, pot, code, term)
             k += 1
 
     cost_den, pot_den = sc.C * sc.D_pow[n], sc.C * L * sc.D_pow[n]

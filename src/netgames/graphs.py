@@ -281,12 +281,11 @@ class _SteinerTable:
     the graph's one adjacency (`_links`, by node index), the components,
     one Dijkstra per node (`paths`), and the Dreyfus-Wagner labels dp[X][i]
     = cheapest (cost, edge mask) connecting `nodes[i]` and the terminals of
-    mask X.  Bit i of a terminal
-    mask stands for `nodes[i]` and bit j of an edge mask for `edges[j]`,
-    both sorted, so a mask's sorted edge tuple is its bits in ascending
-    order.  A label depends only on the graph and X (its base paths,
-    integer costs and tie-breaks all do), so one table serves every
-    terminal set, in any call order, and no subset is built twice."""
+    mask X.  Bit i of a terminal mask stands for `nodes[i]` and bit j of an
+    edge mask for `edges[j]`, both sorted, so a mask's sorted edge tuple is
+    its bits in ascending order.  A label depends only on the graph and X
+    (its base paths, integer costs and tie-breaks all do), so one table
+    serves every terminal set, in any call order, and builds no subset twice."""
 
     def __init__(self, g: Graph):
         self.nodes = g.nodes
@@ -333,13 +332,17 @@ class _SteinerTable:
     def span(self, terms: int) -> tuple[int, int]:
         """(integer cost, edge mask) of the Steiner tree on a nonempty
         terminal mask of one component: the label of its lowest terminal in
-        dp[the others].  More than STEINER_TERMINAL_CAP terminals raise
-        TooLargeError before any subset is built."""
+        dp[the others], which for two terminals is the path between them,
+        read from one Dijkstra.  More than STEINER_TERMINAL_CAP terminals
+        raise TooLargeError before any subset is built."""
         if (k := terms.bit_count()) > STEINER_TERMINAL_CAP:
             raise TooLargeError(f"{k} terminals exceeds Steiner cap {STEINER_TERMINAL_CAP}")
         first = terms & -terms
         if terms == first:
             return 0, 0
+        if k == 2:
+            cost, _, mask = self.paths(first.bit_length() - 1)[(terms ^ first).bit_length() - 1]
+            return cost, mask
         return self.labels(terms ^ first)[first.bit_length() - 1]
 
     def labels(self, X: int) -> list[Optional[tuple[int, int]]]:

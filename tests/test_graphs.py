@@ -494,6 +494,20 @@ class TestSteinerTable:
                     ref = steiner_tree_reference(fresh(g), terms)
                     assert (st.cost, sorted(st.edges)) == (ref.cost, sorted(ref.edges))
 
+    def test_two_terminals_read_one_dijkstra(self):
+        """A tree on two terminals is the path between them, read from the
+        lower terminal's one Dijkstra.  The other terminal's base label (one
+        Dijkstra per node of its component) and DP subset are not built."""
+        nodes = [f"v{j:03d}" for j in range(200)]
+        g = graph_from_costs({(a, b): 1 for a, b in zip(nodes, nodes[1:])}, nodes=nodes)
+        terms = {nodes[40], nodes[150]}
+        st = steiner_tree_exact(g, terms)
+        ref = steiner_tree_reference(fresh(g), terms)
+        path = sorted(zip(nodes[40:150], nodes[41:151]))
+        assert (st.cost, sorted(st.edges)) == (ref.cost, sorted(ref.edges)) == (110, path)
+        assert list(g._steiner._paths) == [40]
+        assert g._steiner.dp == {}
+
     def test_disconnected_graphs(self):
         """Solves and DisconnectedErrors interleave on one graph without
         changing any later answer."""

@@ -275,8 +275,25 @@ def random_graph_instances(kind, count, max_space=1500):
     return found
 
 
+def wide_code_instance():
+    """Five movers on a vertex cover, each with one two-action type and one
+    single-action type, at probabilities over 999,983 and 1,000,003: a
+    column code, base D + 1 ~ 10^12 per mover, takes about 200 bits.  A
+    sixth player's only action is node a, which every mover may buy."""
+    odd, even = Fraction(1, 999_983), Fraction(500_001, 1_000_003)
+    pairs = [("a", "b"), ("b", "c"), ("a", "c"), ("a", "b"), ("b", "c")]
+    movers = tuple(
+        PlayerSpec(distribution=((pair, p), (("c", "c"), 1 - p)))
+        for pair, p in zip(pairs, [odd, even] * 3)
+    )
+    costs = (("a", Fraction(3)), ("b", Fraction(2)), ("c", Fraction(5, 2)))
+    players = movers + (point_mass(("a", "a")),)
+    return GameInstance(kind="vertex-cover", players=players, node_costs=costs)
+
+
 DIFFERENTIAL = [
     *INSTANCES,
+    pytest.param(wide_code_instance(), id="wide-codes"),
     *random_graph_instances("multicast", 25),
     *random_graph_instances("source-sink", 25),
     *(
@@ -307,6 +324,29 @@ def materialized(sweep):
 @pytest.mark.parametrize("inst", DIFFERENTIAL)
 def test_sweep_equals_the_per_profile_reference(inst):
     assert materialized(equilibria._sweep(inst)) == sweep_reference(inst)
+
+
+def kernel_case(inst) -> tuple:
+    """(multi-action slots, capped at 2; whether a column code can pass 64
+    bits; whether a mover's option shares an element with another player's
+    single action, so pinned entries join the law key)."""
+    slots = [(i, menu) for i, entries in enumerate(inst.menus) for _, menu in entries if len(menu) > 1]
+    movers = {i for i, _ in slots}
+    pinned = {
+        e for i, entries in enumerate(inst.menus) if i not in movers
+        for _, menu in entries for e in menu[0].elements
+    }
+    joined = any(e in pinned for _, menu in slots for a in menu for e in a.elements)
+    return min(len(slots), 2), (inst._scale.D + 1) ** len(movers) > 2 ** 64, joined
+
+
+def test_the_reference_checks_every_kernel_case():
+    """The sweep's special paths: no search (no multi-action slot), only the
+    leaf loop (one slot), codes wider than 64 bits, and pinned entries."""
+    cases = [kernel_case(p.values[0]) for p in DIFFERENTIAL]
+    assert {depth for depth, _, _ in cases} == {0, 1, 2}
+    assert any(wide for _, wide, _ in cases)
+    assert {joined for depth, _, joined in cases if depth} == {False, True}
 
 
 def test_many_single_action_players(triangle):
