@@ -13,8 +13,9 @@ edge masks.  `shortest_path` (on `Fraction` link lists of its own), the
 edge-capped `min_feasible_subset_bruteforce` and `cover_exact` are
 module-level test oracles, not package exports.  The Dreyfus-Wagner labels
 and the forests are integers: terminal sets are masks of the sorted nodes
-and edge sets masks of the sorted edges, with the sorted-tuple tie rule
-read off the bits; an edge mask becomes a frozenset only in the `EdgeSet`
+and edge sets masks of the sorted edges.  Both the tie rule (`_sorts_before`)
+and the relaxation heap's key (`_tuple_key`) read the sorted-tuple order
+off the bits; an edge mask becomes a frozenset only in the `EdgeSet`
 returned.  Trees are capped at STEINER_TERMINAL_CAP terminals.  Forests and
 cost-only covers take bitmasks of a sorted pair or hyperedge list, with one
 memo per solver, so `games.expected_opt` solves each sub-forest once.
@@ -159,7 +160,7 @@ def shortest_path(g: Graph, u: str, v: str) -> Path:
     if u not in g._node_set or v not in g._node_set:
         raise UnreachableError(u, v)
     index = {n: i for i, n in enumerate(g.nodes)}
-    reached = _lex_dijkstra(_link_lists(index, g.edges, [0] * len(g.edges)), index[u], index[v])
+    reached = _lex_dijkstra(_link_lists(index, g.edges), index[u], index[v])
     if index[v] not in reached:
         raise UnreachableError(u, v)
     cost, seq, mask = reached[index[v]]
@@ -177,7 +178,7 @@ def simple_paths(g: Graph, s: str, target: str) -> list[EdgeSet]:
     out, stack = [], [(start, 1 << start, 0, 0)]
     while stack:
         v, seen, cost, mask = stack.pop()
-        for w, c, bit, _ in table._links[v]:
+        for w, c, bit in table._links[v]:
             if w == stop:
                 cost_w = Fraction(cost + c, table.scale)
                 out.append(EdgeSet(edges=_decode(table.edges, mask | bit), cost=cost_w))
@@ -212,7 +213,7 @@ def route(g: Graph, source: str, target: str, allowed: frozenset) -> EdgeSet:
     if source not in g._node_set:
         raise UnreachableError(source, target)
     table = g._steiner
-    mask = sum(table._edge_bit.get(e, 0) for e in allowed)
+    mask = sum(1 << j for e in allowed if (j := table._edge_index.get(e)) is not None)
     stop = table.index.get(target)
     reached = _lex_dijkstra(table._links, table.index[source], stop, mask)
     if stop not in reached:
@@ -221,13 +222,15 @@ def route(g: Graph, source: str, target: str, allowed: frozenset) -> EdgeSet:
     return EdgeSet(edges=table.decode(path), cost=Fraction(cost, table.scale))
 
 
-def _link_lists(index: dict, edges: Iterable, weights: list) -> list[list[tuple]]:
-    """Per node index, its (neighbour index, cost, edge bit, weight) links:
-    edge j of the sorted ((u, v), cost) `edges` has bit j and weights[j]."""
+def _link_lists(index: dict, edges: Iterable) -> list[list[tuple]]:
+    """Per node index, its (neighbour index, cost, edge bit) links: edge j
+    of the sorted ((u, v), cost) `edges` has bit j, one int shared by both
+    of its links."""
     links: list[list[tuple]] = [[] for _ in index]
     for j, ((u, v), c) in enumerate(edges):
-        links[index[u]].append((index[v], c, 1 << j, weights[j]))
-        links[index[v]].append((index[u], c, 1 << j, weights[j]))
+        bit = 1 << j
+        links[index[u]].append((index[v], c, bit))
+        links[index[v]].append((index[u], c, bit))
     return links
 
 
@@ -248,7 +251,7 @@ def _lex_dijkstra(links: list, source: int, stop=None, allowed: int = -1) -> dic
         best[node] = entry
         if node == stop:
             break
-        for nxt, c, bit, _ in links[node]:
+        for nxt, c, bit in links[node]:
             if bit & allowed and nxt not in best:
                 heapq.heappush(heap, (cost + c, seq + (nxt,), mask | bit))
     return best
@@ -283,8 +286,9 @@ class _SteinerTable:
     = cheapest (cost, edge mask) connecting `nodes[i]` and the terminals of
     mask X.  Bit i of a terminal mask stands for `nodes[i]` and bit j of an
     edge mask for `edges[j]`, both sorted, so a mask's sorted edge tuple is
-    its bits in ascending order.  A label depends only on the graph and X
-    (its base paths, integer costs and tie-breaks all do), so one table
+    its bits in ascending order.  Creating the table builds no per-edge
+    data that only the labels read.  A label depends only on the graph and
+    X (its base paths, integer costs and tie-breaks all do), so one table
     serves every terminal set, in any call order, and builds no subset twice."""
 
     def __init__(self, g: Graph):
@@ -301,15 +305,9 @@ class _SteinerTable:
         # node index -> its component's node indices and node mask
         self._members = [groups[self.comp[v]] for v in self.nodes]
         self._comp_mask = [masks[self.comp[v]] for v in self.nodes]
-        m = len(self.edges)
-        self._edge_bit = {e: 1 << j for j, e in enumerate(self.edges)}
-        self._edge_cost = list(self.cost.values())
-        # Relaxation keys are base-3 numerals, one digit per edge, edge 0's
-        # the most significant: edge j's digit weighs 3**(m - 1 - j).
-        self._pow3 = [3**k for k in range(m + 1)]
-        self._weight = [self._pow3[m - 1 - j] for j in range(m)]
-        # (neighbour index, integer cost, edge bit, digit weight)
-        self._links = _link_lists(self.index, self.cost.items(), self._weight)
+        self._edge_index = {e: j for j, e in enumerate(self.edges)}
+        # (neighbour index, integer cost, edge bit)
+        self._links = _link_lists(self.index, self.cost.items())
         self._paths: dict[int, dict[int, tuple]] = {}
         self.dp: dict[int, list[Optional[tuple[int, int]]]] = {}
         self._decoded: dict[int, frozenset] = {}
@@ -381,7 +379,8 @@ class _SteinerTable:
                 if shared := edges & edges2:
                     got = shared_cost.get(shared)
                     if got is None:
-                        got = shared_cost[shared] = _bit_sum(shared, self._edge_cost)
+                        got = sum(self.cost[self.edges[j]] for j in _bits(shared))
+                        shared_cost[shared] = got
                     cost -= got
                 if best_cost is None or cost < best_cost:
                     best_cost, best = cost, edges | edges2
@@ -389,17 +388,14 @@ class _SteinerTable:
                     best = edges | edges2
             labels[i] = (best_cost, best)
         # Relax labels along graph edges (Dijkstra-style sweep), popping the
-        # least (cost, key, node).  A label's cost grows by c only when the
-        # edge is new to its set.  The key sorts like the sorted edge tuple:
-        # edge j's digit is 1 if j is in the set, 2 if it is not but a
-        # higher edge is, and 0 above the set's top edge.
-        pow3, m = self._pow3, len(self.edges)
-        keys: list[Optional[int]] = [None] * len(self.nodes)
-        heap = []
-        for i in members:  # 2 for every digit below the top, less 1 per edge
-            cost, edges = labels[i]
-            keys[i] = pow3[m] - pow3[m - edges.bit_length()] - _bit_sum(edges, self._weight)
-            heap.append((cost, keys[i], i))
+        # least (cost, `_tuple_key` of the edges, node).  A label's cost grows
+        # by c only when the edge is new to its set.  A candidate replaces a
+        # label only if it is cheaper, or as cheap and `_sorts_before` it, so
+        # a key is built only for the labels that are kept.
+        keys: list[Optional[str]] = [None] * len(self.nodes)
+        for i in members:
+            keys[i] = _tuple_key(labels[i][1])
+        heap = [(labels[i][0], keys[i], i) for i in members]
         heapq.heapify(heap)
         settled = set()
         while heap:
@@ -408,32 +404,27 @@ class _SteinerTable:
                 continue
             settled.add(v)
             edges_v = labels[v][1]
-            top = pow3[m - edges_v.bit_length()]
-            for w, c, bit, weight in self._links[v]:
+            for w, c, bit in self._links[v]:
                 if edges_v & bit:
-                    cost, edges, key = cost_v, edges_v, key_v
-                else:  # below the top, the edge's digit drops from 2 to 1;
-                    # above, the digits from the top up rise from 0 to 2
-                    # and the edge's to 1
+                    cost, edges = cost_v, edges_v
+                else:
                     cost, edges = cost_v + c, edges_v | bit
-                    key = key_v - weight if bit < edges_v else key_v + top - 2 * weight
-                label = labels[w]
-                if label is not None and (cost > label[0] or cost == label[0] and key >= keys[w]):
+                cost_w, edges_w = labels[w]  # w is a member, so it has a label
+                if cost > cost_w or cost == cost_w and not _sorts_before(edges, edges_w):
                     continue
                 labels[w] = (cost, edges)
-                keys[w] = key
+                keys[w] = key = key_v if edges == edges_v else _tuple_key(edges)
                 heapq.heappush(heap, (cost, key, w))
         return labels
 
 
-def _bit_sum(mask: int, values: list[int]) -> int:
-    """The sum of values[j] over the set bits j of mask."""
-    total = 0
-    while mask:
-        low = mask & -mask
-        total += values[low.bit_length() - 1]
-        mask ^= low
-    return total
+_FLIP = str.maketrans("01", "10")
+
+
+def _tuple_key(mask: int) -> str:
+    """A string that sorts like the mask's sorted edge tuple: up to the top
+    edge, character j is "0" if edge j is in the mask and "1" if not."""
+    return bin(mask)[:1:-1].translate(_FLIP) if mask else ""
 
 
 def _sorts_before(a: int, b: int) -> bool:
@@ -522,9 +513,8 @@ class SteinerForests:
 
     def _tree(self, block: int) -> Optional[tuple[int, int]]:
         ends = 0
-        for j in range(block.bit_length()):
-            if block >> j & 1:
-                ends |= self.ends[j]
+        for j in _bits(block):
+            ends |= self.ends[j]
         one_component = not ends & ~self.table._comp_mask[(ends & -ends).bit_length() - 1]
         tree = self.trees[block] = self.table.span(ends) if one_component else None
         return tree
@@ -559,7 +549,7 @@ def min_feasible_subset_bruteforce(g: Graph, feasible: Callable[[frozenset], boo
     scaled = [int(g.cost(k) * denom_lcm) for k in keys]
     best = None  # (scaled cost, sorted edge tuple, frozenset)
     for mask in range(1 << len(keys)):
-        cost = _bit_sum(mask, scaled)
+        cost = sum(scaled[j] for j in _bits(mask))
         if best is not None:
             if cost > best[0]:
                 continue

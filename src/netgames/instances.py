@@ -59,10 +59,15 @@ def _rational(value, field: str) -> Fraction:
 
 def _cap(caps: dict, name: str, default: int) -> int:
     value = caps.get(name, default)
-    try:
-        return int(value)
+    try:  # an integer, an integral number such as 1e6, or a digit string
+        cap = int(value)
     except (TypeError, ValueError, OverflowError):
+        cap = None
+    if cap is None or isinstance(value, bool) or isinstance(value, float) and cap != value:
         raise ValidationError(f"caps.{name}", f"not an integer: {value!r}")
+    if cap < 1:
+        raise ValidationError(f"caps.{name}", f"must be at least 1, got {value!r}")
+    return cap
 
 
 _JSON_NAMES = {dict: "an object", list: "a list", str: "a string"}

@@ -7,6 +7,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import netgames
 from netgames import graphs
@@ -467,6 +469,38 @@ class TestSteinerForest:
             )
             outs.append(run.stdout)
         assert outs[0] and outs[0] == outs[1] == outs[2]
+
+
+# 200 edges whose sorted order is their index order.
+ORDERED_EDGES = [(f"a{j:03d}", f"b{j:03d}") for j in range(200)]
+edge_masks = st.one_of(
+    st.just(0),
+    st.integers(0, 199).map(lambda j: 1 << j),
+    st.integers(0, 255),
+    st.integers(0, (1 << 200) - 1),
+)
+
+
+class TestLabelOrder:
+    """Steiner labels of equal cost rank by their sorted edge tuple, read
+    off the edge masks two ways: the relaxation heap's `_tuple_key` and
+    the ties' `_sorts_before`."""
+
+    @staticmethod
+    def assert_one_order(masks):
+        for a, b in itertools.product(masks, repeat=2):
+            ta, tb = (tuple(sorted(graphs._decode(ORDERED_EDGES, m))) for m in (a, b))
+            ka, kb = graphs._tuple_key(a), graphs._tuple_key(b)
+            assert (ka < kb) == graphs._sorts_before(a, b) == (ta < tb)
+            assert (ka == kb) == (a == b)
+
+    def test_every_mask_of_six_edges(self):
+        self.assert_one_order(range(1 << 6))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(edge_masks, min_size=2, max_size=6))
+    def test_random_and_wide_masks(self, masks):
+        self.assert_one_order(masks)
 
 
 class TestSteinerTable:

@@ -96,6 +96,28 @@ class TestParse:
         inst = parse_instance(json.dumps(doc))
         assert inst.graph.cost(("a", "r")) == Fraction(2)
 
+    def test_integral_caps_accepted(self):
+        doc = json.loads(MINIMAL)
+        doc["caps"] = {"support": 1e6, "strategies": "25"}
+        inst = parse_instance(json.dumps(doc))
+        assert (inst.support_cap, inst.strategy_cap) == (10**6, 25)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            pytest.param(1.5, "not an integer: 1.5", id="fraction"),
+            pytest.param(True, "not an integer: True", id="boolean"),
+            pytest.param(0, "must be at least 1, got 0", id="zero"),
+            pytest.param(-3, "must be at least 1, got -3", id="negative"),
+            pytest.param("0", "must be at least 1, got '0'", id="zero-string"),
+        ],
+    )
+    def test_caps_below_1_or_not_integral_are_rejected(self, value, message):
+        doc = json.loads(MINIMAL)
+        doc["caps"] = {"support": value}
+        with pytest.raises(ValidationError, match=f"^caps.support: {re.escape(message)}$"):
+            parse_instance(json.dumps(doc))
+
 
 class TestGen:
     def test_deterministic(self):
@@ -444,6 +466,22 @@ TWO_POINT_MASSES = _minimal_with(
         pytest.param(
             _minimal_with(lambda d: d.update(caps={"support": "1.5"})),
             None, ["bpos"], id="cap-not-an-integer",
+        ),
+        pytest.param(
+            _minimal_with(lambda d: d.update(caps={"support": 1.5})),
+            None, ["bpos"], id="cap-a-fraction",
+        ),
+        pytest.param(
+            _minimal_with(lambda d: d.update(caps={"strategies": True})),
+            None, ["sample"], id="cap-a-boolean",
+        ),
+        pytest.param(
+            _minimal_with(lambda d: d.update(caps={"support": 0})),
+            None, ["bne"], id="cap-zero",
+        ),
+        pytest.param(
+            _minimal_with(lambda d: d.update(caps={"strategies": -1})),
+            None, ["sample"], id="cap-negative",
         ),
         pytest.param(
             _minimal_with(lambda d: d.update(caps=[1])),
