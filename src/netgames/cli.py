@@ -24,7 +24,6 @@ import json
 import math
 import random
 import sys
-from fractions import Fraction
 
 from . import costsharing, equilibria, games, instances, sampling
 from .errors import NetgamesError, ParseError, PreconditionError
@@ -32,7 +31,9 @@ from .instances import encode_profile, parse_strategy
 
 
 def _frac_str(x) -> str:
-    return str(Fraction(x))
+    """An exact number as a string: a `Fraction` or an int, which print
+    alike ("3/2", "2")."""
+    return str(x)
 
 
 def _emit(report, fmt: str, out_path):

@@ -4,9 +4,14 @@ A scheme bundles an approximation algorithm A (clients -> element set), an
 augmentation algorithm B (solution, new client -> extra elements), a share
 function xi, and declared constants (alpha, beta).  The rooted Steiner-tree
 scheme ships here: A is the exact Steiner tree, B routes a newcomer along a
-shortest path to the current tree (`graphs.nearest`), and a client's share
-is half its distance to the other clients and the root, which reads the
-same query through the metric.
+shortest path to the current tree (`graphs.nearest`, to the tree's nodes,
+gathered once per solution), and a client's share is half its distance to
+the other clients and the root, which reads the same query through the
+metric.  A and B return the graph's shared `EdgeSet`s, one per edge set.
+
+A scheme's costs must be sums of the graph's edge costs: the sampling
+constructions (`sampling`) sum them as integers over the instance's cost
+scale, and a cost off that grid raises PreconditionError there.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ def steiner_scheme(g: Graph) -> CostSharingScheme:
         raise PreconditionError("steiner scheme needs a rooted graph")
     root = g.root
     metric = graphs.metric_closure(g)
+    targets: dict = {}  # a solution's edges -> its nodes and the root
 
     def approx(clients: frozenset) -> EdgeSet:
         terminals = set(clients) | {root}
@@ -57,7 +63,10 @@ def steiner_scheme(g: Graph) -> CostSharingScheme:
     def augment(solution: EdgeSet, x) -> EdgeSet:
         # Cheapest path from x to the tree, ties to the least node sequence
         # (the empty path when x is on it).
-        return graphs.nearest(g, x, {root} | {n for e in solution.edges for n in e})
+        nodes = targets.get(solution.edges)
+        if nodes is None:
+            nodes = targets[solution.edges] = {root}.union(*solution.edges)
+        return graphs.nearest(g, x, nodes)
 
     def share(clients: frozenset, x) -> Fraction:
         if x not in clients:

@@ -15,10 +15,12 @@ module-level test oracles, not package exports.  The Dreyfus-Wagner labels
 and the forests are integers: terminal sets are masks of the sorted nodes
 and edge sets masks of the sorted edges.  Both the tie rule (`_sorts_before`)
 and the relaxation heap's key (`_tuple_key`) read the sorted-tuple order
-off the bits; an edge mask becomes a frozenset only in the `EdgeSet`
-returned.  Trees are capped at STEINER_TERMINAL_CAP terminals.  Forests and
-cost-only covers take bitmasks of a sorted pair or hyperedge list, with one
-memo per solver, so `games.expected_opt` solves each sub-forest once.
+off the bits.  An edge set's cost is the sum of its edges' costs, so its
+mask alone keys it: `nearest`, `route` and the Steiner solvers return the
+table's one shared `EdgeSet` per mask.  Trees are capped at
+STEINER_TERMINAL_CAP terminals.  Forests and cost-only covers take bitmasks
+of a sorted pair or hyperedge list, with one memo per solver, so
+`games.expected_opt` solves each sub-forest once.
 """
 
 from __future__ import annotations
@@ -172,7 +174,7 @@ def simple_paths(g: Graph, s: str, target: str) -> list[EdgeSet]:
     """Every simple s->target path (s != target), in no fixed order: a
     depth-first walk on an explicit stack of (node, visited-node mask,
     integer cost, edge mask), so no length meets the recursion limit.  A
-    menu can hold 10^5 paths, so their edges stay out of the `decode` memo."""
+    menu can hold 10^5 paths, so they stay out of the table's `edge_set` memo."""
     table = g._steiner
     start, stop = table.index[s], table.index.get(target)
     out, stack = [], [(start, 1 << start, 0, 0)]
@@ -201,8 +203,7 @@ def nearest(g: Graph, x: str, targets: Iterable[str]) -> EdgeSet:
             raise KeyError(t)
         if best is None or path < best:
             best = path
-    cost, _, mask = best
-    return EdgeSet(edges=table.decode(mask), cost=Fraction(cost, table.scale))
+    return table.edge_set(best[2])
 
 
 def route(g: Graph, source: str, target: str, allowed: frozenset) -> EdgeSet:
@@ -218,8 +219,7 @@ def route(g: Graph, source: str, target: str, allowed: frozenset) -> EdgeSet:
     reached = _lex_dijkstra(table._links, table.index[source], stop, mask)
     if stop not in reached:
         raise UnreachableError(source, target)
-    cost, _, path = reached[stop]
-    return EdgeSet(edges=table.decode(path), cost=Fraction(cost, table.scale))
+    return table.edge_set(reached[stop][2])
 
 
 def _link_lists(index: dict, edges: Iterable) -> list[list[tuple]]:
@@ -287,7 +287,8 @@ class _SteinerTable:
     mask X.  Bit i of a terminal mask stands for `nodes[i]` and bit j of an
     edge mask for `edges[j]`, both sorted, so a mask's sorted edge tuple is
     its bits in ascending order.  Creating the table builds no per-edge
-    data that only the labels read.  A label depends only on the graph and
+    data that only the labels read; the `EdgeSet` of a mask is built the
+    first time a query returns it.  A label depends only on the graph and
     X (its base paths, integer costs and tie-breaks all do), so one table
     serves every terminal set, in any call order, and builds no subset twice."""
 
@@ -310,7 +311,7 @@ class _SteinerTable:
         self._links = _link_lists(self.index, self.cost.items())
         self._paths: dict[int, dict[int, tuple]] = {}
         self.dp: dict[int, list[Optional[tuple[int, int]]]] = {}
-        self._decoded: dict[int, frozenset] = {}
+        self._edge_sets: dict[int, EdgeSet] = {}
         self._shared_cost: dict[int, int] = {}
 
     def paths(self, i: int) -> dict[int, tuple]:
@@ -320,12 +321,15 @@ class _SteinerTable:
             reached = self._paths[i] = _lex_dijkstra(self._links, i)
         return reached
 
-    def decode(self, mask: int) -> frozenset:
-        """The edges of an edge mask."""
-        edges = self._decoded.get(mask)
-        if edges is None:
-            edges = self._decoded[mask] = _decode(self.edges, mask)
-        return edges
+    def edge_set(self, mask: int) -> EdgeSet:
+        """The edges of an edge mask and their summed cost, one shared
+        `EdgeSet` per mask for the life of the table."""
+        got = self._edge_sets.get(mask)
+        if got is None:
+            cost = sum(self.cost[self.edges[j]] for j in _bits(mask))
+            edges = _decode(self.edges, mask)
+            got = self._edge_sets[mask] = EdgeSet(edges=edges, cost=Fraction(cost, self.scale))
+        return got
 
     def span(self, terms: int) -> tuple[int, int]:
         """(integer cost, edge mask) of the Steiner tree on a nonempty
@@ -452,8 +456,7 @@ def steiner_tree_exact(g: Graph, terminals: Iterable[str]) -> EdgeSet:
             raise DisconnectedError(f"terminal {t!r} not in graph")
     if len({table.comp[t] for t in terms}) > 1:
         raise DisconnectedError("terminals not mutually reachable")
-    cost, mask = table.span(sum(1 << table.index[t] for t in terms))
-    return EdgeSet(edges=table.decode(mask), cost=Fraction(cost, table.scale))
+    return table.edge_set(table.span(sum(1 << table.index[t] for t in terms))[1])
 
 
 class SteinerForests:
@@ -531,9 +534,8 @@ def steiner_forest_exact(g: Graph, pairs: Iterable[Edge]) -> EdgeSet:
     """Minimum-cost edge set connecting every given node pair: the full set
     of a fresh `SteinerForests` over the sorted distinct pairs."""
     forests = SteinerForests(g, sorted({edge_key(u, v) for u, v in pairs if u != v}))
-    cost = forests.cost(full := (1 << len(forests.pairs)) - 1)
-    table = forests.table
-    return EdgeSet(edges=table.decode(forests.F[full][2]), cost=Fraction(cost, table.scale))
+    forests.cost(full := (1 << len(forests.pairs)) - 1)
+    return forests.table.edge_set(forests.F[full][2])
 
 
 def min_feasible_subset_bruteforce(g: Graph, feasible: Callable[[frozenset], bool]) -> EdgeSet:

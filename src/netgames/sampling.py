@@ -7,16 +7,20 @@ derandomization over the draw are provided.
 The constructed profile depends on a draw only through its client set (its
 non-root types), so every entry point solves each distinct set once: one
 `_draw_step`, the base solution A(D) with an augmentation and a restricted
-action per type.  The exact evaluation sums over the law of the client set
-(`games._terminal_law` over the draw's distributions, each bitmask decoded
-to its set once), `derandomize` prices each set once while it walks the
-draws, and the Monte-Carlo estimator keeps a per-call memo from client set
-to its step, filling a type's entry the first time that type is realized.
-Its sums are integers over the instance's cost scale, and a restricted
-action is the graph's `graphs.route` over the allowed edges.  A
-`SampleProfile` is the draw's types alone.  `inst.support_cap` bounds the
-number of draws that the exact evaluation and `derandomize` stand for, not
-the number of sets."""
+action per type.  The exact evaluation and `derandomize` iterate the law of
+the client set (`games._terminal_law` over the draw's distributions, each
+bitmask decoded to its set once), never the draws: the evaluation weights
+each set's step, and `derandomize` prices each set once and returns, of the
+cheapest sets, the least draw that yields one (`_least_draw`, a greedy
+choice per position with a matching check).  The Monte-Carlo estimator
+keeps a per-call memo from client set to its step, filling a type's entry
+the first time that type is realized.  Every sum is an integer over the
+instance's cost scale, made one `Fraction` per reported number, so a scheme
+cost that is not a sum of the graph's edge costs raises PreconditionError
+(`_over`).  A restricted action is the graph's `graphs.route` over the
+allowed edges.  A `SampleProfile` is the draw's types alone.
+`inst.support_cap` bounds the number of draws that the exact evaluation and
+`derandomize` stand for, not the number of sets."""
 
 from __future__ import annotations
 
@@ -34,10 +38,11 @@ from .games import (
     Action,
     GameInstance,
     _check_support,
+    _column_sum,
     _members,
     _terminal_law,
     expected_opt,
-    expected_social_cost,
+    use_probabilities,
     weighted_product,
 )
 from .graphs import EdgeSet
@@ -89,12 +94,6 @@ def _draw_players(inst: GameInstance, scheme: CostSharingScheme, variant: str) -
             raise PreconditionError("non-i.i.d. construction needs a cross-monotone scheme")
         return list(range(inst.n))
     raise PreconditionError(f"unknown variant {variant!r}")
-
-
-def _check_draws(inst: GameInstance, positions: list):
-    """More than `inst.support_cap` draws raise SupportTooLargeError."""
-    sizes = (len(inst.players[i].distribution) for i in positions)
-    _check_support(inst, math.prod(sizes), "draw support")
 
 
 def _support_types(inst: GameInstance) -> list:
@@ -160,49 +159,63 @@ def construct_strategy_noniid(
     return _construct(inst, scheme, D, "noniid")
 
 
+def _draw_law(inst: GameInstance, positions: list) -> tuple[list, dict]:
+    """The law of the draw's client set: `games._terminal_law` over the
+    draw's rows, a mask's weight times D^m, m the draw's length.  More than
+    `inst.support_cap` draws raise SupportTooLargeError first."""
+    sizes = (len(inst.players[i].distribution) for i in positions)
+    _check_support(inst, math.prod(sizes), "draw support")
+    sc = inst._scale
+    return _terminal_law(inst, [(inst.players[i].distribution, sc.weights[i]) for i in positions])
+
+
+def _cost(inst: GameInstance, s: tuple) -> int:
+    """The expected social cost of s as an integer over C*D^n."""
+    return _column_sum(inst, use_probabilities(inst, s), 0)
+
+
 def evaluate_construction_exact(
     inst: GameInstance, scheme: CostSharingScheme, variant: str
 ) -> ConstructionReport:
     """Exact expectation over all (draw, type-profile) pairs of the
     constructed profile's social cost, compared with (alpha+beta) times the
     expected optimum: one `_draw_step` per client set of positive
-    probability, weighted by the law of the draw's client set."""
+    probability, weighted by the law of the draw's client set.  The sums
+    are integers, so the scheme's costs must be sums of the graph's edge
+    costs (`_over`)."""
     _require_multicast(inst)
     positions = _draw_players(inst, scheme, variant)
-    _check_draws(inst, positions)
+    terms, law = _draw_law(inst, positions)
     opt = expected_opt(inst)
     sc = inst._scale
-    rows = [(inst.players[i].distribution, sc.weights[i]) for i in positions]
-    terms, law = _terminal_law(inst, rows)
     types = _support_types(inst)
     mass: dict = {}  # type -> the sum of the players' probabilities of it, times D
     for spec, weights in zip(inst.players, sc.weights):
         for (t, _), w in zip(spec.distribution, weights):
             mass[t] = mass.get(t, 0) + w
-    # Each sum is times D^m, m the draw's length; the augmentation's times D^(m+1).
-    total = first_stage = augmentation = Fraction(0)
-    best_ratio = None
+    # With m the draw's length, the total is over C*D^n*D^m, the first stage
+    # over C*D^m, the augmentation over C*D^(m+1) and the least cost over C*D^n.
+    total = first_stage = augmentation = 0
+    least = None
     for mask, w in law.items():
         base, menu = _draw_step(inst, scheme, _members(terms, mask), types)
-        cost = expected_social_cost(inst, _profile(inst, menu))
+        cost = _cost(inst, _profile(inst, menu))
         total += w * cost
-        first_stage += w * base.cost
-        augmentation += w * sum(m * menu[t][0].cost for t, m in mass.items())
-        if opt > 0:
-            ratio = cost / opt
-            if best_ratio is None or ratio < best_ratio:
-                best_ratio = ratio
-    unit = sc.D ** len(positions)
-    total /= unit
+        first_stage += w * _over(sc.C, base.cost)
+        augmentation += w * sum(m * _over(sc.C, menu[t][0].cost) for t, m in mass.items())
+        if least is None or cost < least:
+            least = cost
+    unit = sc.C * sc.D ** len(positions)
+    total = Fraction(total, unit * sc.D_pow[inst.n])
     bound = (scheme.alpha + scheme.beta) * opt
     return ConstructionReport(
         variant=variant,
         total=total,
-        first_stage=first_stage / unit,
-        augmentation=augmentation / (unit * sc.D),
+        first_stage=Fraction(first_stage, unit),
+        augmentation=Fraction(augmentation, unit * sc.D),
         bound=bound,
         passed=total <= bound,
-        ig_upper_bound=best_ratio,
+        ig_upper_bound=Fraction(least, sc.C * sc.D_pow[inst.n]) / opt if opt > 0 else None,
     )
 
 
@@ -217,11 +230,12 @@ def _sampler(distribution):
 
 
 def _over(scale: int, cost: Fraction) -> int:
-    """`cost`, a sum of the graph's edge costs, as an integer over `scale`."""
-    scaled = cost * scale
-    if scaled.denominator != 1:
+    """`cost`, a sum of the graph's edge costs, as an integer over `scale`;
+    a cost off that grid raises PreconditionError."""
+    q, r = divmod(scale, cost.denominator)
+    if r:
         raise PreconditionError("scheme costs must be sums of the graph's edge costs")
-    return scaled.numerator
+    return cost.numerator * q
 
 
 def evaluate_construction_mc(
@@ -287,27 +301,68 @@ def evaluate_construction_mc(
     )
 
 
+def _least_draw(supports: list, root, clients: frozenset) -> Optional[tuple]:
+    """The least draw, as a tuple, whose client set is `clients`, position k
+    drawing a type of supports[k]; None when no draw has that set.  Each
+    position takes its least type that leaves the rest completable
+    (`_completable`), so the tuple is least position by position."""
+    options = [sorted(t for t in support if t == root or t in clients) for support in supports]
+    if not _completable(clients, options):
+        return None
+    draw, left = [], set(clients)
+    for k, choices in enumerate(options):
+        t = next(t for t in choices if _completable(left - {t}, options[k + 1:]))
+        draw.append(t)
+        left.discard(t)
+    return tuple(draw)
+
+
+def _completable(left, options: list) -> bool:
+    """Whether positions with these type lists can draw the clients `left`
+    and nothing off their lists: every list is nonempty, and the clients
+    match distinct positions whose lists hold them (augmenting paths)."""
+    if not all(options) or len(left) > len(options):
+        return False
+    holder: dict = {}  # position -> the client matched to it
+
+    def place(client, tried: set) -> bool:
+        for k, choices in enumerate(options):
+            if k not in tried and client in choices:
+                tried.add(k)
+                if k not in holder or place(holder[k], tried):
+                    holder[k] = client
+                    return True
+        return False
+
+    return all(place(client, set()) for client in left)
+
+
 def derandomize(
     inst: GameInstance, scheme: CostSharingScheme, variant: str
 ) -> tuple[SampleProfile, tuple]:
     """Pick the draw D whose constructed profile has the smallest exact
     expected cost (min over draws is at most the draw-averaged cost): the
-    first draw of least (cost, D), each client set built and priced once."""
+    least (cost, D) over the draws.  The profile depends on D only through
+    its client set, so each set of the law (`_draw_law`) is built and priced
+    once, as an integer, and each set of least cost stands for its least
+    draw (`_least_draw`)."""
     _require_multicast(inst)
-    priced: dict = {}  # client set -> (expected cost, constructed profile)
-
-    def price(D: tuple) -> tuple:
-        clients = _clients(inst, D)
-        if clients not in priced:
-            s = _constructed(inst, scheme, clients)
-            priced[clients] = (expected_social_cost(inst, s), s)
-        return priced[clients]
-
     positions = _draw_players(inst, scheme, variant)
-    _check_draws(inst, positions)
-    draws = itertools.product(*(inst.players[i].support() for i in positions))
-    D = min(draws, key=lambda D: (price(D)[0], D))
-    return SampleProfile(types=D), price(D)[1]
+    terms, law = _draw_law(inst, positions)
+    least, tied = None, []
+    for mask in law:
+        clients = _members(terms, mask)
+        s = _constructed(inst, scheme, clients)
+        cost = _cost(inst, s)
+        if least is None or cost < least:
+            least, tied = cost, []
+        if cost == least:
+            tied.append((clients, s))
+    supports = [inst.players[i].support() for i in positions]
+    root = inst.graph.root
+    draws = ((_least_draw(supports, root, clients), s) for clients, s in tied)
+    D, s = min(draws, key=lambda draw: draw[0])
+    return SampleProfile(types=D), s
 
 
 def regrouping_sides(inst: GameInstance, scheme: CostSharingScheme):

@@ -515,7 +515,7 @@ def steiner_forest_edges_reference(g: Graph, pairs) -> EdgeSet:
             one_component = len({table.comp[n] for n in ends}) == 1
             if one_component:
                 cost, mask = table.span(sum(1 << table.index[n] for n in ends))
-                trees[block] = (cost, table.decode(mask))
+                trees[block] = (cost, table.edge_set(mask).edges)
             else:
                 trees[block] = None
         return trees[block]

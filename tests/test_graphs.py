@@ -443,7 +443,7 @@ class TestSteinerForest:
                         forests.cost(mask)
                     continue
                 cost = Fraction(forests.cost(mask), forests.table.scale)
-                edges = forests.table.decode(forests.F[mask][2])
+                edges = forests.table.edge_set(forests.F[mask][2]).edges
                 assert (cost, sorted(edges)) == (want.cost, sorted(want.edges))
 
     def test_edges_do_not_depend_on_the_hash_seed(self):
@@ -575,6 +575,31 @@ class TestSteinerTable:
         assert len(g._steiner.dp) == built
         assert steiner_forest_exact(g, pairs) == f
 
+    def test_one_edge_set_per_edge_mask(self):
+        """Trees, forests, `nearest` and `route` return the table's one
+        `EdgeSet` per edge mask, costing the sum of its edges' costs; path
+        menus (`simple_paths`) stay out of that memo."""
+        rng = random.Random(67)
+        for _ in range(20):
+            g = random_connected_graph(rng, max_nodes=7, max_edges=11, costs=(0, Fraction(1, 2), 1))
+            assert graphs.simple_paths(g, g.nodes[-1], g.nodes[0])
+            assert g._steiner._edge_sets == {}
+            got = []
+            for _ in range(6):
+                terms = rng.sample(g.nodes, rng.randint(1, min(4, len(g.nodes))))
+                x, y = rng.sample(g.nodes, 2)
+                got += [
+                    steiner_tree_exact(g, terms),
+                    steiner_forest_exact(g, random_pairs(rng, g.nodes, 2)),
+                    graphs.nearest(g, x, terms),
+                    graphs.route(g, x, y, frozenset(g.edge_keys())),
+                ]
+            first = {}
+            for es in got:
+                assert es is first.setdefault(es.edges, es)
+                assert es.cost == edge_set_cost(g, es.edges)
+            assert len(g._steiner._edge_sets) == len(first)
+
     def test_noniid_evaluation_builds_each_subset_once(self, monkeypatch):
         """Exact noniid evaluation asks for the same terminal sets from
         `expected_opt` and from the scheme's base solutions; each DP subset
@@ -617,7 +642,7 @@ class TestSteinerTable:
                 for X in itertools.combinations(pool, r):
                     got = table.labels(sum(1 << table.index[t] for t in X))
                     assert len(got) == len(g.nodes)
-                    labels = {v: (l[0], table.decode(l[1])) for v, l in zip(g.nodes, got) if l}
+                    labels = {v: (l[0], table.edge_set(l[1]).edges) for v, l in zip(g.nodes, got) if l}
                     assert labels == ref.labels(frozenset(X))
 
     def test_forests_on_wide_graphs(self):
@@ -633,7 +658,7 @@ class TestSteinerTable:
                 subset = [p for j, p in enumerate(pair_list) if mask >> j & 1]
                 want = steiner_forest_edges_reference(fresh(g), subset)
                 cost = Fraction(forests.cost(mask), forests.table.scale)
-                edges = forests.table.decode(forests.F[mask][2])
+                edges = forests.table.edge_set(forests.F[mask][2]).edges
                 assert (cost, sorted(edges)) == (want.cost, sorted(want.edges))
 
     def test_terminal_cap(self, monkeypatch):

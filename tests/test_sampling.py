@@ -22,7 +22,7 @@ from netgames.errors import PreconditionError, SupportTooLargeError, Unreachable
 from netgames.games import GameInstance, PlayerSpec
 from netgames.graphs import route, shortest_path
 from netgames.instances import gen_instance
-from netgames.sampling import _clients
+from netgames.sampling import _clients, _least_draw
 
 from conftest import (
     construction_reference,
@@ -237,6 +237,28 @@ def differential_instances():
 DIFFERENTIAL = list(differential_instances())
 
 
+def overlapping_instances():
+    """Non-i.i.d. multicast games of 4-5 players on generated 6-node graphs,
+    each player drawing one or two types from one pool of four non-root
+    nodes, so the supports overlap.  In seeds 10, 17 and 143 the cheapest
+    client set's least draw needs the matching: the least type that leaves
+    enough later positions strands a client that no later support holds."""
+    for seed in (*range(6), 10, 17, 143):
+        rng = random.Random(seed)
+        g = gen_instance("multicast", 6, 1, 1, seed=seed).graph
+        pool = rng.sample([v for v in g.nodes if v != g.root], 4)
+        players = []
+        for _ in range(rng.randint(4, 5)):
+            types = rng.sample(pool, rng.randint(1, 2))
+            weights = [rng.randint(1, 3) for _ in types]
+            dist = tuple((t, Fraction(w, sum(weights))) for t, w in zip(types, weights))
+            players.append(PlayerSpec(dist))
+        yield f"overlap-{seed}", GameInstance(kind="multicast", players=tuple(players), graph=g)
+
+
+OVERLAPPING = list(overlapping_instances())
+
+
 class TestAgainstReference:
     """One step per client set, integer Monte-Carlo sums: the same reports,
     field for field, as the per-draw construction of `construction_reference`."""
@@ -251,6 +273,11 @@ class TestAgainstReference:
             assert derandomize(inst, scheme, variant) == derandomize_reference(
                 inst, scheme, variant
             )
+
+    @pytest.mark.parametrize("name,inst", OVERLAPPING, ids=[c[0] for c in OVERLAPPING])
+    def test_derandomize_on_overlapping_supports(self, name, inst):
+        scheme = scheme_for(inst)
+        assert derandomize(inst, scheme, "noniid") == derandomize_reference(inst, scheme, "noniid")
 
     @pytest.mark.parametrize("name,inst,variants", DIFFERENTIAL, ids=[c[0] for c in DIFFERENTIAL])
     def test_monte_carlo(self, name, inst, variants):
@@ -296,6 +323,49 @@ class TestEvaluateMc:
             args = (10,) if run is evaluate_construction_mc else ()
             with pytest.raises(ValueError, match="unknown variant"):
                 run(inst, scheme_for(inst), "mixed", *args)
+
+
+def least_draw_bruteforce(supports, root, clients):
+    """The least draw of the product of the supports whose client set is
+    `clients`, or None."""
+    draws = itertools.product(*supports)
+    return min((D for D in draws if {t for t in D if t != root} == clients), default=None)
+
+
+class TestLeastDraw:
+    """`_least_draw` (a greedy choice per position with a matching check)
+    against the least draw of `itertools.product` with that client set."""
+
+    @pytest.mark.parametrize(
+        "supports,clients,expect",
+        [
+            # Counting alone takes a at position 0 and strands b.
+            ([["b", "a"], ["a"]], {"a", "b"}, ("b", "a")),
+            # The middle position holds no client and draws the root.
+            ([["r", "a"], ["r"], ["c", "b"]], {"a", "c"}, ("a", "r", "c")),
+            ([["a", "r"], ["c", "a"], ["b", "c"]], {"c"}, ("r", "c", "c")),
+            # A position holding neither a client nor the root: no draw.
+            ([["a"], ["x"]], {"a"}, None),
+            ([["a"], ["b"]], {"a"}, None),
+            ([], set(), ()),
+            ([], {"a"}, None),
+        ],
+    )
+    def test_cases(self, supports, clients, expect):
+        assert least_draw_bruteforce(supports, "r", clients) == expect
+        assert _least_draw(supports, "r", frozenset(clients)) == expect
+
+    def test_random_supports(self):
+        """Overlapping supports, in random support order, some holding the
+        root, against every client set of the pool."""
+        rng = random.Random(71)
+        pool = ["r", "a", "b", "c", "d"]
+        for _ in range(250):
+            supports = [rng.sample(pool, rng.randint(1, 3)) for _ in range(rng.randint(0, 5))]
+            for k in range(len(pool)):
+                for clients in itertools.combinations(pool[1:], k):
+                    expect = least_draw_bruteforce(supports, "r", set(clients))
+                    assert _least_draw(supports, "r", frozenset(clients)) == expect
 
 
 class TestDerandomize:
@@ -371,16 +441,26 @@ class TestGuards:
         assert construct_strategy_iid(inst, scheme, enumerated(["a"]))
 
     def test_monte_carlo_needs_scheme_costs_on_the_graphs_grid(self, triangle):
-        """Monte-Carlo sums are integers over the graph's cost denominators;
-        a scheme cost off that grid raises rather than rounds."""
+        """Monte-Carlo and exact sums are integers over the graph's cost
+        denominators; a base or augmentation cost off that grid raises
+        rather than rounds."""
         inst = iid_triangle(triangle)
         scheme = scheme_for(inst)
-        off_grid = dataclasses.replace(
-            scheme,
-            approx=lambda clients: dataclasses.replace(scheme.approx(clients), cost=Fraction(1, 3)),
-        )
-        with pytest.raises(PreconditionError, match="edge costs"):
-            evaluate_construction_mc(inst, off_grid, "iid", 5, 0)
+        third = Fraction(1, 3)
+        for off_grid in (
+            dataclasses.replace(
+                scheme,
+                approx=lambda clients: dataclasses.replace(scheme.approx(clients), cost=third),
+            ),
+            dataclasses.replace(
+                scheme,
+                augment=lambda base, t: dataclasses.replace(scheme.augment(base, t), cost=third),
+            ),
+        ):
+            with pytest.raises(PreconditionError, match="edge costs"):
+                evaluate_construction_mc(inst, off_grid, "iid", 5, 0)
+            with pytest.raises(PreconditionError, match="edge costs"):
+                evaluate_construction_exact(inst, off_grid, "iid")
 
     def test_cap_bounds_regrouping(self, triangle):
         """Regrouping enumerates rho^n: 2^2 = 4 profiles here."""
