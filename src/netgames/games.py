@@ -14,8 +14,7 @@ profiles, though `support_cap` still bounds the product support of
 instance (`GameInstance._scale`: the lcm D of the probabilities'
 denominators, the lcm C of the element costs', and L = lcm(1..n)), made
 one `Fraction` at the end.  `weighted_product` is the one capped product
-enumeration, shared with `sampling`'s regrouping, and `_terminal_law` also
-gives `sampling` the law of a draw's client set.  Path menus are the
+enumeration, shared with `sampling`'s regrouping.  Path menus are the
 graph's `graphs.simple_paths`; no path code runs here.  `type_profiles`
 and `ex_post_opt` are module-level test oracles.
 
@@ -418,15 +417,13 @@ def ex_post_opt(inst: GameInstance, type_profile: tuple) -> tuple[frozenset, Fra
     return solved.edges, solved.cost
 
 
-def _terminal_law(inst: GameInstance, rows=None) -> tuple[list, dict]:
-    """The law of the realized terminal set, built row by row (at most
+def _terminal_law(inst: GameInstance) -> tuple[list, dict]:
+    """The law of the realized terminal set, built player by player (at most
     min(prefix support, 2^k) states), as (terms, law): terms the k sorted
     distinct terminals, and law a map from bitmask (bit j stands for
-    terms[j]) to probability times D^m, keyed in the canonical order of each
-    set's first profile.  `rows` are m independent (distribution, integer
-    weights over D) pairs; by default the players' own, so m = n."""
-    if rows is None:
-        rows = zip((spec.distribution for spec in inst.players), inst._scale.weights)
+    terms[j]) to probability times D^n, keyed in the canonical order of each
+    set's first profile."""
+    rows = zip((spec.distribution for spec in inst.players), inst._scale.weights)
     steps = [[(_terminal(inst, t), w) for (t, _), w in zip(*row)] for row in rows]
     terms = sorted({x for step in steps for x, _ in step} - {None})
     bit = {x: 1 << j for j, x in enumerate(terms)}

@@ -30,7 +30,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Collection, Iterable, Optional
 
 from .errors import (
     DisconnectedError,
@@ -131,10 +131,10 @@ class Metric:
             raise KeyError(edge_key(u, v))
         return nearest(self._g, u, (v,)).cost
 
-    def d_to_set(self, targets: Iterable[str], x: str) -> Fraction:
+    def d_to_set(self, targets: Collection[str], x: str) -> Fraction:
         """Distance from x to the nearest node of a nonempty target set.  An
         unknown node raises KeyError, as `d` does."""
-        if x not in self._g._node_set:
+        if x not in self._g._node_set and targets:
             return min(self.d(x, t) for t in targets)
         return nearest(self._g, x, targets).cost
 
@@ -189,11 +189,13 @@ def simple_paths(g: Graph, s: str, target: str) -> list[EdgeSet]:
     return out
 
 
-def nearest(g: Graph, x: str, targets: Iterable[str]) -> EdgeSet:
+def nearest(g: Graph, x: str, targets: Collection[str]) -> EdgeSet:
     """The least (cost, node sequence) path from x to a node of a nonempty
-    target set, read from x's Dijkstra in the graph's table.  An unknown x
-    raises UnreachableError(x, least target); a target that x does not
-    reach raises KeyError(target)."""
+    target set, read from x's Dijkstra in the graph's table.  An empty set
+    raises PreconditionError, then an unknown x UnreachableError(x, least
+    target); a target that x does not reach raises KeyError(target)."""
+    if not targets:
+        raise PreconditionError("target set must be nonempty")
     if x not in g._node_set:
         raise UnreachableError(x, min(targets))
     table = g._steiner

@@ -228,7 +228,7 @@ def _field(doc, key: str, where: str):
 
 def parse_strategy(inst: GameInstance, text: str) -> tuple:
     """The profile in strategy file `text`: each action must be feasible
-    for its type, and every support type needs one."""
+    for its type, and every support type needs exactly one."""
     doc = _load_json(text, "strategy ")
     players = _expect(_field(doc, "players", "strategy"), list, "players")
     if len(players) != inst.n:
@@ -242,6 +242,8 @@ def parse_strategy(inst: GameInstance, text: str) -> tuple:
             t = _decode_type(inst.kind, _field(entry, "type", where))
             if t not in inst.players[i].support():
                 raise NetgamesError(f"player {i}: type {t!r} not in its support")
+            if t in strat:
+                raise ValidationError(f"players[{i}]", f"type {t!r} listed twice")
             action = _expect(_field(entry, "action", where), list, where)
             elements = frozenset(_decode_element(inst, e) for e in action)
             menu = {a.elements: a for a in feasible_actions(inst, i, t)}

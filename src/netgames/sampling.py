@@ -7,20 +7,19 @@ derandomization over the draw are provided.
 The constructed profile depends on a draw only through its client set (its
 non-root types), so every entry point solves each distinct set once: one
 `_draw_step`, the base solution A(D) with an augmentation and a restricted
-action per type.  The exact evaluation and `derandomize` iterate the law of
-the client set (`games._terminal_law` over the draw's distributions, each
-bitmask decoded to its set once), never the draws: the evaluation weights
-each set's step, and `derandomize` prices each set once and returns, of the
-cheapest sets, the least draw that yields one (`_least_draw`, a greedy
-choice per position with a matching check).  The Monte-Carlo estimator
-keeps a per-call memo from client set to its step, filling a type's entry
-the first time that type is realized.  Every sum is an integer over the
-instance's cost scale, made one `Fraction` per reported number, so a scheme
-cost that is not a sum of the graph's edge costs raises PreconditionError
-(`_over`).  A restricted action is the graph's `graphs.route` over the
-allowed edges.  A `SampleProfile` is the draw's types alone.
-`inst.support_cap` bounds the number of draws that the exact evaluation and
-`derandomize` stand for, not the number of sets."""
+action per type.  The exact evaluation and `derandomize` walk the law of
+the client set (`_draw_law`, built one draw position at a time), never the
+draws: per set, its weight and the least draw that yields it.  One pass
+(`_priced`) builds and prices each set once; the evaluation weights the
+prices, and `derandomize` returns the least (cost, least draw).  The
+Monte-Carlo estimator keeps a per-call memo from client set to its step,
+filling a type's entry the first time that type is realized.  Every sum is
+an integer over the instance's cost scale, made one `Fraction` per reported
+number, so a scheme cost that is not a sum of the graph's edge costs raises
+PreconditionError (`_over`).  A restricted action is the graph's
+`graphs.route` over the allowed edges.  A `SampleProfile` is the draw's
+types alone.  `inst.support_cap` bounds the number of draws that the exact
+evaluation and `derandomize` stand for, not the number of sets."""
 
 from __future__ import annotations
 
@@ -30,7 +29,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .costsharing import CostSharingScheme
 from .errors import PreconditionError
@@ -39,8 +38,6 @@ from .games import (
     GameInstance,
     _check_support,
     _column_sum,
-    _members,
-    _terminal_law,
     expected_opt,
     use_probabilities,
     weighted_product,
@@ -131,16 +128,13 @@ def _profile(inst: GameInstance, menu: dict) -> tuple:
     return tuple({t: menu[t][1] for t in spec.support()} for spec in inst.players)
 
 
-def _constructed(inst: GameInstance, scheme: CostSharingScheme, clients: frozenset):
-    return _profile(inst, _draw_step(inst, scheme, clients, _support_types(inst))[1])
-
-
 def _construct(inst: GameInstance, scheme: CostSharingScheme, D: SampleProfile, variant: str):
     _require_multicast(inst)
     size = len(_draw_players(inst, scheme, variant))
     if len(D.types) != size:
         raise PreconditionError(f"expected {size} samples, got {len(D.types)}")
-    return _constructed(inst, scheme, _clients(inst, D.types))
+    step = _draw_step(inst, scheme, _clients(inst, D.types), _support_types(inst))
+    return _profile(inst, step[1])
 
 
 def construct_strategy_iid(
@@ -159,19 +153,37 @@ def construct_strategy_noniid(
     return _construct(inst, scheme, D, "noniid")
 
 
-def _draw_law(inst: GameInstance, positions: list) -> tuple[list, dict]:
-    """The law of the draw's client set: `games._terminal_law` over the
-    draw's rows, a mask's weight times D^m, m the draw's length.  More than
-    `inst.support_cap` draws raise SupportTooLargeError first."""
+def _draw_law(inst: GameInstance, positions: list) -> dict:
+    """The law of the draw's client set, built one position at a time: each
+    set of positive probability -> (its probability times D^m, m the draw's
+    length; the least draw that yields it), keyed in the order of each
+    set's first draw.  One state per set is exact: a least draw's prefixes
+    are the least that yield their own sets, as a smaller prefix would give
+    a smaller draw.  More than `inst.support_cap` draws raise
+    SupportTooLargeError first."""
     sizes = (len(inst.players[i].distribution) for i in positions)
     _check_support(inst, math.prod(sizes), "draw support")
-    sc = inst._scale
-    return _terminal_law(inst, [(inst.players[i].distribution, sc.weights[i]) for i in positions])
+    root, weights = inst.graph.root, inst._scale.weights
+    law = {frozenset(): (1, ())}
+    for i in positions:
+        grown: dict = {}
+        for S, (w, D) in law.items():
+            for (t, _), wt in zip(inst.players[i].distribution, weights[i]):
+                T, E = (S if t == root else S | {t}), D + (t,)
+                u, F = grown.get(T, (0, E))
+                grown[T] = (u + w * wt, min(F, E))
+        law = grown
+    return law
 
 
-def _cost(inst: GameInstance, s: tuple) -> int:
-    """The expected social cost of s as an integer over C*D^n."""
-    return _column_sum(inst, use_probabilities(inst, s), 0)
+def _priced(inst: GameInstance, scheme: CostSharingScheme, law: dict) -> Iterator[tuple]:
+    """Per client set of `law`, in its order: (weight, least draw, A(D),
+    menu, cost), one `_draw_step` per set and the cost that of its
+    `_profile`, an expected social cost as an integer over C*D^n."""
+    types = _support_types(inst)
+    for clients, (w, D) in law.items():
+        base, menu = _draw_step(inst, scheme, clients, types)
+        yield w, D, base, menu, _column_sum(inst, use_probabilities(inst, _profile(inst, menu)), 0)
 
 
 def evaluate_construction_exact(
@@ -179,16 +191,15 @@ def evaluate_construction_exact(
 ) -> ConstructionReport:
     """Exact expectation over all (draw, type-profile) pairs of the
     constructed profile's social cost, compared with (alpha+beta) times the
-    expected optimum: one `_draw_step` per client set of positive
-    probability, weighted by the law of the draw's client set.  The sums
-    are integers, so the scheme's costs must be sums of the graph's edge
-    costs (`_over`)."""
+    expected optimum: each client set of positive probability built and
+    priced once (`_priced`), weighted by the law of the draw's client set.
+    The sums are integers, so the scheme's costs must be sums of the graph's
+    edge costs (`_over`)."""
     _require_multicast(inst)
     positions = _draw_players(inst, scheme, variant)
-    terms, law = _draw_law(inst, positions)
+    law = _draw_law(inst, positions)
     opt = expected_opt(inst)
     sc = inst._scale
-    types = _support_types(inst)
     mass: dict = {}  # type -> the sum of the players' probabilities of it, times D
     for spec, weights in zip(inst.players, sc.weights):
         for (t, _), w in zip(spec.distribution, weights):
@@ -197,9 +208,7 @@ def evaluate_construction_exact(
     # over C*D^m, the augmentation over C*D^(m+1) and the least cost over C*D^n.
     total = first_stage = augmentation = 0
     least = None
-    for mask, w in law.items():
-        base, menu = _draw_step(inst, scheme, _members(terms, mask), types)
-        cost = _cost(inst, _profile(inst, menu))
+    for w, _, base, menu, cost in _priced(inst, scheme, law):
         total += w * cost
         first_stage += w * _over(sc.C, base.cost)
         augmentation += w * sum(m * _over(sc.C, menu[t][0].cost) for t, m in mass.items())
@@ -301,42 +310,6 @@ def evaluate_construction_mc(
     )
 
 
-def _least_draw(supports: list, root, clients: frozenset) -> Optional[tuple]:
-    """The least draw, as a tuple, whose client set is `clients`, position k
-    drawing a type of supports[k]; None when no draw has that set.  Each
-    position takes its least type that leaves the rest completable
-    (`_completable`), so the tuple is least position by position."""
-    options = [sorted(t for t in support if t == root or t in clients) for support in supports]
-    if not _completable(clients, options):
-        return None
-    draw, left = [], set(clients)
-    for k, choices in enumerate(options):
-        t = next(t for t in choices if _completable(left - {t}, options[k + 1:]))
-        draw.append(t)
-        left.discard(t)
-    return tuple(draw)
-
-
-def _completable(left, options: list) -> bool:
-    """Whether positions with these type lists can draw the clients `left`
-    and nothing off their lists: every list is nonempty, and the clients
-    match distinct positions whose lists hold them (augmenting paths)."""
-    if not all(options) or len(left) > len(options):
-        return False
-    holder: dict = {}  # position -> the client matched to it
-
-    def place(client, tried: set) -> bool:
-        for k, choices in enumerate(options):
-            if k not in tried and client in choices:
-                tried.add(k)
-                if k not in holder or place(holder[k], tried):
-                    holder[k] = client
-                    return True
-        return False
-
-    return all(place(client, set()) for client in left)
-
-
 def derandomize(
     inst: GameInstance, scheme: CostSharingScheme, variant: str
 ) -> tuple[SampleProfile, tuple]:
@@ -344,25 +317,11 @@ def derandomize(
     expected cost (min over draws is at most the draw-averaged cost): the
     least (cost, D) over the draws.  The profile depends on D only through
     its client set, so each set of the law (`_draw_law`) is built and priced
-    once, as an integer, and each set of least cost stands for its least
-    draw (`_least_draw`)."""
+    once (`_priced`), and stands for the least draw that yields it."""
     _require_multicast(inst)
-    positions = _draw_players(inst, scheme, variant)
-    terms, law = _draw_law(inst, positions)
-    least, tied = None, []
-    for mask in law:
-        clients = _members(terms, mask)
-        s = _constructed(inst, scheme, clients)
-        cost = _cost(inst, s)
-        if least is None or cost < least:
-            least, tied = cost, []
-        if cost == least:
-            tied.append((clients, s))
-    supports = [inst.players[i].support() for i in positions]
-    root = inst.graph.root
-    draws = ((_least_draw(supports, root, clients), s) for clients, s in tied)
-    D, s = min(draws, key=lambda draw: draw[0])
-    return SampleProfile(types=D), s
+    law = _draw_law(inst, _draw_players(inst, scheme, variant))
+    cost, D, menu = min((cost, D, menu) for _, D, _, menu, cost in _priced(inst, scheme, law))
+    return SampleProfile(types=D), _profile(inst, menu)
 
 
 def regrouping_sides(inst: GameInstance, scheme: CostSharingScheme):

@@ -200,6 +200,14 @@ class TestMetricClosure:
                 m.d_to_set(targets, x)
         assert m.d_to_set({"zz"}, "zz") == m.d("zz", "zz") == 0
 
+    @pytest.mark.parametrize("x", ["a", "r", "zz"])
+    def test_empty_target_set(self, triangle, x):
+        """An empty target set is refused before x is looked up."""
+        m = metric_closure(triangle)
+        for query in (lambda: m.d_to_set(set(), x), lambda: graphs.nearest(triangle, x, [])):
+            with pytest.raises(PreconditionError, match="^target set must be nonempty$"):
+                query()
+
 
 class TestMst:
     def test_triangle_terminals(self, triangle):

@@ -571,6 +571,12 @@ TWO_POINT_MASSES = _minimal_with(
             MINIMAL, '{"players": []}', ["eval"], id="strategy-for-too-few-players",
         ),
         pytest.param(
+            MINIMAL,
+            '{"players": [{"strategies": [{"type": "a", "action": [["a", "r"]]},'
+            ' {"type": "a", "action": [["a", "r"]]}]}]}',
+            ["eval"], id="strategy-type-listed-twice",
+        ),
+        pytest.param(
             MINIMAL, '{"players": 5}', ["eval"], id="strategy-players-not-a-list",
         ),
         pytest.param(ROOT_ONLY, None, ["scheme-check"], id="scheme-check-root-only"),

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -20,9 +21,9 @@ from netgames import (
 )
 from netgames.errors import PreconditionError, SupportTooLargeError, UnreachableError
 from netgames.games import GameInstance, PlayerSpec
-from netgames.graphs import route, shortest_path
+from netgames.graphs import graph_from_costs, route, shortest_path
 from netgames.instances import gen_instance
-from netgames.sampling import _clients, _least_draw
+from netgames.sampling import _clients, _draw_law, _draw_players
 
 from conftest import (
     construction_reference,
@@ -241,8 +242,9 @@ def overlapping_instances():
     """Non-i.i.d. multicast games of 4-5 players on generated 6-node graphs,
     each player drawing one or two types from one pool of four non-root
     nodes, so the supports overlap.  In seeds 10, 17 and 143 the cheapest
-    client set's least draw needs the matching: the least type that leaves
-    enough later positions strands a client that no later support holds."""
+    client set's least draw is not the greedy one: the least type that
+    leaves enough later positions strands a client that no later support
+    holds."""
     for seed in (*range(6), 10, 17, 143):
         rng = random.Random(seed)
         g = gen_instance("multicast", 6, 1, 1, seed=seed).graph
@@ -332,9 +334,55 @@ def least_draw_bruteforce(supports, root, clients):
     return min((D for D in draws if {t for t in D if t != root} == clients), default=None)
 
 
+def draw_law_bruteforce(inst, positions):
+    """`_draw_law` by a walk of every draw of `itertools.product`: per
+    client set, its summed integer weight and its least draw, keyed in the
+    order of each set's first draw."""
+    rows = [list(zip(inst.players[i].support(), inst._scale.weights[i])) for i in positions]
+    law = {}
+    for combo in itertools.product(*rows):
+        D = tuple(t for t, _ in combo)
+        clients = _clients(inst, D)
+        weight, least = law.get(clients, (0, D))
+        law[clients] = (weight + math.prod(w for _, w in combo), min(least, D))
+    return law
+
+
+LETTERS = graph_from_costs(
+    {("r", "a"): 1, ("a", "b"): 1, ("b", "c"): 1, ("c", "d"): 1, ("d", "x"): 1}, root="r"
+)
+
+
+def least_draws(supports):
+    """Client set -> the least draw that `_draw_law` keeps for it, on a game
+    with one player per support, uniform over it (one unused player when
+    there is no support)."""
+    inst = multicast(LETTERS, *([uniform(sup) for sup in supports] or [point_mass("r")]))
+    return {S: D for S, (_, D) in _draw_law(inst, list(range(len(supports)))).items()}
+
+
+class TestDrawLaw:
+    """`_draw_law`, the client-set law with one state per set, against a
+    walk of every draw."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_against_every_draw(self, seed):
+        for size, iid, root_mass in itertools.product(
+            ((4, 2, 2), (5, 3, 2), (6, 3, 3)), (False, True), (False, True)
+        ):
+            inst = gen_instance("multicast", *size, seed=seed, iid=iid, root_mass=root_mass)
+            for variant in ("iid", "noniid") if iid else ("noniid",):
+                positions = _draw_players(inst, scheme_for(inst), variant)
+                law = _draw_law(inst, positions)
+                want = draw_law_bruteforce(inst, positions)
+                assert law == want and list(law) == list(want)
+                assert sum(w for w, _ in law.values()) == inst._scale.D ** len(positions)
+
+
 class TestLeastDraw:
-    """`_least_draw` (a greedy choice per position with a matching check)
-    against the least draw of `itertools.product` with that client set."""
+    """The least draw that `_draw_law` keeps per client set, on games built
+    from the supports, against the least draw of `itertools.product` with
+    that client set."""
 
     @pytest.mark.parametrize(
         "supports,clients,expect",
@@ -353,7 +401,7 @@ class TestLeastDraw:
     )
     def test_cases(self, supports, clients, expect):
         assert least_draw_bruteforce(supports, "r", clients) == expect
-        assert _least_draw(supports, "r", frozenset(clients)) == expect
+        assert least_draws(supports).get(frozenset(clients)) == expect
 
     def test_random_supports(self):
         """Overlapping supports, in random support order, some holding the
@@ -362,10 +410,11 @@ class TestLeastDraw:
         pool = ["r", "a", "b", "c", "d"]
         for _ in range(250):
             supports = [rng.sample(pool, rng.randint(1, 3)) for _ in range(rng.randint(0, 5))]
+            law = least_draws(supports)
             for k in range(len(pool)):
                 for clients in itertools.combinations(pool[1:], k):
                     expect = least_draw_bruteforce(supports, "r", set(clients))
-                    assert _least_draw(supports, "r", frozenset(clients)) == expect
+                    assert law.get(frozenset(clients)) == expect
 
 
 class TestDerandomize:
