@@ -30,12 +30,6 @@ from .errors import NetgamesError, ParseError, PreconditionError
 from .instances import encode_profile, parse_strategy
 
 
-def _frac_str(x) -> str:
-    """An exact number as a string: a `Fraction` or an int, which print
-    alike ("3/2", "2")."""
-    return str(x)
-
-
 def _emit(report, fmt: str, out_path):
     """Write `report` as JSON or CSV to the file at `out_path`, or to stdout
     when no path is given; a string report is written as it is."""
@@ -75,10 +69,10 @@ def _read(path: str) -> str:
 def cmd_eval(inst, args):
     s = args.strategy  # the profile that `main` read from the strategy file
     report = {
-        "expected_social_cost": _frac_str(games.expected_social_cost(inst, s)),
-        "expected_potential": _frac_str(games.expected_potential(inst, s)),
+        "expected_social_cost": str(games.expected_social_cost(inst, s)),
+        "expected_potential": str(games.expected_potential(inst, s)),
         "expected_player_costs": [
-            _frac_str(games.expected_player_cost(inst, s, i)) for i in range(inst.n)
+            str(games.expected_player_cost(inst, s, i)) for i in range(inst.n)
         ],
     }
     return report, 0
@@ -89,19 +83,19 @@ def cmd_bne(inst, args):
     rep = equilibria.verify_bne(inst, s)
     report = {
         "is_bne": rep.is_bne,
-        "expected_social_cost": _frac_str(games.expected_social_cost(inst, s)),
-        "expected_potential": _frac_str(games.expected_potential(inst, s)),
+        "expected_social_cost": str(games.expected_social_cost(inst, s)),
+        "expected_potential": str(games.expected_potential(inst, s)),
         "players": encode_profile(inst, s),
     }
     return report, 0 if rep.is_bne else 2
 
 
 def cmd_bpos(inst, args):
-    return {"bpos": _frac_str(equilibria.bpos_exact(inst))}, 0
+    return {"bpos": str(equilibria.bpos_exact(inst))}, 0
 
 
 def cmd_ig(inst, args):
-    return {"information_gap": _frac_str(equilibria.information_gap_exact(inst))}, 0
+    return {"information_gap": str(equilibria.information_gap_exact(inst))}, 0
 
 
 def cmd_certify(inst, args):
@@ -110,13 +104,13 @@ def cmd_certify(inst, args):
         "links": [
             {
                 "claim": f"potential-method.{link.name}",
-                "lhs": _frac_str(link.lhs),
-                "rhs": _frac_str(link.rhs),
+                "lhs": str(link.lhs),
+                "rhs": str(link.rhs),
                 "pass": link.holds,
             }
             for link in cert.links
         ],
-        "values": {k: _frac_str(v) for k, v in cert.values.items()},
+        "values": {k: str(v) for k, v in cert.values.items()},
         "all_pass": cert.all_hold,
     }
     return report, 0 if cert.all_hold else 2
@@ -150,8 +144,8 @@ def cmd_scheme_check(inst, args):
                     "property": prop,
                     "U": " ".join(sorted(U)),
                     "x": x_used,
-                    "lhs": _frac_str(chk.lhs),
-                    "rhs": _frac_str(chk.rhs),
+                    "lhs": str(chk.lhs),
+                    "rhs": str(chk.rhs),
                     "pass": chk.holds,
                 }
             )
@@ -170,14 +164,12 @@ def cmd_sample(inst, args):
         "variant": rep.variant,
         "samples": rep.samples,
         "seed": rep.seed,
-        "first_stage": _frac_str(rep.first_stage),
-        "augmentation": _frac_str(rep.augmentation),
-        "total": _frac_str(rep.total),
-        "bound": _frac_str(rep.bound),
+        "first_stage": str(rep.first_stage),
+        "augmentation": str(rep.augmentation),
+        "total": str(rep.total),
+        "bound": str(rep.bound),
         "pass": rep.passed,
-        "ig_upper_bound": (
-            _frac_str(rep.ig_upper_bound) if rep.ig_upper_bound is not None else None
-        ),
+        "ig_upper_bound": str(rep.ig_upper_bound) if rep.ig_upper_bound is not None else None,
         # One sample has no finite standard error; JSON has no Infinity.
         "stderr": rep.stderr if rep.stderr is not None and math.isfinite(rep.stderr) else None,
     }

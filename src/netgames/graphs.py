@@ -133,9 +133,10 @@ class Metric:
 
     def d_to_set(self, targets: Collection[str], x: str) -> Fraction:
         """Distance from x to the nearest node of a nonempty target set.  An
-        unknown node raises KeyError, as `d` does."""
+        unknown x raises KeyError(edge_key(x, least target other than x)),
+        as `d` does, in any iteration order of the targets."""
         if x not in self._g._node_set and targets:
-            return min(self.d(x, t) for t in targets)
+            return min(self.d(x, t) for t in sorted(targets))
         return nearest(self._g, x, targets).cost
 
 
@@ -284,15 +285,17 @@ class _SteinerTable:
     """The integer path model of one graph, filled lazily: the integer
     costs (each cost times `scale`, the lcm of the edge cost denominators),
     the graph's one adjacency (`_links`, by node index), the components,
-    one Dijkstra per node (`paths`), and the Dreyfus-Wagner labels dp[X][i]
-    = cheapest (cost, edge mask) connecting `nodes[i]` and the terminals of
-    mask X.  Bit i of a terminal mask stands for `nodes[i]` and bit j of an
-    edge mask for `edges[j]`, both sorted, so a mask's sorted edge tuple is
-    its bits in ascending order.  Creating the table builds no per-edge
-    data that only the labels read; the `EdgeSet` of a mask is built the
-    first time a query returns it.  A label depends only on the graph and
-    X (its base paths, integer costs and tie-breaks all do), so one table
-    serves every terminal set, in any call order, and builds no subset twice."""
+    one Dijkstra per source asked for (`paths`), and the Dreyfus-Wagner
+    labels dp[X][i] = cheapest (cost, edge mask) connecting `nodes[i]` and
+    the terminals of mask X.  A terminal's own Dijkstra is its singleton's
+    labels, so the labels run no Dijkstra from any other node.  Bit i of a
+    terminal mask stands for `nodes[i]` and bit j of an edge mask for
+    `edges[j]`, both sorted, so a mask's sorted edge tuple is its bits in
+    ascending order.  Creating the table builds no per-edge data that only
+    the labels read; the `EdgeSet` of a mask is built the first time a
+    query returns it.  A label depends only on the graph and X (its base
+    paths, integer costs and tie-breaks all do), so one table serves every
+    terminal set, in any call order, and builds no subset twice."""
 
     def __init__(self, g: Graph):
         self.nodes = g.nodes
@@ -335,19 +338,16 @@ class _SteinerTable:
 
     def span(self, terms: int) -> tuple[int, int]:
         """(integer cost, edge mask) of the Steiner tree on a nonempty
-        terminal mask of one component: the label of its lowest terminal in
-        dp[the others], which for two terminals is the path between them,
-        read from one Dijkstra.  More than STEINER_TERMINAL_CAP terminals
-        raise TooLargeError before any subset is built."""
+        terminal mask of one component: the label of its highest terminal in
+        dp[the others], which for two terminals is the lower one's path to
+        it.  More than STEINER_TERMINAL_CAP terminals raise TooLargeError
+        before any subset is built."""
         if (k := terms.bit_count()) > STEINER_TERMINAL_CAP:
             raise TooLargeError(f"{k} terminals exceeds Steiner cap {STEINER_TERMINAL_CAP}")
-        first = terms & -terms
-        if terms == first:
+        if k == 1:
             return 0, 0
-        if k == 2:
-            cost, _, mask = self.paths(first.bit_length() - 1)[(terms ^ first).bit_length() - 1]
-            return cost, mask
-        return self.labels(terms ^ first)[first.bit_length() - 1]
+        top = terms.bit_length() - 1
+        return self.labels(terms ^ 1 << top)[top]
 
     def labels(self, X: int) -> list[Optional[tuple[int, int]]]:
         got = self.dp.get(X)
@@ -356,7 +356,8 @@ class _SteinerTable:
         return got
 
     def _build(self, X: int) -> list[Optional[tuple[int, int]]]:
-        # Base case: a terminal's label at v is v's cheapest path to it.
+        # Base case: a terminal t's label at v is t's least (cost, node
+        # sequence from t) path to v, read from t's one Dijkstra.
         # Otherwise labels combine two sub-solutions at the same node and
         # then relax along graph edges.  States carry real edge sets and
         # their true cost, so overlapping sub-solutions only help.
@@ -364,12 +365,11 @@ class _SteinerTable:
         # so the order of the splits does not matter.
         labels: list[Optional[tuple[int, int]]] = [None] * len(self.nodes)
         anchor = X & -X
-        members = self._members[anchor.bit_length() - 1]
         if X == anchor:
-            for i in members:
-                cost, _, mask = self.paths(i)[X.bit_length() - 1]
+            for i, (cost, _, mask) in self.paths(X.bit_length() - 1).items():
                 labels[i] = (cost, mask)
             return labels
+        members = self._members[anchor.bit_length() - 1]
         rest = sub = X ^ anchor
         splits = []
         while sub:  # anchor | sub against the rest, sub a proper submask of rest

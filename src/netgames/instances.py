@@ -42,7 +42,6 @@ from .games import (
     GRAPH_KINDS,
     GameInstance,
     PlayerSpec,
-    feasible_actions,
 )
 from .graphs import Graph, edge_key
 
@@ -235,6 +234,7 @@ def parse_strategy(inst: GameInstance, text: str) -> tuple:
         raise ValidationError("players", f"{len(players)} strategies for {inst.n} players")
     profile = []
     for i, pdoc in enumerate(players):
+        menus = {t: {a.elements: a for a in actions} for t, actions in inst.menus[i]}
         strat = {}
         where = f"players[{i}].strategies"
         entries = _field(pdoc, "strategies", f"players[{i}]")
@@ -246,12 +246,11 @@ def parse_strategy(inst: GameInstance, text: str) -> tuple:
                 raise ValidationError(f"players[{i}]", f"type {t!r} listed twice")
             action = _expect(_field(entry, "action", where), list, where)
             elements = frozenset(_decode_element(inst, e) for e in action)
-            menu = {a.elements: a for a in feasible_actions(inst, i, t)}
-            if elements not in menu:
+            if elements not in menus[t]:
                 raise NetgamesError(
                     f"player {i}: action {sorted(elements)} infeasible for type {t!r}"
                 )
-            strat[t] = menu[elements]
+            strat[t] = menus[t][elements]
         for t, _ in inst.players[i].distribution:
             if t not in strat:
                 raise NetgamesError(f"player {i}: no action for support type {t!r}")

@@ -143,9 +143,10 @@ def _candidate_key(cost: Fraction, edges: frozenset) -> tuple:
 
 def steiner_tree_reference(g: Graph, terminals: Iterable[str]) -> EdgeSet:
     """The Dreyfus-Wagner Steiner DP as first written, kept only as the test
-    oracle of `steiner_tree_exact`: one `shortest_path` per (node, terminal),
-    union costs re-summed and (cost, sorted edges) keys built for every
-    candidate.  Same edge set and tie-break, slower."""
+    oracle of `steiner_tree_exact`: one `shortest_path` from each terminal
+    to each node, union costs re-summed and (cost, sorted edges) keys built
+    for every candidate, the tree read at the highest terminal.  Same edge
+    set and tie-break, slower."""
     terms = sorted(set(terminals))
     if not terms:
         raise ValueError("terminal set must be nonempty")
@@ -166,11 +167,11 @@ def steiner_tree_reference(g: Graph, terminals: Iterable[str]) -> EdgeSet:
         for v in g.nodes:
             if comp[v] != comp[t]:
                 continue
-            p = shortest_path(g, v, t)
+            p = shortest_path(g, t, v)
             dp[(v, frozenset([t]))] = (p.cost, p.edges)
 
-    base = terms[0]
-    rest = terms[1:]
+    base = terms[-1]
+    rest = terms[:-1]
     adj = neighbors(g)
     for size in range(2, len(rest) + 1):
         for subset in itertools.combinations(rest, size):
@@ -247,7 +248,7 @@ class SteinerLabelsReference:
             labels = {}
             for v in self.nodes:
                 if self.comp[v] == self.comp[t]:
-                    cost, seq = self.paths[v][t]
+                    cost, seq = self.paths[t][v]
                     labels[v] = (cost, frozenset(edge_key(a, b) for a, b in zip(seq, seq[1:])))
             return labels
         anchor = min(X)

@@ -200,6 +200,15 @@ class TestMetricClosure:
                 m.d_to_set(targets, x)
         assert m.d_to_set({"zz"}, "zz") == m.d("zz", "zz") == 0
 
+    def test_d_to_set_names_the_least_target(self, triangle):
+        """An unknown x names its least target, whatever the order of the
+        collection."""
+        m = metric_closure(triangle)
+        for targets in (["r", "b", "a"], ["a", "b", "r"], ("b", "r", "a")):
+            with pytest.raises(KeyError) as err:
+                m.d_to_set(targets, "zz")
+            assert err.value.args == (("a", "zz"),)
+
     @pytest.mark.parametrize("x", ["a", "r", "zz"])
     def test_empty_target_set(self, triangle, x):
         """An empty target set is refused before x is looked up."""
@@ -536,10 +545,43 @@ class TestSteinerTable:
                     ref = steiner_tree_reference(fresh(g), terms)
                     assert (st.cost, sorted(st.edges)) == (ref.cost, sorted(ref.edges))
 
+    @pytest.mark.parametrize(
+        "costs", [(0, 1, 2), (0, Fraction(1, 2), 1, Fraction(3, 2))], ids=["int", "half"]
+    )
+    def test_base_labels_are_the_least_paths_from_the_terminal(self, costs):
+        """The base tie rule against plain enumeration, which shares no code
+        with the Dijkstra kernel: on tie-heavy graphs with zero-cost edges, a
+        singleton {t}'s label at v is the least (cost, node sequence from t)
+        simple t-v path, and a tree on two terminals is that path from the
+        lower terminal to the higher one."""
+        rng = random.Random(83)
+        for _ in range(60):
+            g = random_connected_graph(rng, max_nodes=7, max_edges=13, costs=costs)
+            least = {}
+            for t, v in itertools.permutations(g.nodes, 2):
+                paths = []  # (cost, node sequence, edges); sequences are distinct
+                for seq in _all_simple_paths_reference(g, t, v):
+                    edges = frozenset(edge_key(a, b) for a, b in zip(seq, seq[1:]))
+                    paths.append((edge_set_cost(g, edges), seq, edges))
+                cost, _, edges = min(paths)
+                least[t, v] = (cost, edges)
+            table = g._steiner
+            for t in g.nodes:
+                labels = table.labels(1 << table.index[t])
+                assert labels[table.index[t]] == (0, 0)
+                for v in g.nodes:
+                    if v != t:
+                        cost, mask = labels[table.index[v]]
+                        got = (Fraction(cost, table.scale), table.edge_set(mask).edges)
+                        assert got == least[t, v]
+            for t, v in itertools.combinations(g.nodes, 2):
+                st = steiner_tree_exact(fresh(g), {t, v})
+                assert (st.cost, st.edges) == least[t, v]
+
     def test_two_terminals_read_one_dijkstra(self):
-        """A tree on two terminals is the path between them, read from the
-        lower terminal's one Dijkstra.  The other terminal's base label (one
-        Dijkstra per node of its component) and DP subset are not built."""
+        """A tree on two terminals is the lower terminal's label at the
+        higher one: the path between them, read from the lower terminal's
+        one Dijkstra.  No other Dijkstra or DP subset is built."""
         nodes = [f"v{j:03d}" for j in range(200)]
         g = graph_from_costs({(a, b): 1 for a, b in zip(nodes, nodes[1:])}, nodes=nodes)
         terms = {nodes[40], nodes[150]}
@@ -548,7 +590,7 @@ class TestSteinerTable:
         path = sorted(zip(nodes[40:150], nodes[41:151]))
         assert (st.cost, sorted(st.edges)) == (ref.cost, sorted(ref.edges)) == (110, path)
         assert list(g._steiner._paths) == [40]
-        assert g._steiner.dp == {}
+        assert list(g._steiner.dp) == [1 << 40]
 
     def test_disconnected_graphs(self):
         """Solves and DisconnectedErrors interleave on one graph without

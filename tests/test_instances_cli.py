@@ -10,8 +10,8 @@ from fractions import Fraction
 import pytest
 
 from netgames.cli import build_parser, encode_profile, main, parse_strategy
-from netgames.equilibria import min_potential_profile
-from netgames import instances
+from netgames.equilibria import min_potential_profile, verify_bne
+from netgames import graphs, instances
 from netgames.errors import ParseError, PreconditionError, ValidationError
 from netgames.instances import gen_instance, parse_instance, serialize_instance
 
@@ -236,6 +236,19 @@ class TestStrategyFiles:
         s = min_potential_profile(inst)
         text = json.dumps({"players": encode_profile(inst, s)})
         assert parse_strategy(inst, text) == s
+
+    def test_reading_a_profile_builds_the_menus_once(self, monkeypatch):
+        """`parse_strategy` reads the instance's menus, which `verify_bne`
+        then reuses: one path walk per (player, type) off the root."""
+        inst = gen_instance("multicast", 6, 3, 3, seed=1)
+        text = json.dumps({"players": encode_profile(inst, min_potential_profile(inst))})
+        walks = []
+        inner = graphs.simple_paths
+        monkeypatch.setattr(graphs, "simple_paths", lambda *a: walks.append(a) or inner(*a))
+        inst = gen_instance("multicast", 6, 3, 3, seed=1)
+        verify_bne(inst, parse_strategy(inst, text))
+        off_root = [t for spec in inst.players for t in spec.support() if t != inst.graph.root]
+        assert len(walks) == len(off_root) == 7
 
 
 def run_cli(*argv, expect=0):
