@@ -94,10 +94,11 @@ def steiner_scheme(g: Graph) -> CostSharingScheme:
 
 def check_competitiveness(scheme: CostSharingScheme, clients: Iterable) -> SchemeCheck:
     """Sum of shares over the client set versus the cost of A on it, which is
-    the exact optimum for the shipped Steiner scheme (alpha = 1)."""
+    the exact optimum for the shipped Steiner scheme (alpha = 1).  A is
+    priced first, so a client set past its cap fails before any share."""
     U = frozenset(clients)
-    lhs = sum((scheme.share(U, x) for x in U), Fraction(0))
     rhs = scheme.approx(U).cost
+    lhs = sum((scheme.share(U, x) for x in U), Fraction(0))
     return SchemeCheck(lhs=lhs, rhs=rhs)
 
 

@@ -33,9 +33,9 @@ from .errors import (
 from .games import (
     GameInstance,
     Action,
+    _column_sum,
     column_terms,
     expected_opt,
-    expected_potential,
     harmonic,
     interim_weights,
     use_probabilities,
@@ -96,17 +96,13 @@ def all_strategy_profiles(inst: GameInstance):
         yield tuple(combo)
 
 
-def interim_cost(
-    inst: GameInstance, s: tuple, i: int, t, action: Action, *, uses=None
-) -> Fraction:
+def interim_cost(inst: GameInstance, s: tuple, i: int, t, action: Action) -> Fraction:
     """Player i's expected cost at type t playing `action`, with opponents
     following s on their realized types.  Types are independent, so t
     matters only through `action`: the sum of its elements'
-    `games.interim_weights`.  `uses` is s's use-probability table
-    (`games.use_probabilities`) when the caller already holds it."""
-    q = use_probabilities(inst, s) if uses is None else uses
+    `games.interim_weights`."""
     sc = inst._scale
-    tot = sum(interim_weights(inst, q, i, action.elements).values())
+    tot = sum(interim_weights(inst, use_probabilities(inst, s), i, action.elements).values())
     return Fraction(tot, sc.C * sc.L * sc.D_pow[inst.n - 1])
 
 
@@ -311,15 +307,16 @@ def best_response_dynamics(
     strictly decreases the expected potential, so this terminates at a BNE
     on exact-rational instances.  Ties keep the incumbent action.  A visit to
     player i reads one `_deviation_weights` table, which i's moves leave
-    valid; by the exact potential identity, i's move at type t changes the
-    traced potential by P(t_i = t) times the change in i's interim cost."""
+    valid.  The trace starts at s0's `games._column_sum` (over C*L*D^n); by
+    the exact potential identity, i's move at type t changes it by
+    P(t_i = t) times the change in i's interim cost."""
     if max_rounds < 1:
         raise PreconditionError(f"max_rounds must be at least 1, got {max_rounds}")
     sc = inst._scale
     den = sc.C * sc.L * sc.D_pow[inst.n]
     s = tuple(dict(p) for p in s0)
     q = use_probabilities(inst, s)
-    trace = [int(expected_potential(inst, s, uses=q) * den)] if return_trace else None
+    trace = [_column_sum(inst, q, 1)] if return_trace else None
     for _ in range(max_rounds):
         changed = False
         for i, entries in enumerate(inst.menus):
@@ -360,8 +357,7 @@ def information_gap_exact(inst: GameInstance) -> Fraction:
 
 def potential_method_certificate(inst: GameInstance) -> CertificateReport:
     """Verify the potential-method inequality chain link by link, with
-    closeness constants lam = 1 and mu = H_n."""
-    lam = Fraction(1)
+    closeness constants lambda = 1 (so no link divides by it) and mu = H_n."""
     mu = harmonic(inst.n)
     sweep = _sweep(inst)
     k_star, psi_star = sweep.min_potential.cost, sweep.min_potential.potential
@@ -370,14 +366,14 @@ def potential_method_certificate(inst: GameInstance) -> CertificateReport:
     ig = k_tilde / opt
     bpos = _best_bne_cost(inst, sweep) / opt
     links = (
-        CertificateLink("cost_below_potential", k_star, psi_star / lam),
-        CertificateLink("potential_minimizer", psi_star / lam, psi_tilde / lam),
-        CertificateLink("closeness_upper", psi_tilde / lam, mu / lam * k_tilde),
-        CertificateLink("gap_times_opt", mu / lam * k_tilde, mu / lam * ig * opt),
-        CertificateLink("bpos_bound", bpos, mu / lam * ig),
+        CertificateLink("cost_below_potential", k_star, psi_star),
+        CertificateLink("potential_minimizer", psi_star, psi_tilde),
+        CertificateLink("closeness_upper", psi_tilde, mu * k_tilde),
+        CertificateLink("gap_times_opt", mu * k_tilde, mu * ig * opt),
+        CertificateLink("bpos_bound", bpos, mu * ig),
     )
     values = {
-        "lambda": lam,
+        "lambda": Fraction(1),
         "mu": mu,
         "K_min_potential": k_star,
         "Psi_min_potential": psi_star,

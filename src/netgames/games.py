@@ -315,17 +315,6 @@ def use_probabilities(inst: GameInstance, s: tuple) -> list[dict]:
     return [use_row(inst, j, strategy) for j, strategy in enumerate(s)]
 
 
-def count_law(inst: GameInstance, q: list[dict], e, skip: Optional[int] = None) -> list[int]:
-    """Exact law of the number of players other than `skip` using e, each
-    player j independently with probability q[j][e] / D: entry k is the
-    probability of k users times D^m, m the number of players counted
-    (n, or n - 1 with `skip`): `_users_law` lifted by the non-users."""
-    users = [a for j, row in enumerate(q) if j != skip and (a := row.get(e, 0))]
-    lift = inst._scale.D_pow[len(q) - (skip is not None) - len(users)]
-    law = _users_law(inst._scale.D, users)
-    return law if lift == 1 else [x * lift for x in law]
-
-
 def _users_law(D: int, entries) -> list[int]:
     """Law of the user count of players using an element with probabilities a / D,
     a in `entries`: entry k is P(k users) times D^len(entries).  Poisson-binomial DP."""
@@ -341,8 +330,13 @@ def interim_weights(inst: GameInstance, q: list[dict], i: int, elements) -> dict
     expected cost of any action of player i, as an integer over
     `C*L*D^(n-1)`.  No row q[i] is read, so i's own moves leave it valid."""
     sc = inst._scale
-    laws = ((e, count_law(inst, q, e, skip=i)) for e in elements)
-    return {e: sc.costs[e] * sum(map(operator.mul, law, sc.inv)) for e, law in laws}
+    weights = {}
+    for e in elements:
+        users = [a for j, row in enumerate(q) if j != i and (a := row.get(e, 0))]
+        lift = sc.D_pow[len(q) - 1 - len(users)]  # the others who never use e
+        law = _users_law(sc.D, users)
+        weights[e] = sc.costs[e] * lift * sum(map(operator.mul, law, sc.inv))
+    return weights
 
 
 def _column_sum(inst: GameInstance, q: list[dict], k: int) -> int:
@@ -373,12 +367,10 @@ def column_terms(inst: GameInstance, entries) -> tuple[int, int]:
     return sc.D_pow[inst.n] - lift * law[0], lift * sum(map(operator.mul, law, sc.harm))
 
 
-def expected_potential(inst: GameInstance, s: tuple, *, uses=None) -> Fraction:
-    """Sum over elements e of c_e * E[H_N], N the number of users of e.
-    `uses` is s's `use_probabilities` table when the caller already holds
-    it."""
-    q = use_probabilities(inst, s) if uses is None else uses
+def expected_potential(inst: GameInstance, s: tuple) -> Fraction:
+    """Sum over elements e of c_e * E[H_N], N the number of users of e."""
     sc = inst._scale
+    q = use_probabilities(inst, s)
     return Fraction(_column_sum(inst, q, 1), sc.C * sc.L * sc.D_pow[inst.n])
 
 

@@ -615,8 +615,6 @@ def cover_cost_dp(node_costs: dict, hyperedges: Iterable[tuple]) -> Callable[[in
     for the life of f: f(0) = 0 and f(S) is the least c_v + f(S without v's
     hyperedges) over the nodes v of S's lowest one, read from one
     precomputed (c_v, mask of the hyperedges v misses) list per hyperedge."""
-    if len(node_costs) > DEFAULT_NODE_CAP:
-        raise TooLargeError(f"{len(node_costs)} nodes exceeds enumeration cap {DEFAULT_NODE_CAP}")
     support = sorted(set(hyperedges))
     hits = {v: sum(1 << j for j, h in enumerate(support) if v in h) for h in support for v in h}
     options = [[(node_costs[v], ~hits[v]) for v in h] for h in support]

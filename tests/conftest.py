@@ -26,8 +26,6 @@ from netgames.games import (
     harmonic,
     social_cost,
     type_profiles,
-    use_probabilities,
-    use_row,
     weighted_product,
 )
 from netgames.errors import DisconnectedError, NoConvergenceError, NoFeasibleActionError
@@ -436,10 +434,9 @@ def action_cost_reference(inst: GameInstance, q: list[dict], i: int, action: Act
     )
 
 
-def expected_social_cost_reference(inst: GameInstance, s: tuple, *, uses=None) -> Fraction:
-    """Sum over elements e of c_e * P(some player uses e).  `uses` is s's
-    `use_probabilities` table when the caller already holds it."""
-    q = use_probabilities_reference(inst, s) if uses is None else uses
+def expected_social_cost_reference(inst: GameInstance, s: tuple) -> Fraction:
+    """Sum over elements e of c_e * P(some player uses e)."""
+    q = use_probabilities_reference(inst, s)
     return sum(
         (
             inst.element_cost(e) * (1 - math.prod(1 - row.get(e, 0) for row in q))
@@ -449,10 +446,9 @@ def expected_social_cost_reference(inst: GameInstance, s: tuple, *, uses=None) -
     )
 
 
-def expected_potential_reference(inst: GameInstance, s: tuple, *, uses=None) -> Fraction:
-    """Sum over elements e of c_e * E[H_N], N the number of users of e.
-    `uses` is as for `expected_social_cost`."""
-    q = use_probabilities_reference(inst, s) if uses is None else uses
+def expected_potential_reference(inst: GameInstance, s: tuple) -> Fraction:
+    """Sum over elements e of c_e * E[H_N], N the number of users of e."""
+    q = use_probabilities_reference(inst, s)
     return sum(
         (
             inst.element_cost(e)
@@ -601,8 +597,7 @@ def sweep_reference(inst: GameInstance) -> tuple:
     s_star = s_tilde = None
     candidates = []
     for s in all_strategy_profiles(inst):
-        q = use_probabilities(inst, s)
-        row = _Row(expected_social_cost(inst, s), expected_potential(inst, s, uses=q), s)
+        row = _Row(expected_social_cost(inst, s), expected_potential(inst, s), s)
         if s_star is None or row.potential < s_star.potential:
             s_star = row
         if s_tilde is None or row.cost < s_tilde.cost:
@@ -616,13 +611,12 @@ def sweep_reference(inst: GameInstance) -> tuple:
 def verify_bne_reference(inst: GameInstance, s: tuple) -> EquilibriumReport:
     """`verify_bne` as first written, kept as its oracle: a menu scan that
     prices the incumbent and every menu action by `interim_cost`."""
-    q = use_probabilities(inst, s)
     worst = None
     for i, entries in enumerate(inst.menus):
         for t, menu in entries:
-            current = interim_cost(inst, s, i, t, s[i][t], uses=q)
+            current = interim_cost(inst, s, i, t, s[i][t])
             for alt in menu:
-                gap = current - interim_cost(inst, s, i, t, alt, uses=q)
+                gap = current - interim_cost(inst, s, i, t, alt)
                 if gap > 0 and (worst is None or gap > worst[3]):
                     worst = (i, t, alt, gap)
     return EquilibriumReport(profile=s, is_bne=worst is None, worst_violation=worst)
@@ -636,8 +630,7 @@ def best_response_dynamics_reference(
     potential recomputed after every move.  `profiles`, when given, receives
     a copy of the start profile and of the profile after each move."""
     s = tuple(dict(p) for p in s0)
-    q = use_probabilities(inst, s)
-    trace = [expected_potential(inst, s, uses=q)]
+    trace = [expected_potential(inst, s)]
     if profiles is not None:
         profiles.append(tuple(dict(p) for p in s))
     for _ in range(max_rounds):
@@ -646,16 +639,15 @@ def best_response_dynamics_reference(
             for t, menu in entries:
                 incumbent = s[i][t]
                 best_act = incumbent
-                best_val = interim_cost(inst, s, i, t, incumbent, uses=q)
+                best_val = interim_cost(inst, s, i, t, incumbent)
                 for alt in menu:
-                    val = interim_cost(inst, s, i, t, alt, uses=q)
+                    val = interim_cost(inst, s, i, t, alt)
                     if val < best_val:
                         best_act, best_val = alt, val
                 if best_act != incumbent:
                     s[i][t] = best_act
-                    q[i] = use_row(inst, i, s[i])
                     changed = True
-                    trace.append(expected_potential(inst, s, uses=q))
+                    trace.append(expected_potential(inst, s))
                     if profiles is not None:
                         profiles.append(tuple(dict(p) for p in s))
         if not changed:

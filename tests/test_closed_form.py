@@ -24,7 +24,6 @@ from netgames.games import (
     rosenthal_potential,
     social_cost,
     type_profiles,
-    use_probabilities,
 )
 from netgames.instances import gen_instance
 
@@ -151,12 +150,6 @@ def test_expectations_equal_enumeration(inst):
             assert expected_player_cost(inst, s, i) == oracle_player_cost(inst, s, i)
 
 
-def test_expectations_with_and_without_the_use_table(inst):
-    for s in random_profiles(inst, random.Random(9), 3):
-        q = use_probabilities(inst, s)
-        assert expected_potential(inst, s, uses=q) == expected_potential(inst, s)
-
-
 def test_expected_opt_equals_the_per_profile_sum(inst):
     want = sum(
         (w * ex_post_opt(inst, tp)[1] for tp, w in type_profiles(inst)), Fraction(0)
@@ -188,13 +181,11 @@ def test_expected_opt_solves_each_terminal_set_once(triangle, monkeypatch):
 
 def test_interim_cost_of_every_deviation_equals_enumeration(inst):
     for s in random_profiles(inst, random.Random(11), 2):
-        q = use_probabilities(inst, s)
         for i, spec in enumerate(inst.players):
             for t, _ in spec.distribution:
                 for alt in feasible_actions(inst, i, t):
                     want = oracle_interim_cost(inst, s, i, alt)
                     assert interim_cost(inst, s, i, t, alt) == want
-                    assert interim_cost(inst, s, i, t, alt, uses=q) == want
 
 
 def test_verify_bne_equals_enumeration(inst):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -12,8 +13,8 @@ from netgames import (
     steiner_scheme,
     steiner_tree_exact,
 )
-from netgames.errors import DisconnectedError
-from netgames.graphs import EdgeSet, min_feasible_subset_bruteforce
+from netgames.errors import DisconnectedError, TooLargeError
+from netgames.graphs import STEINER_TERMINAL_CAP, EdgeSet, min_feasible_subset_bruteforce
 
 from conftest import mst_over_terminals, random_connected_graph
 
@@ -105,6 +106,23 @@ class TestCompetitiveness:
     def test_random(self):
         for g, U, _, _ in random_rooted_graphs(40, seed=41):
             assert check_competitiveness(steiner_scheme(g), U).holds
+
+    def test_cap_fails_before_any_share(self):
+        # The clients and the root are one terminal past the Steiner cap; A
+        # must refuse them before any share runs a shortest-path search.
+        path = {(f"v{j:02d}", f"v{j + 1:02d}"): 1 for j in range(STEINER_TERMINAL_CAP)}
+        g = graph_from_costs(path, root="v00")
+        scheme = steiner_scheme(g)
+        shares = []
+
+        def share(U, x):
+            shares.append(x)
+            return scheme.share(U, x)
+
+        counting = dataclasses.replace(scheme, share=share)
+        with pytest.raises(TooLargeError, match="Steiner cap"):
+            check_competitiveness(counting, set(g.nodes) - {"v00"})
+        assert shares == []
 
     def test_mst_chain(self):
         # Shares are at most half the terminal MST, which is at most the

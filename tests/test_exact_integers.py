@@ -16,11 +16,12 @@ from netgames.errors import UnreachableError
 from netgames.games import (
     GameInstance,
     PlayerSpec,
+    _users_law,
     column_terms,
-    count_law,
     expected_player_cost,
     expected_potential,
     expected_social_cost,
+    interim_weights,
     use_probabilities,
 )
 from netgames.graphs import EdgeSet
@@ -133,29 +134,35 @@ def random_profiles(inst, rng, count):
 def check_profile(inst, s):
     """Every closed-form value of s, integer path against the oracle.
     Returns the elements that some player uses with probability 1."""
-    D = inst._scale.D
+    sc = inst._scale
+    D, n = sc.D, inst.n
     q = use_probabilities(inst, s)
     qf = use_probabilities_reference(inst, s)
     assert [{e: Fraction(a, D) for e, a in row.items()} for row in q] == qf
     for e in set().union(*q):
-        for skip in (None, *range(inst.n)):
-            law = count_law(inst, q, e, skip=skip)
-            scale = D ** (inst.n - (skip is not None))
-            assert [Fraction(x, scale) for x in law] == count_law_reference(qf, e, skip)
-        # The terms read only the multiset of the column's non-zero entries.
-        law = count_law(inst, q, e)
+        # The whole column's law: the users' DP, lifted by D per non-user.
         entries = [row[e] for row in q if row.get(e)]
-        want = (D ** inst.n - law[0], sum(x * h for x, h in zip(law, inst._scale.harm)))
+        law = [x * D ** (n - len(entries)) for x in _users_law(D, entries)]
+        assert [Fraction(x, D**n) for x in law] == count_law_reference(qf, e)
+        # The terms read only the multiset of the column's non-zero entries.
+        want = (D**n - law[0], sum(x * h for x, h in zip(law, sc.harm)))
         assert column_terms(inst, entries) == column_terms(inst, entries[::-1]) == want
+    for i, entries in enumerate(inst.menus):
+        touched = set(q[i]).union(*(a.elements for _, acts in entries for a in acts))
+        w = interim_weights(inst, q, i, touched)
+        for e in touched:
+            law = count_law_reference(qf, e, i)
+            want = inst.element_cost(e) * sum(x / (k + 1) for k, x in enumerate(law))
+            assert Fraction(w[e], sc.C * sc.L * D ** (n - 1)) == want
     cost = expected_social_cost(inst, s)
     potential = expected_potential(inst, s)
     assert type(cost) is type(potential) is Fraction
     assert cost == expected_social_cost_reference(inst, s)
-    assert potential == expected_potential(inst, s, uses=q) == expected_potential_reference(inst, s)
+    assert potential == expected_potential_reference(inst, s)
     for i, entries in enumerate(inst.menus):
         for t, acts in entries:
             for a in acts:
-                got = interim_cost(inst, s, i, t, a, uses=q)
+                got = interim_cost(inst, s, i, t, a)
                 assert type(got) is Fraction
                 assert got == action_cost_reference(inst, qf, i, a)
         want = sum(

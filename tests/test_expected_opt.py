@@ -11,11 +11,8 @@ import pytest
 
 from netgames import games, graphs
 from netgames.cli import main
-from netgames.errors import (
-    DisconnectedError,
-    SupportTooLargeError,
-    TooLargeError,
-)
+from netgames.equilibria import bpos_exact
+from netgames.errors import DisconnectedError, SupportTooLargeError
 from netgames.games import GameInstance, PlayerSpec, ex_post_opt, expected_opt, type_profiles
 from netgames.graphs import DEFAULT_NODE_CAP, cover_cost_dp, cover_exact, graph_from_costs
 from netgames.instances import gen_instance, serialize_instance
@@ -108,10 +105,18 @@ def test_cover_dp_equals_cover_exact():
 
 
 def test_cover_dp_cap():
-    with pytest.raises(TooLargeError, match="^25 nodes exceeds enumeration cap 24$"):
-        cover_cost_dp({f"n{i}": 1 for i in range(25)}, [])
-    f = cover_cost_dp({f"n{i}": 1 for i in range(DEFAULT_NODE_CAP)}, [("n0",)])
-    assert (f(0), f(1)) == (0, 1)
+    """The DP has no node cap: over 25 or more node costs it equals
+    `cover_exact` over only the nodes that its hyperedges name."""
+    rng = random.Random(31)
+    for size in (DEFAULT_NODE_CAP + 1, 40):
+        costs = {f"n{j}": rng.choice([0, 1, 2, 3, 7]) for j in range(size)}
+        named = [f"n{j}" for j in rng.sample(range(size), 7)]
+        support = sorted({tuple(sorted(set(rng.choices(named, k=2)))) for _ in range(6)})
+        f = cover_cost_dp(costs, support)
+        used = {v: costs[v] for h in support for v in h}
+        for S in range(1 << len(support)):
+            hs = [h for j, h in enumerate(support) if S >> j & 1]
+            assert f(S) == cover_exact(used, hs)[1]
 
 
 def random_source_sink_instance(rng):
@@ -193,8 +198,20 @@ def test_support_cap_is_checked_before_the_node_cap():
 
 
 def test_node_cap_of_a_25_node_hypergraph_cover():
-    with pytest.raises(TooLargeError, match="^25 nodes exceeds enumeration cap 24$"):
-        expected_opt(wide_hypergraph())
+    # No node cap: the four profiles' optima are 1 (n1), 2, 2 and 2.
+    assert expected_opt(wide_hypergraph()) == Fraction(7, 4)
+
+
+def test_unnamed_node_costs_change_no_answer():
+    """A 30-node vertex-cover game answers as the same game restricted to
+    the nodes that its types name."""
+    inst = gen_instance("vertex-cover", 30, 3, 2, seed=4)
+    named = {v for spec in inst.players for t, _ in spec.distribution for v in t}
+    assert len(named) < 30
+    costs = tuple((v, c) for v, c in inst.node_costs if v in named)
+    restricted = GameInstance(kind=inst.kind, players=inst.players, node_costs=costs)
+    assert expected_opt(inst) == expected_opt(restricted)
+    assert bpos_exact(inst) == bpos_exact(restricted)
 
 
 def two_disconnected_pairs():

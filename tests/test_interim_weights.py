@@ -95,7 +95,7 @@ def test_trace_of_a_long_run():
 def test_dynamics_price_the_potential_at_most_once(monkeypatch):
     inst = gen_instance("multicast", 5, 5, 3, seed=3)
     (s0,) = start_profiles(inst, 0, seed=0)
-    potentials = _Counter(monkeypatch, "expected_potential")
+    potentials = _Counter(monkeypatch, "_column_sum")
     _, trace = best_response_dynamics(inst, s0, return_trace=True)
     assert len(trace) > 5
     assert potentials.calls == 1  # for the start profile only
