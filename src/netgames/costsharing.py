@@ -43,7 +43,6 @@ class CostSharingScheme:
     approx: Callable[[frozenset], EdgeSet]  # A
     augment: Callable[[EdgeSet, object], EdgeSet]  # B
     share: Callable[[frozenset, object], Fraction]  # xi
-    is_solution: Callable[[frozenset, frozenset], bool]  # Sol(U) membership
     cross_monotone: bool = False
 
 
@@ -76,10 +75,6 @@ def steiner_scheme(g: Graph) -> CostSharingScheme:
             return Fraction(0)
         return metric.d_to_set(others, x) / 2
 
-    def is_solution(elements: frozenset, clients: frozenset) -> bool:
-        comp = graphs._components(g.nodes, elements)
-        return all(comp[c] == comp[root] for c in clients)
-
     return CostSharingScheme(
         name="steiner-tree",
         alpha=Fraction(1),
@@ -87,7 +82,6 @@ def steiner_scheme(g: Graph) -> CostSharingScheme:
         approx=approx,
         augment=augment,
         share=share,
-        is_solution=is_solution,
         cross_monotone=True,
     )
 

@@ -194,7 +194,7 @@ def nearest(g: Graph, x: str, targets: Collection[str]) -> EdgeSet:
     """The least (cost, node sequence) path from x to a node of a nonempty
     target set, read from x's Dijkstra in the graph's table.  An empty set
     raises PreconditionError, then an unknown x UnreachableError(x, least
-    target); a target that x does not reach raises KeyError(target)."""
+    target); targets that x does not reach raise KeyError(least of them)."""
     if not targets:
         raise PreconditionError("target set must be nonempty")
     if x not in g._node_set:
@@ -203,7 +203,7 @@ def nearest(g: Graph, x: str, targets: Collection[str]) -> EdgeSet:
     index, reached, best = table.index, table.paths(table.index[x]), None
     for t in targets:
         if (path := reached.get(index.get(t))) is None:
-            raise KeyError(t)
+            raise KeyError(min(u for u in targets if reached.get(index.get(u)) is None))
         if best is None or path < best:
             best = path
     return table.edge_set(best[2])

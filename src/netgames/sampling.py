@@ -4,22 +4,23 @@ scheme's base solution on D, and each player privately augments it for her
 realized type.  Exact enumeration, Monte-Carlo estimation, and
 derandomization over the draw are provided.
 
+Every entry point first passes the one precondition gate, `_draw_players`.
 The constructed profile depends on a draw only through its client set (its
-non-root types), so every entry point solves each distinct set once: one
-`_draw_step`, the base solution A(D) with an augmentation and a restricted
-action per type.  The exact evaluation and `derandomize` walk the law of
-the client set (`_draw_law`, built one draw position at a time), never the
-draws: per set, its weight and the least draw that yields it.  One pass
-(`_priced`) builds and prices each set once; the evaluation weights the
-prices, and `derandomize` returns the least (cost, least draw).  The
-Monte-Carlo estimator keeps a per-call memo from client set to its step,
-filling a type's entry the first time that type is realized.  Every sum is
-an integer over the instance's cost scale, made one `Fraction` per reported
-number, so a scheme cost that is not a sum of the graph's edge costs raises
-PreconditionError (`_over`).  A restricted action is the graph's
-`graphs.route` over the allowed edges.  A `SampleProfile` is the draw's
-types alone.  `inst.support_cap` bounds the number of draws that the exact
-evaluation and `derandomize` stand for, not the number of sets."""
+types' `games._terminal`s), so every entry point solves each distinct set
+once: one `_draw_step`, the base solution A(D) with an augmentation and a
+restricted action per type.  The exact evaluation and `derandomize` walk
+the law of the client set (`_draw_law`, built one draw position at a time),
+never the draws: per set, its weight and the least draw that yields it.
+One pass (`_priced`) builds and prices each set once; the evaluation
+weights the prices, and `derandomize` returns the least (cost, least draw).
+The Monte-Carlo estimator keeps a per-call memo from client set to its
+step, filling a type's entry the first time that type is realized.  Every
+sum is an integer over the instance's cost scale, made one `Fraction` per
+reported number, so a scheme cost that is not a sum of the graph's edge
+costs raises PreconditionError (`_over`).  A restricted action is the
+graph's `graphs.route` over the allowed edges.  A `SampleProfile` is the
+draw's types alone.  `inst.support_cap` bounds the number of draws that the
+exact evaluation and `derandomize` stand for, not the number of sets."""
 
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ from .games import (
     GameInstance,
     _check_support,
     _column_sum,
+    _terminal,
     expected_opt,
     use_probabilities,
     weighted_product,
@@ -65,26 +67,20 @@ class ConstructionReport:
     stderr: Optional[float] = None
 
 
-def _require_multicast(inst: GameInstance):
+def _draw_players(inst: GameInstance, scheme: CostSharingScheme, variant: str) -> list:
+    """The sampling constructions' one precondition gate, and the player
+    whose distribution each position of the shared draw D samples: n - 1
+    times the first (i.i.d., identical distributions only) or each player
+    once (non-i.i.d., cross-monotone schemes only).  A game that is not
+    multicast is rejected first, before `scheme` or `inst.graph` is read."""
     if inst.kind != "multicast":
         raise PreconditionError(
             "sampling constructions are implemented for multicast games only"
         )
-
-
-def _require_iid(inst: GameInstance):
-    first = inst.players[0].distribution
-    for spec in inst.players[1:]:
-        if spec.distribution != first:
-            raise PreconditionError("i.i.d. construction needs identical distributions")
-
-
-def _draw_players(inst: GameInstance, scheme: CostSharingScheme, variant: str) -> list:
-    """The player whose distribution each position of the shared draw D
-    samples: n - 1 times the first (i.i.d.) or each player once (non-i.i.d.,
-    cross-monotone only)."""
     if variant == "iid":
-        _require_iid(inst)
+        first = inst.players[0].distribution
+        if any(spec.distribution != first for spec in inst.players[1:]):
+            raise PreconditionError("i.i.d. construction needs identical distributions")
         return [0] * (inst.n - 1)
     if variant == "noniid":
         if not scheme.cross_monotone:
@@ -99,8 +95,8 @@ def _support_types(inst: GameInstance) -> list:
 
 
 def _clients(inst: GameInstance, D: tuple) -> frozenset:
-    # Duplicates collapse; the root is never a client of the base solution.
-    return frozenset(t for t in D if t != inst.graph.root)
+    # Duplicates collapse; a type that asks for nothing (the root) is no client.
+    return frozenset(_terminal(inst, t) for t in D) - {None}
 
 
 def _augmented(
@@ -129,7 +125,6 @@ def _profile(inst: GameInstance, menu: dict) -> tuple:
 
 
 def _construct(inst: GameInstance, scheme: CostSharingScheme, D: SampleProfile, variant: str):
-    _require_multicast(inst)
     size = len(_draw_players(inst, scheme, variant))
     if len(D.types) != size:
         raise PreconditionError(f"expected {size} samples, got {len(D.types)}")
@@ -154,7 +149,8 @@ def construct_strategy_noniid(
 
 
 def _draw_law(inst: GameInstance, positions: list) -> dict:
-    """The law of the draw's client set, built one position at a time: each
+    """The law of the draw's client set, built one position at a time from
+    its (type, `_terminal`, weight) list, as `games._terminal_law` does: each
     set of positive probability -> (its probability times D^m, m the draw's
     length; the least draw that yields it), keyed in the order of each
     set's first draw.  One state per set is exact: a least draw's prefixes
@@ -163,13 +159,14 @@ def _draw_law(inst: GameInstance, positions: list) -> dict:
     SupportTooLargeError first."""
     sizes = (len(inst.players[i].distribution) for i in positions)
     _check_support(inst, math.prod(sizes), "draw support")
-    root, weights = inst.graph.root, inst._scale.weights
+    rows = ((inst.players[i].distribution, inst._scale.weights[i]) for i in positions)
+    steps = [[(t, _terminal(inst, t), w) for (t, _), w in zip(*row)] for row in rows]
     law = {frozenset(): (1, ())}
-    for i in positions:
+    for step in steps:
         grown: dict = {}
         for S, (w, D) in law.items():
-            for (t, _), wt in zip(inst.players[i].distribution, weights[i]):
-                T, E = (S if t == root else S | {t}), D + (t,)
+            for t, x, wt in step:
+                T, E = (S if x is None else S | {x}), D + (t,)
                 u, F = grown.get(T, (0, E))
                 grown[T] = (u + w * wt, min(F, E))
         law = grown
@@ -195,7 +192,6 @@ def evaluate_construction_exact(
     priced once (`_priced`), weighted by the law of the draw's client set.
     The sums are integers, so the scheme's costs must be sums of the graph's
     edge costs (`_over`)."""
-    _require_multicast(inst)
     positions = _draw_players(inst, scheme, variant)
     law = _draw_law(inst, positions)
     opt = expected_opt(inst)
@@ -257,11 +253,11 @@ def evaluate_construction_mc(
     """Unbiased Monte-Carlo estimate of the construction cost; deterministic
     given the seed.  A draw's client set is solved once per call, and a
     type's augmentation the first time that type is realized with it."""
-    _require_multicast(inst)
+    positions = _draw_players(inst, scheme, variant)
     if samples < 1:
         raise PreconditionError("need at least one sample")
     players = [_sampler(spec.distribution) for spec in inst.players]
-    draws = [players[i] for i in _draw_players(inst, scheme, variant)]
+    draws = [players[i] for i in positions]
     sc = inst._scale
     rng = random.Random(seed)
     # client set -> (A(D), its cost, type -> (augmentation cost, action edges));
@@ -318,7 +314,6 @@ def derandomize(
     least (cost, D) over the draws.  The profile depends on D only through
     its client set, so each set of the law (`_draw_law`) is built and priced
     once (`_priced`), and stands for the least draw that yields it."""
-    _require_multicast(inst)
     law = _draw_law(inst, _draw_players(inst, scheme, variant))
     cost, D, menu = min((cost, D, menu) for _, D, _, menu, cost in _priced(inst, scheme, law))
     return SampleProfile(types=D), _profile(inst, menu)
@@ -330,8 +325,7 @@ def regrouping_sides(inst: GameInstance, scheme: CostSharingScheme):
     E[sum over positions of xi(R, r_j)] over R ~ rho^n.  Writing R = D + (t,)
     puts both expectations on one enumeration of rho^n, capped by
     `inst.support_cap`."""
-    _require_multicast(inst)
-    _require_iid(inst)
+    _draw_players(inst, scheme, "iid")
     rho = inst.players[0].distribution
     lhs = Fraction(0)
     rhs = Fraction(0)

@@ -44,7 +44,6 @@ from netgames.sampling import (
     _draw_players,
     _draw_step,
     _profile,
-    _require_multicast,
     _support_types,
 )
 
@@ -99,6 +98,13 @@ def mst_over_terminals(m: Metric, terminals) -> tuple[EdgeSet, Fraction]:
             total += d
     es = EdgeSet(edges=frozenset(chosen), cost=total)
     return es, total
+
+
+def connects_to_root(g: Graph, edges: Iterable, clients: Iterable) -> bool:
+    """Whether `edges` connect every client to g's root: membership in the
+    Steiner scheme's solution set Sol(U)."""
+    comp = _components(g.nodes, edges)
+    return all(comp[c] == comp[g.root] for c in clients)
 
 
 def edge_set_cost(g: Graph, edges: Iterable) -> Fraction:
@@ -677,7 +683,6 @@ def construction_reference(
     oracle of `evaluate_construction_exact` (no `samples`) and
     `evaluate_construction_mc`: one `_draw_step` per draw or Monte-Carlo
     sample, every sum in `Fraction`s."""
-    _require_multicast(inst)
     if samples is None:
         draws = _reference_draws(inst, scheme, variant)
         opt = expected_opt(inst)
@@ -739,7 +744,6 @@ def construction_reference(
 def derandomize_reference(inst: GameInstance, scheme, variant: str):
     """`derandomize` as first written, kept as its oracle: every draw's
     profile built and priced, the least (cost, draw) kept."""
-    _require_multicast(inst)
     types = _support_types(inst)
     built = (
         (D, _profile(inst, _draw_step(inst, scheme, _clients(inst, D), types)[1]))

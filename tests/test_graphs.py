@@ -217,6 +217,14 @@ class TestMetricClosure:
             with pytest.raises(PreconditionError, match="^target set must be nonempty$"):
                 query()
 
+    def test_nearest_names_the_least_unreachable_target(self):
+        """Targets that x does not reach raise KeyError of the least of
+        them, whatever the order of the collection."""
+        g = graph_from_costs({("a", "b"): 1, ("c", "d"): 1, ("e", "f"): 1})
+        with pytest.raises(KeyError) as err:
+            graphs.nearest(g, "a", ["d", "c", "f", "e"])
+        assert err.value.args == ("c",)
+
 
 class TestMst:
     def test_triangle_terminals(self, triangle):

@@ -325,6 +325,9 @@ class TestEvaluateMc:
             args = (10,) if run is evaluate_construction_mc else ()
             with pytest.raises(ValueError, match="unknown variant"):
                 run(inst, scheme_for(inst), "mixed", *args)
+        # The variant is checked before the sample count.
+        with pytest.raises(PreconditionError, match="unknown variant"):
+            evaluate_construction_mc(inst, scheme_for(inst), "mixed", samples=0)
 
 
 def least_draw_bruteforce(supports, root, clients):
@@ -443,11 +446,26 @@ class TestDerandomize:
 
 
 class TestGuards:
-    def test_multicast_only(self):
-        inst = gen_instance("source-sink", n_nodes=4, n_players=2,
-                            n_types=2, seed=0)
-        with pytest.raises(ValueError):
-            evaluate_construction_exact(inst, None, "iid")
+    @pytest.mark.parametrize("kind", ["source-sink", "vertex-cover"])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda inst: construct_strategy_iid(inst, None, enumerated(["a"])),
+            lambda inst: construct_strategy_noniid(inst, None, enumerated(["a", "b"])),
+            lambda inst: evaluate_construction_exact(inst, None, "noniid"),
+            lambda inst: evaluate_construction_mc(inst, None, "noniid", 5, 1),
+            lambda inst: derandomize(inst, None, "noniid"),
+            lambda inst: regrouping_sides(inst, None),
+        ],
+        ids=["construct-iid", "construct-noniid", "exact", "monte-carlo", "derandomize",
+             "regrouping"],
+    )
+    def test_multicast_only(self, run, kind):
+        """Every entry point rejects a game that is not multicast before it
+        reads the scheme or `inst.graph` (None for the cover kinds)."""
+        inst = gen_instance(kind, 4, 2, 2, seed=0)
+        with pytest.raises(PreconditionError, match="multicast games only"):
+            run(inst)
 
     def test_iid_requires_identical_distributions(self, triangle):
         inst = multicast(triangle, point_mass("a"), point_mass("b"))
