@@ -6,7 +6,6 @@ test oracles stay in their modules and are not re-exported here."""
 from .graphs import (
     Graph,
     EdgeSet,
-    Metric,
     edge_key,
     graph_from_costs,
     metric_closure,

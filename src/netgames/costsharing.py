@@ -6,8 +6,9 @@ function xi, and declared constants (alpha, beta).  The rooted Steiner-tree
 scheme ships here: A is the exact Steiner tree, B routes a newcomer along a
 shortest path to the current tree (`graphs.nearest`, to the tree's nodes,
 gathered once per solution), and a client's share is half its distance to
-the other clients and the root, which reads the same query through the
-metric.  A and B return the graph's shared `EdgeSet`s, one per edge set.
+the other clients and the root, the same query's cost read through
+`graphs.metric_closure`'s distance function.  A and B return the graph's
+shared `EdgeSet`s, one per edge set.
 
 A scheme's costs must be sums of the graph's edge costs: the sampling
 constructions (`sampling`) sum them as integers over the instance's cost
@@ -73,7 +74,7 @@ def steiner_scheme(g: Graph) -> CostSharingScheme:
         others = (set(clients) | {root}) - {x}
         if not others:
             return Fraction(0)
-        return metric.d_to_set(others, x) / 2
+        return metric(x, others) / 2
 
     return CostSharingScheme(
         name="steiner-tree",

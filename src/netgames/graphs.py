@@ -6,12 +6,13 @@ Costs are `fractions.Fraction` at the interface; every argmin is broken
 lexicographically under the canonical (sorted) node/edge ordering so
 results are reproducible.  A `Graph`'s one adjacency is the node-indexed
 link list of its lazily filled integer path model (`_SteinerTable`), which
-no other module reads: the metric, `nearest` (the scheme's augmentation),
-`route` (the sampler's restricted action), `simple_paths` (path menus) and
-the Steiner solvers all query it here, on one Dijkstra kernel that returns
-edge masks.  `shortest_path` (on `Fraction` link lists of its own), the
-edge-capped `min_feasible_subset_bruteforce` and `cover_exact` are
-module-level test oracles, not package exports.  The Dreyfus-Wagner labels
+no other module reads: `nearest` (the scheme's augmentation, and its shares
+through `metric_closure`'s distance function), `route` (the sampler's
+restricted action), `simple_paths` (path menus) and the Steiner solvers all
+query it here, on one Dijkstra kernel that returns edge masks.
+`shortest_path` (on `Fraction` link lists of its own), the edge-capped
+`min_feasible_subset_bruteforce` and `cover_exact` are module-level test
+oracles, not package exports.  The Dreyfus-Wagner labels
 and the forests are integers: terminal sets are masks of the sorted nodes
 and edge sets masks of the sorted edges.  Both the tie rule (`_sorts_before`)
 and the relaxation heap's key (`_tuple_key`) read the sorted-tuple order
@@ -115,29 +116,6 @@ class Path:
 class EdgeSet:
     edges: frozenset
     cost: Fraction
-
-
-class Metric:
-    """Shortest-path distances of a connected graph: d(u, v) reads u's
-    Dijkstra in the graph's Steiner table, which runs on first use."""
-
-    def __init__(self, g: Graph):
-        self._g = g
-
-    def d(self, u: str, v: str) -> Fraction:
-        if u == v:
-            return Fraction(0)
-        if u not in self._g._node_set or v not in self._g._node_set:
-            raise KeyError(edge_key(u, v))
-        return nearest(self._g, u, (v,)).cost
-
-    def d_to_set(self, targets: Collection[str], x: str) -> Fraction:
-        """Distance from x to the nearest node of a nonempty target set.  An
-        unknown x raises KeyError(edge_key(x, least target other than x)),
-        as `d` does, in any iteration order of the targets."""
-        if x not in self._g._node_set and targets:
-            return min(self.d(x, t) for t in sorted(targets))
-        return nearest(self._g, x, targets).cost
 
 
 def _components(nodes, edges):
@@ -273,12 +251,14 @@ def _bits(mask: int):
         mask ^= low
 
 
-def metric_closure(g: Graph) -> Metric:
-    """The metric of a connected graph.  Building it runs no Dijkstra;
-    each distance is read from the graph's Steiner table when asked."""
+def metric_closure(g: Graph) -> Callable[[str, Collection[str]], Fraction]:
+    """The metric of a connected graph, as d(x, targets): the distance from
+    x to the nearest node of a target set, `nearest(g, x, targets).cost`,
+    with `nearest`'s errors.  Building it runs no Dijkstra; x's is run in
+    the graph's Steiner table the first time a distance from x is asked."""
     if not g.is_connected():
         raise DisconnectedError("graph is not connected")
-    return Metric(g)
+    return lambda x, targets: nearest(g, x, targets).cost
 
 
 class _SteinerTable:
@@ -468,8 +448,8 @@ class SteinerForests:
     blocks B of S that hold its lowest pair of ST(endpoints of B) + F(S - B),
     the trees read from the graph's Dreyfus-Wagner table; a block spanning
     two components is skipped.  Of the cheapest blocks, the first by size,
-    then in sorted order, wins.  F[S] = (cost, block, edge mask): the edges
-    are the union of the winning blocks' trees, which costs exactly F (a
+    then in sorted order, wins.  F[S] = (cost, edge mask): the edges are
+    the union of the winning blocks' trees, which costs exactly F (a
     cheaper union would beat the optimum).  F and the trees live as long as
     the object, shared by every mask asked of it."""
 
@@ -486,7 +466,7 @@ class SteinerForests:
             for j, (u, v) in enumerate(pairs)
         ]
         self.trees: dict[int, Optional[tuple[int, int]]] = {}
-        self.F: dict[int, tuple[int, int, int]] = {0: (0, 0, 0)}
+        self.F: dict[int, tuple[int, int]] = {0: (0, 0)}
 
     def cost(self, mask: int) -> int:
         """F(mask), an integer over the table's scale.  DisconnectedError
@@ -513,7 +493,7 @@ class SteinerForests:
                 break
             sub = (sub - 1) & rest
         cost, block = best
-        F[mask] = (cost, block, trees[block][1] | F[mask ^ block][2])
+        F[mask] = (cost, trees[block][1] | F[mask ^ block][1])
         return cost
 
     def _tree(self, block: int) -> Optional[tuple[int, int]]:
@@ -537,7 +517,7 @@ def steiner_forest_exact(g: Graph, pairs: Iterable[Edge]) -> EdgeSet:
     of a fresh `SteinerForests` over the sorted distinct pairs."""
     forests = SteinerForests(g, sorted({edge_key(u, v) for u, v in pairs if u != v}))
     forests.cost(full := (1 << len(forests.pairs)) - 1)
-    return forests.table.edge_set(forests.F[full][2])
+    return forests.table.edge_set(forests.F[full][1])
 
 
 def min_feasible_subset_bruteforce(g: Graph, feasible: Callable[[frozenset], bool]) -> EdgeSet:

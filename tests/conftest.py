@@ -32,7 +32,6 @@ from netgames.errors import DisconnectedError, NoConvergenceError, NoFeasibleAct
 from netgames.graphs import (
     EdgeSet,
     Graph,
-    Metric,
     _components,
     edge_key,
     shortest_path,
@@ -71,14 +70,15 @@ def profile_actions(s, type_profile):
     return tuple(s[i][t] for i, t in enumerate(type_profile))
 
 
-def mst_over_terminals(m: Metric, terminals) -> tuple[EdgeSet, Fraction]:
-    """Kruskal on the metric-closure clique restricted to `terminals`: a
-    reference bound between the Steiner optimum and twice it."""
+def mst_over_terminals(d, terminals) -> tuple[EdgeSet, Fraction]:
+    """Kruskal on the metric-closure clique restricted to `terminals`, with
+    d the distance function of `metric_closure`: a reference bound between
+    the Steiner optimum and twice it."""
     terms = sorted(set(terminals))
     if not terms:
         raise ValueError("terminal set must be nonempty")
     pairs = sorted(
-        ((m.d(a, b), (a, b)) for a, b in itertools.combinations(terms, 2))
+        ((d(a, (b,)), (a, b)) for a, b in itertools.combinations(terms, 2))
     )
     parent = {t: t for t in terms}
 
@@ -90,12 +90,12 @@ def mst_over_terminals(m: Metric, terminals) -> tuple[EdgeSet, Fraction]:
 
     chosen = []
     total = Fraction(0)
-    for d, (a, b) in pairs:
+    for cost, (a, b) in pairs:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
             chosen.append((a, b))
-            total += d
+            total += cost
     es = EdgeSet(edges=frozenset(chosen), cost=total)
     return es, total
 

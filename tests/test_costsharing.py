@@ -14,7 +14,12 @@ from netgames import (
     steiner_tree_exact,
 )
 from netgames.errors import DisconnectedError, TooLargeError
-from netgames.graphs import STEINER_TERMINAL_CAP, EdgeSet, min_feasible_subset_bruteforce
+from netgames.graphs import (
+    STEINER_TERMINAL_CAP,
+    EdgeSet,
+    min_feasible_subset_bruteforce,
+    shortest_path,
+)
 
 from conftest import connects_to_root, mst_over_terminals, random_connected_graph
 
@@ -55,6 +60,23 @@ class TestSteinerScheme:
             else:
                 scheme.augment(EdgeSet(edges=frozenset(), cost=Fraction(0)), x)
             assert g._steiner._paths.keys() == {g.nodes.index(x)}
+
+    @pytest.mark.parametrize("costs", [[0, 1, 2], None], ids=["costs-0-1-2", "fractional"])
+    @pytest.mark.parametrize("seed", range(30))
+    def test_shares_match_shortest_path_oracle(self, seed, costs):
+        """A client's share is half its least `shortest_path` cost to the
+        other clients and the root; everyone else's is 0."""
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, max_nodes=7, max_edges=12, costs=costs)
+        scheme = steiner_scheme(g)
+        for _ in range(6):
+            U = frozenset(rng.sample(g.nodes, rng.randint(0, len(g.nodes))))
+            for x in g.nodes:
+                others = (U | {g.root}) - {x}
+                want = Fraction(0)
+                if x in U and others:
+                    want = min(shortest_path(g, x, t).cost for t in others) / 2
+                assert scheme.share(U, x) == want
 
     def test_augmentation_example(self, triangle, scheme):
         base = scheme.approx(frozenset({"a"}))

@@ -132,19 +132,22 @@ class TestShortestPath:
 
 
 class TestMetricClosure:
+    """`metric_closure(g)` is the distance function d(x, targets) =
+    `nearest(g, x, targets).cost`, with `nearest`'s errors."""
+
     def test_triangle(self, triangle):
-        m = metric_closure(triangle)
-        assert m.d("a", "b") == 1
-        assert m.d("a", "r") == 2
-        assert m.d("b", "r") == 2
+        d = metric_closure(triangle)
+        assert d("a", ("b",)) == 1
+        assert d("a", ("r",)) == 2
+        assert d("b", ("r",)) == 2
 
     def test_single_node(self):
         g = graph_from_costs({}, nodes=["x"])
-        m = metric_closure(g)
-        assert m.d("x", "x") == 0
+        d = metric_closure(g)
+        assert d("x", ("x",)) == 0
 
     def test_path(self):
-        assert metric_closure(path_graph()).d("a", "c") == 2
+        assert metric_closure(path_graph())("a", ("c",)) == 2
 
     def test_disconnected(self):
         g = graph_from_costs({("a", "b"): Fraction(1)}, nodes=["a", "b", "z"])
@@ -155,30 +158,34 @@ class TestMetricClosure:
         rng = random.Random(7)
         for _ in range(30):
             g = random_connected_graph(rng)
-            m = metric_closure(g)
+            d = metric_closure(g)
             for u, v in itertools.combinations(g.nodes, 2):
-                assert m.d(u, v) == m.d(v, u) > 0
+                assert d(u, (v,)) == d(v, (u,)) > 0
                 if edge_key(u, v) in dict(g.edges):
-                    assert m.d(u, v) <= g.cost((u, v) if u <= v else (v, u))
+                    assert d(u, (v,)) <= g.cost((u, v) if u <= v else (v, u))
             for u, v, w in itertools.permutations(g.nodes, 3):
-                assert m.d(u, w) <= m.d(u, v) + m.d(v, w)
+                assert d(u, (w,)) <= d(u, (v,)) + d(v, (w,))
 
     @pytest.mark.parametrize("costs", [[0, 1, 2], None], ids=["costs-0-1-2", "fractional"])
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_shortest_path_on_every_ordered_pair(self, seed, costs):
         g = random_connected_graph(random.Random(seed), max_nodes=7, max_edges=12, costs=costs)
-        m = metric_closure(g)
+        d = metric_closure(g)
         for u in g.nodes:
             for v in g.nodes:
-                assert m.d(u, v) == shortest_path(g, u, v).cost
+                assert d(u, (v,)) == shortest_path(g, u, v).cost
 
     def test_unknown_nodes(self, triangle):
-        m = metric_closure(triangle)
-        assert m.d("zz", "zz") == 0
-        for u, v in (("a", "zz"), ("zz", "a"), ("yy", "zz")):
-            with pytest.raises(KeyError) as got:
-                m.d(u, v)
-            assert got.value.args == ((min(u, v), max(u, v)),)
+        """An unknown x raises UnreachableError(x, least target) even when x
+        is among the targets (d(u, {u}) is no longer 0 for an unknown u),
+        and runs no Dijkstra."""
+        d = metric_closure(triangle)
+        for targets, least in ((("zz",), "zz"), (("b", "zz"), "b")):
+            for order in itertools.permutations(targets):
+                for collection in (list(order), set(order)):
+                    with pytest.raises(UnreachableError) as err:
+                        d("zz", collection)
+                    assert (err.value.u, err.value.v) == ("zz", least)
         assert triangle._steiner._paths == {}
 
     @pytest.mark.parametrize("costs", [[0, 1, 2], None], ids=["costs-0-1-2", "fractional"])
@@ -186,34 +193,40 @@ class TestMetricClosure:
     def test_d_to_set_is_the_least_distance(self, seed, costs):
         rng = random.Random(seed)
         g = random_connected_graph(rng, max_nodes=7, max_edges=12, costs=costs)
-        m = metric_closure(g)
+        d = metric_closure(g)
         nodes = sorted(g.nodes)
         for x in nodes:
             for _ in range(4):
                 targets = set(rng.sample(nodes, rng.randint(1, len(nodes))))
-                assert m.d_to_set(targets, x) == min(m.d(x, t) for t in targets)
+                assert d(x, targets) == min(d(x, (t,)) for t in targets)
 
     def test_d_to_set_unknown_nodes(self, triangle):
-        m = metric_closure(triangle)
-        for targets, x in (({"a"}, "zz"), ({"a", "zz"}, "b"), ({"zz", "b"}, "zz")):
-            with pytest.raises(KeyError):
-                m.d_to_set(targets, x)
-        assert m.d_to_set({"zz"}, "zz") == m.d("zz", "zz") == 0
+        """Unknown targets of a known x raise KeyError(least unknown
+        target), for every order of the targets."""
+        d = metric_closure(triangle)
+        cases = ((("zz", "yy"), "yy"), (("a", "zz"), "zz"), (("r", "yy", "zz", "b"), "yy"))
+        for targets, least in cases:
+            for order in itertools.permutations(targets):
+                for collection in (list(order), set(order)):
+                    with pytest.raises(KeyError) as err:
+                        d("a", collection)
+                    assert err.value.args == (least,)
 
     def test_d_to_set_names_the_least_target(self, triangle):
         """An unknown x names its least target, whatever the order of the
         collection."""
-        m = metric_closure(triangle)
-        for targets in (["r", "b", "a"], ["a", "b", "r"], ("b", "r", "a")):
-            with pytest.raises(KeyError) as err:
-                m.d_to_set(targets, "zz")
-            assert err.value.args == (("a", "zz"),)
+        d = metric_closure(triangle)
+        for order in itertools.permutations(["r", "b", "a"]):
+            for collection in (list(order), set(order)):
+                with pytest.raises(UnreachableError) as err:
+                    d("zz", collection)
+                assert (err.value.u, err.value.v) == ("zz", "a")
 
     @pytest.mark.parametrize("x", ["a", "r", "zz"])
     def test_empty_target_set(self, triangle, x):
         """An empty target set is refused before x is looked up."""
-        m = metric_closure(triangle)
-        for query in (lambda: m.d_to_set(set(), x), lambda: graphs.nearest(triangle, x, [])):
+        d = metric_closure(triangle)
+        for query in (lambda: d(x, set()), lambda: graphs.nearest(triangle, x, [])):
             with pytest.raises(PreconditionError, match="^target set must be nonempty$"):
                 query()
 
@@ -468,7 +481,7 @@ class TestSteinerForest:
                         forests.cost(mask)
                     continue
                 cost = Fraction(forests.cost(mask), forests.table.scale)
-                edges = forests.table.edge_set(forests.F[mask][2]).edges
+                edges = forests.table.edge_set(forests.F[mask][1]).edges
                 assert (cost, sorted(edges)) == (want.cost, sorted(want.edges))
 
     def test_edges_do_not_depend_on_the_hash_seed(self):
@@ -716,7 +729,7 @@ class TestSteinerTable:
                 subset = [p for j, p in enumerate(pair_list) if mask >> j & 1]
                 want = steiner_forest_edges_reference(fresh(g), subset)
                 cost = Fraction(forests.cost(mask), forests.table.scale)
-                edges = forests.table.edge_set(forests.F[mask][2]).edges
+                edges = forests.table.edge_set(forests.F[mask][1]).edges
                 assert (cost, sorted(edges)) == (want.cost, sorted(want.edges))
 
     def test_terminal_cap(self, monkeypatch):
