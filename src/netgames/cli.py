@@ -40,8 +40,9 @@ def _emit(report, fmt: str, out_path):
     else:
         buf = io.StringIO()
         rows = report
-        if isinstance(report, dict):
-            rows = [{"key": k, "value": v} for k, v in sorted(report.items())]
+        if isinstance(report, dict):  # a list or dict value is one JSON cell
+            flat = lambda v: json.dumps(v, sort_keys=True) if isinstance(v, (list, dict)) else v
+            rows = [{"key": k, "value": flat(v)} for k, v in sorted(report.items())]
         writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)

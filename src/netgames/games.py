@@ -4,7 +4,9 @@ expectations over finite independent type distributions.
 
 Expected cost, expected potential and a player's interim weight per
 element (`interim_weights`, whose sums are interim costs) are closed-form
-in the exact law of each element's use count, and `expected_opt` sums the
+in the exact law of each element's use count, never listed: its dot with
+`_Scale.inv` or `harm` is one product of packed integers (`_law_dot`), and
+the Poisson-binomial DP is the tests' oracle.  `expected_opt` sums the
 optimum over the law of the realized terminal set (sources, pairs or
 hyperedges), built player by player over bitmasks of the sorted distinct
 terminals and solved once per mask; pair masks share one forest memo and
@@ -31,7 +33,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
@@ -80,7 +81,8 @@ class PlayerSpec:
 class _Scale(NamedTuple):
     """Integer forms of an instance's numbers over common denominators: type
     probability p is weights[i][j] / D (in support order), element cost c is
-    costs[e] / C, 1/(k+1) is inv[k] / L and H_k is harm[k] / L."""
+    costs[e] / C, 1/(k+1) is inv[k] / L and H_k is harm[k] / L.  `packed`
+    is `_law_dot`'s table, filled for each user count u when u first occurs."""
 
     D: int
     weights: tuple
@@ -90,6 +92,7 @@ class _Scale(NamedTuple):
     inv: tuple  # L / (k+1), k = 0..n-1
     harm: tuple  # H_k * L, k = 0..n
     D_pow: tuple  # D^k, k = 0..n
+    packed: dict  # ("inv" or "harm", u) -> (K_u, vector[:u+1] reversed in K_u-bit slots, mask)
 
 
 @dataclass(frozen=True)
@@ -189,6 +192,7 @@ class GameInstance:
             inv=tuple(L // (k + 1) for k in range(n)),
             harm=tuple(itertools.accumulate((L // k for k in range(1, n + 1)), initial=0)),
             D_pow=tuple(D ** k for k in range(n + 1)),
+            packed={},
         )
 
     @functools.cached_property
@@ -315,27 +319,35 @@ def use_probabilities(inst: GameInstance, s: tuple) -> list[dict]:
     return [use_row(inst, j, strategy) for j, strategy in enumerate(s)]
 
 
-def _users_law(D: int, entries) -> list[int]:
-    """Law of the user count of players using an element with probabilities a / D,
-    a in `entries`: entry k is P(k users) times D^len(entries).  Poisson-binomial DP."""
-    law = [1]
-    for a in entries:
-        b = D - a
-        law = [x * b + y * a for x, y in zip(law + [0], [0] + law)]
-    return law
+def _law_dot(sc: _Scale, vec: str, entries) -> int:
+    """sum_k law[k] * v[k], v the `_Scale` vector named `vec` and law[k]
+    P(k users) * D^u for u = len(entries) users of probabilities a / D, a in
+    `entries`: the coefficient of X^u in prod((D - a) + a X) * sum_k v[k]
+    X^(u-k) at X = 2^K_u.  The law sums to D^u, so every coefficient is at
+    most max(v[:u+1]) * D^u < 2^K_u and none carries into the next slot."""
+    u = len(entries)
+    try:
+        K, packed, mask = sc.packed[vec, u]
+    except KeyError:  # filled for the user counts that occur
+        v = getattr(sc, vec)[: u + 1]
+        K = (max(v) * sc.D_pow[u]).bit_length()
+        packed, mask = sum(x << (u - k) * K for k, x in enumerate(v)), (1 << K) - 1
+        sc.packed[vec, u] = K, packed, mask
+    D = sc.D
+    return (math.prod([D - a + (a << K) for a in entries]) * packed >> u * K) & mask
 
 
 def interim_weights(inst: GameInstance, q: list[dict], i: int, elements) -> dict:
     """Element -> w_i(e) = c_e * E[1/(1 + N_{-i,e})], what e adds to the
     expected cost of any action of player i, as an integer over
-    `C*L*D^(n-1)`.  No row q[i] is read, so i's own moves leave it valid."""
+    `C*L*D^(n-1)`, from `_law_dot` with `inv` over the others' non-zero
+    entries for e.  No row q[i] is read, so i's own moves leave it valid."""
     sc = inst._scale
     weights = {}
     for e in elements:
         users = [a for j, row in enumerate(q) if j != i and (a := row.get(e, 0))]
         lift = sc.D_pow[len(q) - 1 - len(users)]  # the others who never use e
-        law = _users_law(sc.D, users)
-        weights[e] = sc.costs[e] * lift * sum(map(operator.mul, law, sc.inv))
+        weights[e] = sc.costs[e] * lift * _law_dot(sc, "inv", users)
     return weights
 
 
@@ -360,11 +372,12 @@ def column_terms(inst: GameInstance, entries) -> tuple[int, int]:
     entries `entries`: P(N >= 1) over D^n (what `expected_social_cost`
     adds) and E[H_N] over L*D^n (what `expected_potential` adds), N the
     element's use count.  They depend on the multiset of entries only, so
-    columns that permute each other share them."""
+    columns that permute each other share them: D^n minus the lifted product
+    of the (D - a), and the lifted `_law_dot` with `harm`."""
     sc = inst._scale
-    law = _users_law(sc.D, entries)
     lift = sc.D_pow[inst.n - len(entries)]  # the other players, who never use e
-    return sc.D_pow[inst.n] - lift * law[0], lift * sum(map(operator.mul, law, sc.harm))
+    cost = sc.D_pow[inst.n] - lift * math.prod([sc.D - a for a in entries])
+    return cost, lift * _law_dot(sc, "harm", entries)
 
 
 def expected_potential(inst: GameInstance, s: tuple) -> Fraction:

@@ -415,6 +415,17 @@ def use_probabilities_reference(inst: GameInstance, s: tuple) -> list[dict]:
     return [use_row_reference(spec, strategy) for spec, strategy in zip(inst.players, s)]
 
 
+def _users_law(D: int, entries) -> list[int]:
+    """Law of the user count of players using an element with probabilities a / D,
+    a in `entries`: entry k is P(k users) times D^len(entries).  Poisson-binomial
+    DP, O(u^2): the oracle of the packed products in `games`."""
+    law = [1]
+    for a in entries:
+        b = D - a
+        law = [x * b + y * a for x, y in zip(law + [0], [0] + law)]
+    return law
+
+
 def count_law_reference(q: list[dict], e, skip: Optional[int] = None) -> list[Fraction]:
     """Exact law of the number of players other than `skip` using e, each
     player j independently with probability q[j][e]: entry k is the

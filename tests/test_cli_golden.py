@@ -6,7 +6,10 @@ arithmetic and must not be re-recorded for a speed change.  `MORE_GOLDEN`
 below adds stderr and covers `eval`, `scheme-check`, Monte Carlo `sample`,
 CSV output, `gen` and the error paths."""
 
+import csv
 import hashlib
+import io
+import json
 
 import pytest
 
@@ -149,21 +152,24 @@ def run_calls(tmp_path, monkeypatch, capsys, gen, argvs):
     return code, digest(out), digest(err)
 
 
+# The nine `*-csv-*` eval, bne and certify digests were re-recorded when
+# list and dict cells of a CSV report became JSON text (they had been
+# Python reprs); every other digest is as recorded.
 MORE_GOLDEN = {  # case id -> (exit code, sha256 of stdout, sha256 of stderr)
     "eval-json-multicast": (0, "a547e4f1e74716bbad032b8319ad45000cbae767802ca2336a26d88ac093b0d1", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "eval-csv-multicast": (0, "cd0b6fe8c99cb9c1e69b01a320f0d6c74021e7ff77ec5a9659f93d4b76624d28", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "bne-csv-multicast": (0, "3b304693264ce5d0be84c536a6be099005b9ab211f35a9dcaa3c14567b82ce85", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "certify-csv-multicast": (0, "cc33c3595234313420a0d26c8b932d802e3a89de0d398d60c3e9a3b4dae5d0a3", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "eval-csv-multicast": (0, "9e24b0ae3714c9d21ffeac1da0ce8dc6c8131a15e180562061533803e694bd89", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "bne-csv-multicast": (0, "086636901217395a70785f7be6a9e6a3e7020ca01dd4ef925c46dd60d22e76d8", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "certify-csv-multicast": (0, "fa405cb05437f626f5e517230a35a9d774a8acc67d1ab695c285fd9c81ce2361", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "gen-multicast": (0, "0f25ae4005823e68ded1bb5321c8270ba4bc101b34f6c98433a2efc775df7234", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "eval-json-source-sink": (0, "b643f76a4e35aa3269a11c489c67f472c9c9a445821e856ebdd7ff88f8c2332c", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "eval-csv-source-sink": (0, "c521d019860fa4fc7537d6a4cdc03289b5d17dbe39c64239747a3d20910bcad2", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "bne-csv-source-sink": (0, "bfe36befbf8887b3ad67ec40bf58a982a9682416b99cdffbf183a446627a5c98", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "certify-csv-source-sink": (0, "97b6eb9a08336a0ebd226dccda8639338830689472d5d358e8e8fe55cded8dbc", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "eval-csv-source-sink": (0, "2fc3079062e6058198896ec35ed64c3f114ebc02184b309597fea24e5410e391", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "bne-csv-source-sink": (0, "81ae024094ec5f68c3c9e84b7bc8c9f46776d0b2c961d391bd5d34765494e42d", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "certify-csv-source-sink": (0, "810ba0150b0ab0a85849fc6dea76523180207610299e6b2091ebf72bb9dea6f1", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "gen-source-sink": (0, "3d3f7bd42840c3bf32228110e9a83f90b5dfa986b84c395499c35a46a7e9a772", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "eval-json-vertex-cover": (0, "9b6f2fa206f4a8eec361896401694c96880550386dad36b6b791351d16567bb4", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "eval-csv-vertex-cover": (0, "9be844409055a16f024de263f1d37bf205054c68593622628f9e08c5109d284a", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "bne-csv-vertex-cover": (0, "2b7d1a750eacad7a29474043d314d5d0226f134ca7e8ac35a9bb708273ad2391", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "certify-csv-vertex-cover": (0, "8edccdeb2eb835c30d3ffa51aa7882e27cc0137946212eb91ebc5d668ad3a290", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "eval-csv-vertex-cover": (0, "a86e0c4496ba48dcec37dabd64d049b7f6137adfe87e995711b57768b7f9ce90", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "bne-csv-vertex-cover": (0, "0082358dbca7d0d4f80fe9323461befc92c4c83c2987d358cccad493afe51209", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "certify-csv-vertex-cover": (0, "456074cd9fea393ecc5733ae8b62fb35f06309add23c3cc65d8f258a27625404", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "gen-vertex-cover": (0, "70ad1987e6d634d5bc8b78a5d02aa760dee2adcf43ea1565c5dd9d3cd74e7351", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "scheme-check-json": (0, "c76bbe8471209bf21d951c378d0adf0863b1995ce523f92303043905d27df2da", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "scheme-check-csv": (0, "d26695dd64e1ffb85849afd7bd2c0d59c93ff015668afcd6b2b6c3f826ad17a7", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -182,3 +188,32 @@ MORE_GOLDEN = {  # case id -> (exit code, sha256 of stdout, sha256 of stderr)
 )
 def test_more_cli_output_and_exit_codes_are_unchanged(tmp_path, monkeypatch, capsys, gen, argvs, expected):
     assert run_calls(tmp_path, monkeypatch, capsys, gen, argvs) == expected
+
+
+@pytest.mark.parametrize("kind", ["multicast", "source-sink", "vertex-cover"])
+def test_nested_csv_cells_are_the_json_values(tmp_path, monkeypatch, capsys, kind):
+    """A CSV report writes each list or dict value as one JSON cell, which
+    parses back to the JSON report's value; scalar cells are `str` of it."""
+    monkeypatch.chdir(tmp_path)
+    inst = gen_instance(n_nodes=SIZE[0], n_players=SIZE[1], n_types=SIZE[2], kind=kind, seed=1)
+    (tmp_path / "inst.json").write_text(serialize_instance(inst), encoding="utf-8")
+    assert main(["bne", "--instance", "inst.json", "--out", "strat.json"]) == 0
+    for argv, nested in (
+        (["eval", "--strategy", "strat.json"], {"expected_player_costs"}),
+        (["bne"], {"players"}),
+        (["certify"], {"links", "values"}),
+    ):
+        out = {}
+        for fmt in ("json", "csv"):
+            capsys.readouterr()
+            main([argv[0], "--instance", "inst.json", *argv[1:], "--format", fmt])
+            out[fmt] = capsys.readouterr().out
+        doc = json.loads(out["json"])
+        cells = {row["key"]: row["value"] for row in csv.DictReader(io.StringIO(out["csv"]))}
+        assert list(cells) == sorted(doc)
+        assert {k for k, v in doc.items() if isinstance(v, (list, dict))} == nested
+        for key, value in doc.items():
+            if key in nested:
+                assert json.loads(cells[key]) == value
+            else:
+                assert cells[key] == str(value)

@@ -8,6 +8,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netgames import graph_from_costs
 from netgames.costsharing import steiner_scheme
@@ -16,11 +18,11 @@ from netgames.errors import UnreachableError
 from netgames.games import (
     GameInstance,
     PlayerSpec,
-    _users_law,
     column_terms,
     expected_player_cost,
     expected_potential,
     expected_social_cost,
+    harmonic,
     interim_weights,
     use_probabilities,
 )
@@ -28,6 +30,7 @@ from netgames.graphs import EdgeSet
 from netgames.instances import gen_instance
 
 from conftest import (
+    _users_law,
     action_cost_reference,
     augment_reference,
     count_law_reference,
@@ -215,6 +218,66 @@ def test_scale_is_computed_on_first_use():
     sc = vars(inst)["_scale"]
     assert (sc.D, sc.C, sc.L) == (693, 60, 6)
     assert sc.inv == (6, 3, 2) and sc.harm == (0, 6, 9, 11)
+
+
+def scaled_cover(D, n):
+    """n vertex-cover players on nodes x, y, z whose probabilities 1/D and
+    1 - 1/D make the instance's D exactly D; x costs 5/3."""
+    dist = [(("x", "y"), Fraction(1, D)), (("x", "z"), 1 - Fraction(1, D))][: 1 + (D > 1)]
+    costs = (("x", Fraction(5, 3)), ("y", Fraction(1)), ("z", Fraction(1)))
+    players = tuple(PlayerSpec(distribution=tuple(dist)) for _ in range(n))
+    return GameInstance(kind="vertex-cover", players=players, node_costs=costs)
+
+
+def check_column(D, column, i):
+    """The packed products behind `column_terms` (the cost term and the dot
+    with `harm`) and `interim_weights` (the dot with `inv`) against the
+    Poisson-binomial DP for every player, and against the `Fraction` law
+    for player i, on one element x whose use column is `column` (over D)."""
+    n = len(column)
+    inst = scaled_cover(D, n)
+    sc = inst._scale
+    assert sc.D == D
+    q = [{"x": a} if a else {} for a in column]
+    qf = [{e: Fraction(a, D) for e, a in row.items()} for row in q]
+    users = [a for a in column if a]
+    law, lift = _users_law(D, users), D ** (n - len(users))
+    cost, potential = column_terms(inst, users)
+    assert (cost, potential) == (D**n - lift * law[0], lift * sum(x * h for x, h in zip(law, sc.harm)))
+    ref = count_law_reference(qf, "x")
+    assert Fraction(cost, D**n) == 1 - ref[0]
+    assert Fraction(potential, sc.L * D**n) == sum(x * harmonic(k) for k, x in enumerate(ref))
+    for j in range(n):
+        others = [a for k, a in enumerate(column) if a and k != j]
+        dot = sum(x * v for x, v in zip(_users_law(D, others), sc.inv))
+        weight = interim_weights(inst, q, j, ["x"])["x"]
+        assert weight == sc.costs["x"] * D ** (n - 1 - len(others)) * dot
+    ref = count_law_reference(qf, "x", i)
+    want = Fraction(5, 3) * sum(x / (k + 1) for k, x in enumerate(ref))
+    assert Fraction(interim_weights(inst, q, i, ["x"])["x"], sc.C * sc.L * D ** (n - 1)) == want
+    # The table holds the user counts that occurred, and no other.
+    met = {("harm", len(users))} | {("inv", len(users) - (a > 0)) for a in column}
+    assert sc.packed.keys() == met
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_packed_products_equal_the_law_dp(data):
+    D = data.draw(st.sampled_from([1, 10**12]) | st.integers(1, 12) | st.integers(1, 10**12), label="D")
+    n = data.draw(st.just(24) | st.integers(1, 24), label="n")
+    u = data.draw(st.sampled_from([n - 1, n]) | st.integers(0, n), label="u")
+    used = data.draw(st.lists(st.just(D) | st.integers(1, D), min_size=u, max_size=u))
+    column = data.draw(st.permutations(used + [0] * (n - u)), label="column")
+    check_column(D, column, data.draw(st.integers(0, n - 1), label="i"))
+
+
+@pytest.mark.parametrize("D", [1, 2, 693, 10**12])
+@pytest.mark.parametrize("u", [0, 1, 12, 23, 24])
+def test_packed_products_at_24_players(D, u):
+    """u users of 24, every other one sure (a = D), the others at about D/3."""
+    column = [D if k % 2 else max(1, D // 3) for k in range(u)] + [0] * (24 - u)
+    check_column(D, column, 0)
+    check_column(D, column[::-1], 0)
 
 
 # ---------------------------------------------------------------------------

@@ -174,3 +174,32 @@ def test_dynamics_need_at_least_one_round(rounds):
     s0 = min_potential_profile(inst)  # a BNE: one round would settle
     with pytest.raises(PreconditionError, match=f"max_rounds must be at least 1, got {rounds}"):
         best_response_dynamics(inst, s0, max_rounds=rounds)
+
+
+LARGE = [
+    pytest.param(gen_instance("multicast", 6, 24, 2, seed=0, iid=True), id="mc-6-24-2-0-iid"),
+    pytest.param(gen_instance("multicast", 9, 16, 3, seed=2, iid=True), id="mc-9-16-3-2-iid"),
+    pytest.param(gen_instance("vertex-cover", 8, 40, 2, seed=0), id="vc-8-40-2-0"),
+]
+
+
+@pytest.mark.parametrize("inst", LARGE)
+def test_identities_at_16_to_40_players(inst):
+    """Slots of 80-289 bits: each trace entry is the expected potential
+    of the profile after its move, and the final weights equal the
+    `Fraction` law's."""
+    (s0,) = start_profiles(inst, 0, seed=0)
+    profiles = []
+    best_response_dynamics_reference(inst, s0, profiles=profiles)
+    s, trace = best_response_dynamics(inst, s0, return_trace=True)
+    assert len(trace) > 1 and s == profiles[-1]
+    assert trace == [expected_potential(inst, p) for p in profiles]
+    sc = inst._scale
+    assert max(u * K for (_, u), (K, _, _) in sc.packed.items()) > 1000  # bits
+    q, qf = use_probabilities(inst, s), use_probabilities_reference(inst, s)
+    for i, entries in enumerate(inst.menus):
+        elements = {e for _, menu in entries for a in menu for e in a.elements}
+        for e, weight in interim_weights(inst, q, i, elements).items():
+            single = Action(elements=frozenset({e}), cost=inst.element_cost(e))
+            got = Fraction(weight, sc.C * sc.L * sc.D_pow[inst.n - 1])
+            assert got == action_cost_reference(inst, qf, i, single)
