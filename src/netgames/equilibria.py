@@ -9,7 +9,7 @@ expected cost as the bound.  Its state is one integer code per element's
 use column, priced from one use-count law per distinct sorted non-zero
 column, and a candidate becomes a profile only when the best-BNE search
 reads it.  `strategy_cap` bounds the product of the menu sizes and is
-checked before any search.  `all_strategy_profiles` and
+checked before any search or E[OPT].  `all_strategy_profiles` and
 `enumerate_pure_bne` enumerate every profile; they are module-level test
 oracles, not package exports.  `verify_bne` and the dynamics price
 deviations from one `games.interim_weights` table per player, and the
@@ -344,15 +344,15 @@ def enumerate_pure_bne(inst: GameInstance) -> list:
 def bpos_exact(inst: GameInstance) -> Fraction:
     """Bayesian price of stability: best pure BNE expected cost over the
     expected full-information optimum."""
-    opt = _nonzero_opt(inst)
-    return _best_bne_cost(inst, _sweep(inst)) / opt
+    sweep, opt = _sweep(inst), _nonzero_opt(inst)  # the strategy cap first
+    return _best_bne_cost(inst, sweep) / opt
 
 
 def information_gap_exact(inst: GameInstance) -> Fraction:
     """Best expected cost achievable with private-information strategies,
     over the expected full-information optimum."""
-    opt = _nonzero_opt(inst)
-    return _sweep(inst).min_cost.cost / opt
+    sweep, opt = _sweep(inst), _nonzero_opt(inst)  # the strategy cap first
+    return sweep.min_cost.cost / opt
 
 
 def potential_method_certificate(inst: GameInstance) -> CertificateReport:

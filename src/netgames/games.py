@@ -17,8 +17,8 @@ instance (`GameInstance._scale`: the lcm D of the probabilities'
 denominators, the lcm C of the element costs', and L = lcm(1..n)), made
 one `Fraction` at the end.  `weighted_product` is the one capped product
 enumeration, shared with `sampling`'s regrouping.  Path menus are the
-graph's `graphs.simple_paths`; no path code runs here.  `type_profiles`
-and `ex_post_opt` are module-level test oracles.
+graph's `graphs.simple_paths`, in its order; no path code runs here.
+`type_profiles` and `ex_post_opt` are module-level test oracles.
 
 Game kinds
 ----------
@@ -62,9 +62,6 @@ class Action:
 
     elements: frozenset
     cost: Fraction
-
-    def sort_key(self) -> tuple:
-        return tuple(sorted(self.elements))
 
 
 EMPTY_ACTION = Action(elements=EMPTY_ELEMENTS, cost=Fraction(0))
@@ -197,12 +194,14 @@ class GameInstance:
 
     @functools.cached_property
     def menus(self) -> tuple:
-        """Per player: ((type, feasible actions), ...) in support order, built
-        once per instance and shared by every search over it."""
-        return tuple(
-            tuple((t, tuple(feasible_actions(self, i, t))) for t, _ in spec.distribution)
-            for i, spec in enumerate(self.players)
-        )
+        """Per player: ((type, feasible actions), ...) in support order; each
+        distinct type's menu is built once, at its first slot, and shared."""
+        built: dict = {}
+        for i, spec in enumerate(self.players):
+            for t, _ in spec.distribution:
+                if t not in built:
+                    built[t] = tuple(feasible_actions(self, i, t))
+        return tuple(tuple((t, built[t]) for t, _ in spec.distribution) for spec in self.players)
 
     def element_cost(self, e) -> Fraction:
         if self.kind in GRAPH_KINDS:
@@ -210,15 +209,12 @@ class GameInstance:
         return self._cover_costs[e]
 
     def support_size(self) -> int:
-        size = 1
-        for spec in self.players:
-            size *= len(spec.distribution)
-        return size
+        return math.prod(len(spec.distribution) for spec in self.players)
 
 
 def feasible_actions(inst: GameInstance, i: int, t) -> list[Action]:
-    """All minimal feasible actions of player i at type t, lexicographic order.
-    Distinct simple paths have distinct edge sets, so no action repeats."""
+    """All minimal feasible actions at type t, for any player i, by sorted
+    element tuple: paths in the order that `graphs.simple_paths` owns."""
     if inst.kind in GRAPH_KINDS:
         g = inst.graph
         s, r = (t, g.root) if inst.kind == "multicast" else t
@@ -228,11 +224,9 @@ def feasible_actions(inst: GameInstance, i: int, t) -> list[Action]:
         if not paths:
             where = "root" if inst.kind == "multicast" else repr(r)
             raise NoFeasibleActionError(f"no path from {s!r} to {where}")
-        acts = [Action(elements=p.edges, cost=p.cost) for p in paths]
-    else:
-        costs = inst._cover_costs
-        acts = [Action(elements=frozenset([n]), cost=costs[n]) for n in sorted(set(t))]
-    return sorted(acts, key=Action.sort_key)
+        return [Action(elements=p.edges, cost=p.cost) for p in paths]
+    costs = inst._cover_costs
+    return [Action(elements=frozenset([n]), cost=costs[n]) for n in sorted(set(t))]
 
 
 def congestion(profile: Iterable[Action]) -> dict:

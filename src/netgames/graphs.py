@@ -14,14 +14,14 @@ query it here, on one Dijkstra kernel that returns edge masks.
 `min_feasible_subset_bruteforce` and `cover_exact` are module-level test
 oracles, not package exports.  The Dreyfus-Wagner labels
 and the forests are integers: terminal sets are masks of the sorted nodes
-and edge sets masks of the sorted edges.  Both the tie rule (`_sorts_before`)
-and the relaxation heap's key (`_tuple_key`) read the sorted-tuple order
-off the bits.  An edge set's cost is the sum of its edges' costs, so its
-mask alone keys it: `nearest`, `route` and the Steiner solvers return the
-table's one shared `EdgeSet` per mask.  Trees are capped at
-STEINER_TERMINAL_CAP terminals.  Forests and cost-only covers take bitmasks
-of a sorted pair or hyperedge list, with one memo per solver, so
-`games.expected_opt` solves each sub-forest once.
+and edge sets masks of the sorted edges.  The tie rule (`_sorts_before`),
+the relaxation heap's key and the menu order (`_tuple_key`, which
+`simple_paths` sorts by) read the sorted-tuple order off the bits.  An edge
+set's cost is the sum of its edges' costs, so its mask alone keys it:
+`nearest`, `route` and the Steiner solvers return the table's one shared
+`EdgeSet` per mask.  Trees are capped at STEINER_TERMINAL_CAP terminals and
+covers at COVER_HYPEREDGE_CAP hyperedges.  Forests and cost-only covers take
+bitmasks of a sorted pair or hyperedge list, with one memo per solver.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ Edge = tuple[str, str]
 DEFAULT_EDGE_CAP = 20
 DEFAULT_NODE_CAP = 24
 STEINER_TERMINAL_CAP = 12
+COVER_HYPEREDGE_CAP = 512
 
 
 def edge_key(u: str, v: str) -> Edge:
@@ -150,10 +151,10 @@ def shortest_path(g: Graph, u: str, v: str) -> Path:
 
 
 def simple_paths(g: Graph, s: str, target: str) -> list[EdgeSet]:
-    """Every simple s->target path (s != target), in no fixed order: a
-    depth-first walk on an explicit stack of (node, visited-node mask,
-    integer cost, edge mask), so no length meets the recursion limit.  A
-    menu can hold 10^5 paths, so they stay out of the table's `edge_set` memo."""
+    """Every simple s->target path (s != target) in menu order, by sorted
+    edge tuple (`_tuple_key` of the masks): a depth-first walk on an explicit
+    stack, so no length meets the recursion limit.  A menu can hold 10^5
+    paths, so they stay out of the table's `edge_set` memo."""
     table = g._steiner
     start, stop = table.index[s], table.index.get(target)
     out, stack = [], [(start, 1 << start, 0, 0)]
@@ -161,11 +162,11 @@ def simple_paths(g: Graph, s: str, target: str) -> list[EdgeSet]:
         v, seen, cost, mask = stack.pop()
         for w, c, bit in table._links[v]:
             if w == stop:
-                cost_w = Fraction(cost + c, table.scale)
-                out.append(EdgeSet(edges=_decode(table.edges, mask | bit), cost=cost_w))
+                out.append((_tuple_key(mask | bit), mask | bit, cost + c))
             elif not seen >> w & 1:
                 stack.append((w, seen | 1 << w, cost + c, mask | bit))
-    return out
+    out.sort()  # distinct paths have distinct masks, so keys never tie
+    return [EdgeSet(_decode(table.edges, m), Fraction(c, table.scale)) for _, m, c in out]
 
 
 def nearest(g: Graph, x: str, targets: Collection[str]) -> EdgeSet:
@@ -594,8 +595,12 @@ def cover_cost_dp(node_costs: dict, hyperedges: Iterable[tuple]) -> Callable[[in
     standing for the j-th of the sorted distinct hyperedges.  A DP memoized
     for the life of f: f(0) = 0 and f(S) is the least c_v + f(S without v's
     hyperedges) over the nodes v of S's lowest one, read from one
-    precomputed (c_v, mask of the hyperedges v misses) list per hyperedge."""
+    precomputed (c_v, mask of the hyperedges v misses) list per hyperedge.
+    f recurses a level per hyperedge, so more than COVER_HYPEREDGE_CAP
+    hyperedges raise TooLargeError before anything is built."""
     support = sorted(set(hyperedges))
+    if (k := len(support)) > COVER_HYPEREDGE_CAP:
+        raise TooLargeError(f"{k} hyperedges exceeds cover cap {COVER_HYPEREDGE_CAP}")
     hits = {v: sum(1 << j for j, h in enumerate(support) if v in h) for h in support for v in h}
     options = [[(node_costs[v], ~hits[v]) for v in h] for h in support]
     memo = {0: 0}

@@ -78,8 +78,8 @@ def _draw_players(inst: GameInstance, scheme: CostSharingScheme, variant: str) -
             "sampling constructions are implemented for multicast games only"
         )
     if variant == "iid":
-        first = inst.players[0].distribution
-        if any(spec.distribution != first for spec in inst.players[1:]):
+        first = dict(inst.players[0].distribution)  # listing order is not the law
+        if any(dict(spec.distribution) != first for spec in inst.players[1:]):
             raise PreconditionError("i.i.d. construction needs identical distributions")
         return [0] * (inst.n - 1)
     if variant == "noniid":

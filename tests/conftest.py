@@ -323,7 +323,7 @@ def _all_simple_paths_reference(g: Graph, s: str, target: str) -> list[tuple[str
 def feasible_actions_reference(inst: GameInstance, i: int, t) -> list[Action]:
     """`games.feasible_actions` as first written, kept as the oracle of its
     iterative walk: a recursive walk of `neighbors`, the paths sorted, and
-    the actions deduplicated before the `Action.sort_key` sort."""
+    the actions deduplicated before a sort by sorted element tuple."""
 
     def path_action(seq):
         edges = frozenset(edge_key(a, b) for a, b in zip(seq, seq[1:]))
@@ -347,7 +347,7 @@ def feasible_actions_reference(inst: GameInstance, i: int, t) -> list[Action]:
     else:
         costs = dict(inst.node_costs)
         acts = [Action(elements=frozenset([n]), cost=costs[n]) for n in sorted(set(t))]
-    return sorted(set(acts), key=Action.sort_key)
+    return sorted(set(acts), key=lambda a: tuple(sorted(a.elements)))
 
 
 def multicast(graph, *specs):

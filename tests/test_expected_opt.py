@@ -119,6 +119,38 @@ def test_cover_dp_cap():
             assert f(S) == cover_exact(used, hs)[1]
 
 
+def single_node_hyperedges(k):
+    """k point-mass players, each on its own single-node hyperedge of cost 1,
+    so the cover DP's recursion runs k levels deep and E[OPT] is k."""
+    nodes = [f"n{j:04d}" for j in range(k)]
+    return GameInstance(
+        kind="hypergraph-cover",
+        players=tuple(PlayerSpec(distribution=(((v,), Fraction(1)),)) for v in nodes),
+        node_costs=tuple((v, Fraction(1)) for v in nodes),
+    )
+
+
+def run_certify(tmp_path, capsys, inst):
+    path = tmp_path / "inst.json"
+    path.write_text(serialize_instance(inst))
+    status = main(["certify", "--instance", str(path)])
+    return (status, *capsys.readouterr())
+
+
+def test_certify_at_the_cover_cap(tmp_path, capsys):
+    k = graphs.COVER_HYPEREDGE_CAP
+    status, out, err = run_certify(tmp_path, capsys, single_node_hyperedges(k))
+    assert (status, err) == (0, "")
+    assert json.loads(out)["values"]["expected_opt"] == "512"
+
+
+def test_certify_past_the_cover_cap_exits_1_with_the_error_line(tmp_path, capsys):
+    k = graphs.COVER_HYPEREDGE_CAP + 1
+    status, out, err = run_certify(tmp_path, capsys, single_node_hyperedges(k))
+    assert (status, out) == (1, "")
+    assert err == json.dumps({"error": "513 hyperedges exceeds cover cap 512"}) + "\n"
+
+
 def random_source_sink_instance(rng):
     """Up to 4 players on a connected graph with costs {0, 1, 2}, their
     types drawn from a pool of a few pairs: pairs recur across players, in
@@ -234,12 +266,15 @@ def test_first_disconnected_type_profile_names_the_error():
 
 
 def test_bpos_on_disconnected_pairs_exits_1_with_the_error_line(tmp_path, capsys):
+    """The strategy sweep runs before E[OPT] in every ratio command, so the
+    menu of (b, d), which has no path, fails first."""
     path = tmp_path / "inst.json"
     path.write_text(serialize_instance(two_disconnected_pairs()))
-    assert main(["bpos", "--instance", str(path)]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == json.dumps({"error": "pair ('b', 'd') not connected in graph"}) + "\n"
+    for command in ("bpos", "ig", "certify"):
+        assert main([command, "--instance", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == json.dumps({"error": "no path from 'b' to 'd'"}) + "\n"
 
 
 def graph_instances():

@@ -139,6 +139,19 @@ class TestMenusAgainstTheRecursiveWalk:
         # 1 + 5 + 5*4 + 5*4*3 + 5*4*3*2 + 5! paths between two nodes of K7
         assert len(feasible_actions(inst, 0, inst.players[0].support()[1])) == 326
 
+    def test_long_masks_in_sorted_edge_tuple_order(self):
+        """73 edges, so masks pass 64 bits, and names such as v10 sort before
+        v2.  The 8 paths from v70 to the root all cost 70, so only the
+        sorted edge tuple ranks them."""
+        path = {(f"v{j}", f"v{j + 1}"): 1 for j in range(70)}
+        g = graph_from_costs({**path, ("v0", "v5"): 5, ("v10", "v20"): 10, ("v30", "v65"): 35},
+                             root="v0")
+        inst = every_type(g, "multicast")
+        assert len(g.edges) == 73
+        assert compare_menus(inst) == 0
+        menu = feasible_actions(inst, 0, "v70")
+        assert len(menu) == 8 and {a.cost for a in menu} == {70}
+
     @pytest.mark.parametrize("kind", ["multicast", "source-sink"])
     def test_an_unreachable_source_raises_the_same_error(self, kind):
         g = graph_from_costs(

@@ -472,6 +472,20 @@ class TestGuards:
         with pytest.raises(ValueError):
             construct_strategy_iid(inst, scheme_for(inst), enumerated(["a"]))
 
+    def test_iid_compares_distributions_as_maps(self, triangle):
+        """Players that list one distribution in two orders are i.i.d.: the
+        exact answers equal those of the game listed in one order.  Monte
+        Carlo draws by listing order, so it is left out."""
+        one = PlayerSpec(distribution=(("a", Fraction(1, 3)), ("b", Fraction(2, 3))))
+        other = PlayerSpec(distribution=(("b", Fraction(2, 3)), ("a", Fraction(1, 3))))
+        listed, reordered = multicast(triangle, one, one), multicast(triangle, one, other)
+        scheme = scheme_for(listed)
+        exact = evaluate_construction_exact(listed, scheme, "iid")
+        assert exact.total == Fraction(8, 3)
+        assert evaluate_construction_exact(reordered, scheme, "iid") == exact
+        assert derandomize(reordered, scheme, "iid") == derandomize(listed, scheme, "iid")
+        assert regrouping_sides(reordered, scheme) == regrouping_sides(listed, scheme)
+
     def test_cap_bounds_the_draws_only(self, triangle):
         """Expectations are closed-form, so the cap bounds the number of
         draws (and the support of expected_opt), not draws x support."""

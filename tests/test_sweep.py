@@ -222,8 +222,10 @@ def test_candidate_rows_are_built_only_when_read(inst, monkeypatch):
 
 
 def test_menus_are_built_once_per_instance(monkeypatch):
-    """`verify_bne` and the dynamics read the instance's menus: each (player,
-    type) menu is built once, however many profiles or rounds follow."""
+    """`verify_bne` and the dynamics read the instance's menus: each distinct
+    type's menu is built once, at the type's first (player, type) slot, and
+    is the one tuple of every player that holds the type, however many
+    profiles or rounds follow."""
     built = []
     inner = games.feasible_actions
 
@@ -238,15 +240,21 @@ def test_menus_are_built_once_per_instance(monkeypatch):
         return gen_instance("multicast", 5, 3, 2, seed=1)
 
     inst = fresh()
-    pairs = sorted((i, t) for i, spec in enumerate(inst.players) for t in spec.support())
+    slots = [(i, t) for i, spec in enumerate(inst.players) for t in spec.support()]
+    firsts = [(i, t) for k, (i, t) in enumerate(slots) if all(t != u for _, u in slots[:k])]
+    assert (len(slots), len(firsts)) == (6, 3)
+    shared = {}
+    for entries in inst.menus:
+        for t, menu in entries:
+            assert shared.setdefault(t, menu) is menu
     reports = [verify_bne(inst, s) for s in itertools.islice(all_strategy_profiles(inst), 20)]
-    assert sorted(built) == pairs
+    assert built == firsts
     s0 = next(r.profile for r in reports if not r.is_bne)
 
     inst = fresh()
     _, trace = best_response_dynamics(inst, s0, return_trace=True)
     assert len(trace) > 1  # a move, so at least two rounds
-    assert sorted(built) == pairs
+    assert built == firsts
 
 
 def random_graph_instances(kind, count, max_space=1500):
