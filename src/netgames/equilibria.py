@@ -169,8 +169,9 @@ def _sweep(inst: GameInstance) -> _Sweep:
     slot is never empty and both terms grow with every q_j(e), so a partial
     profile bounds its completions from below.  Once its cost exceeds the
     running minimum potential, no completion is a candidate, a potential
-    minimizer (Phi >= C) or a cost minimizer (the least cost so far is at
-    most C(s*) <= Phi(s*)), and the subtree is skipped.  Slots with one
+    minimizer (Phi >= C) or a cost minimizer (C(s~) <= C(s*) <= Phi(s*)),
+    and the subtree is skipped.  So every cost minimizer is kept as a leaf,
+    and s~ is the first leaf by (cost, canonical order).  Slots with one
     action are folded into the start state.  The candidates stay integer
     leaves; a leaf becomes a `_Row` (profile and `Fraction`s) only when
     `candidates` reaches it."""
@@ -213,7 +214,7 @@ def _sweep(inst: GameInstance) -> _Sweep:
     cost, pot = (sum(c * t[k] for c, t in zip(costs, term)) for k in (0, 1))
     # With no multi-action slot, the start state is the one leaf.
     leaves = [] if slots else [(cost, pot, ())]
-    s_star = s_tilde = leaves[0] if leaves else None  # (cost, potential, digits)
+    s_star = leaves[0] if leaves else None  # (cost, potential, digits)
     *inner, last = slots or [[]]
     depth = len(inner)
     digits = [-1] * depth  # action index per inner slot
@@ -236,8 +237,6 @@ def _sweep(inst: GameInstance) -> _Sweep:
                     leaf = (cost, pot, (*digits, j))
                     if s_star is None or pot < s_star[1]:
                         s_star = leaf
-                    if s_tilde is None or cost < s_tilde[0]:
-                        s_tilde = leaf
                     leaves.append(leaf)
             k -= 1
             continue
@@ -270,7 +269,7 @@ def _sweep(inst: GameInstance) -> _Sweep:
         return _Row(Fraction(cost, cost_den), Fraction(pot, pot_den), profile)
 
     leaves.sort(key=lambda leaf: (leaf[0], leaf[2]))  # digits sort in canonical order
-    return _Sweep(row(s_star), row(s_tilde), leaves, row)
+    return _Sweep(row(s_star), row(leaves[0]), leaves, row)
 
 
 def _best_bne_cost(inst: GameInstance, sweep: _Sweep) -> Fraction:

@@ -346,10 +346,10 @@ def interim_weights(inst: GameInstance, q: list[dict], i: int, elements) -> dict
 
 
 def _column_sum(inst: GameInstance, q: list[dict], k: int) -> int:
-    """The sum over the elements e that q uses of c_e * column_terms(e's column)[k]."""
+    """The sum over the elements e that q uses of c_e * `_column_term` of e's column."""
     costs = inst._scale.costs
     return sum(
-        costs[e] * column_terms(inst, [a for row in q if (a := row.get(e, 0))])[k]
+        costs[e] * _column_term(inst, [a for row in q if (a := row.get(e, 0))], k)
         for e in set().union(*q)
     )
 
@@ -368,10 +368,16 @@ def column_terms(inst: GameInstance, entries) -> tuple[int, int]:
     element's use count.  They depend on the multiset of entries only, so
     columns that permute each other share them: D^n minus the lifted product
     of the (D - a), and the lifted `_law_dot` with `harm`."""
+    return _column_term(inst, entries, 0), _column_term(inst, entries, 1)
+
+
+def _column_term(inst: GameInstance, entries, k: int) -> int:
+    """Term k of `column_terms`, computed alone."""
     sc = inst._scale
     lift = sc.D_pow[inst.n - len(entries)]  # the other players, who never use e
-    cost = sc.D_pow[inst.n] - lift * math.prod([sc.D - a for a in entries])
-    return cost, lift * _law_dot(sc, "harm", entries)
+    if k == 0:
+        return sc.D_pow[inst.n] - lift * math.prod([sc.D - a for a in entries])
+    return lift * _law_dot(sc, "harm", entries)
 
 
 def expected_potential(inst: GameInstance, s: tuple) -> Fraction:

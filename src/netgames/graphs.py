@@ -90,7 +90,7 @@ class Graph:
         return [k for k, _ in self.edges]
 
     def is_connected(self) -> bool:
-        return len(set(self._steiner.comp.values())) <= 1
+        return len(set(self._steiner.comp)) <= 1
 
     @functools.cached_property
     def _steiner(self) -> _SteinerTable:
@@ -263,35 +263,33 @@ def metric_closure(g: Graph) -> Callable[[str, Collection[str]], Fraction]:
 
 
 class _SteinerTable:
-    """The integer path model of one graph, filled lazily: the integer
-    costs (each cost times `scale`, the lcm of the edge cost denominators),
-    the graph's one adjacency (`_links`, by node index), the components,
-    one Dijkstra per source asked for (`paths`), and the Dreyfus-Wagner
-    labels dp[X][i] = cheapest (cost, edge mask) connecting `nodes[i]` and
-    the terminals of mask X.  A terminal's own Dijkstra is its singleton's
-    labels, so the labels run no Dijkstra from any other node.  Bit i of a
-    terminal mask stands for `nodes[i]` and bit j of an edge mask for
-    `edges[j]`, both sorted, so a mask's sorted edge tuple is its bits in
-    ascending order.  Creating the table builds no per-edge data that only
-    the labels read; the `EdgeSet` of a mask is built the first time a
-    query returns it.  A label depends only on the graph and X (its base
-    paths, integer costs and tie-breaks all do), so one table serves every
-    terminal set, in any call order, and builds no subset twice."""
+    """The integer path model of one graph, filled lazily: the integer costs
+    (each cost times `scale`, the lcm of the edge cost denominators), the
+    graph's one adjacency (`_links`, by node index), one component mask per
+    node (`comp[i]`, the node mask of i's component), one Dijkstra per
+    source asked for (`paths`), and the Dreyfus-Wagner labels dp[X][i] =
+    cheapest (cost, edge mask) connecting `nodes[i]` and the terminals of
+    mask X.  A terminal's own Dijkstra is its singleton's labels, so the
+    labels run no Dijkstra from any other node.  Bit i of a terminal mask
+    stands for `nodes[i]` and bit j of an edge mask for `edges[j]`, both
+    sorted, so a mask's sorted edge tuple is its bits in ascending order.
+    Creating the table builds no per-edge data that only the labels read;
+    the `EdgeSet` of a mask is built the first time a query returns it.  A
+    label depends only on the graph and X (its base paths, integer costs and
+    tie-breaks all do), so one table serves every terminal set, in any call
+    order, and builds no subset twice."""
 
     def __init__(self, g: Graph):
         self.nodes = g.nodes
         self.edges = [e for e, _ in g.edges]
         self.scale = math.lcm(*(c.denominator for _, c in g.edges))
         self.cost = {e: int(c * self.scale) for e, c in g.edges}
-        self.comp = _components(g.nodes, self.cost)
         self.index = {v: i for i, v in enumerate(self.nodes)}
-        groups: dict[str, list[int]] = {}
+        roots = _components(g.nodes, self.cost)
+        masks: dict[str, int] = {}  # root -> its component's node mask
         for i, v in enumerate(self.nodes):
-            groups.setdefault(self.comp[v], []).append(i)
-        masks = {c: sum(1 << i for i in group) for c, group in groups.items()}
-        # node index -> its component's node indices and node mask
-        self._members = [groups[self.comp[v]] for v in self.nodes]
-        self._comp_mask = [masks[self.comp[v]] for v in self.nodes]
+            masks[roots[v]] = masks.get(roots[v], 0) | 1 << i
+        self.comp = [masks[roots[v]] for v in self.nodes]
         self._edge_index = {e: j for j, e in enumerate(self.edges)}
         # (neighbour index, integer cost, edge bit)
         self._links = _link_lists(self.index, self.cost.items())
@@ -350,7 +348,7 @@ class _SteinerTable:
             for i, (cost, _, mask) in self.paths(X.bit_length() - 1).items():
                 labels[i] = (cost, mask)
             return labels
-        members = self._members[anchor.bit_length() - 1]
+        members = self.paths(anchor.bit_length() - 1)  # the nodes the anchor reaches
         rest = sub = X ^ anchor
         splits = []
         while sub:  # anchor | sub against the rest, sub a proper submask of rest
@@ -437,36 +435,37 @@ def steiner_tree_exact(g: Graph, terminals: Iterable[str]) -> EdgeSet:
     for t in terms:
         if t not in table.index:
             raise DisconnectedError(f"terminal {t!r} not in graph")
-    if len({table.comp[t] for t in terms}) > 1:
+    mask = sum(1 << table.index[t] for t in terms)
+    if mask & ~table.comp[(mask & -mask).bit_length() - 1]:
         raise DisconnectedError("terminals not mutually reachable")
-    return table.edge_set(table.span(sum(1 << table.index[t] for t in terms))[1])
+    return table.edge_set(table.span(mask)[1])
 
 
 class SteinerForests:
     """Minimum-cost Steiner forests on the subsets of a sorted pair list, as
-    bitmasks (bit j stands for `pairs[j]`).  A forest's trees are Steiner
-    trees on the endpoints of the pairs they serve, so F(S) = min over the
-    blocks B of S that hold its lowest pair of ST(endpoints of B) + F(S - B),
-    the trees read from the graph's Dreyfus-Wagner table; a block spanning
-    two components is skipped.  Of the cheapest blocks, the first by size,
-    then in sorted order, wins.  F[S] = (cost, edge mask): the edges are
-    the union of the winning blocks' trees, which costs exactly F (a
-    cheaper union would beat the optimum).  F and the trees live as long as
-    the object, shared by every mask asked of it."""
+    bitmasks (bit j stands for `pairs[j]`), solved per component: F of a
+    mask that spans components is the sum of F over its parts.  In one
+    component a forest's trees are Steiner trees on the endpoints of the
+    pairs they serve, so F(S) = min over the blocks B of S that hold its
+    lowest pair of ST(endpoints of B) + F(S - B), read from the graph's
+    Dreyfus-Wagner table.  Of the cheapest blocks, the first by size, then
+    in sorted order, wins.  F[S] = (cost, edge mask): the edges, the union
+    of the winning blocks' trees (or of the parts' forests), cost exactly F
+    (a cheaper union would beat the optimum).  F and the trees live as long
+    as the object, shared by every mask asked of it."""
 
     def __init__(self, g: Graph, pairs: list[Edge]):
         self.pairs, self.table = pairs, g._steiner
         comp, index = self.table.comp, self.table.index
-        self.bad = sum(  # the pairs that no forest connects
-            1 << j
-            for j, (u, v) in enumerate(pairs)
-            if u not in comp or v not in comp or comp[u] != comp[v]
-        )
-        self.ends = [  # each pair's node mask
-            0 if self.bad >> j & 1 else 1 << index[u] | 1 << index[v]
-            for j, (u, v) in enumerate(pairs)
-        ]
-        self.trees: dict[int, Optional[tuple[int, int]]] = {}
+        self.ends, groups = [], {}  # each pair's node mask; component mask -> its pairs
+        for j, (u, v) in enumerate(pairs):
+            a, b = index.get(u), index.get(v)
+            key = comp[a] if None not in (a, b) and comp[a] >> b & 1 else 0  # 0: no forest
+            self.ends.append(key and 1 << a | 1 << b)
+            groups[key] = groups.get(key, 0) | 1 << j
+        self.bad = groups.pop(0, 0)  # the pairs that no forest connects
+        self.groups = list(groups.values())  # each component's pairs, by lowest pair
+        self.trees: dict[int, tuple[int, int]] = {}
         self.F: dict[int, tuple[int, int]] = {0: (0, 0)}
 
     def cost(self, mask: int) -> int:
@@ -479,17 +478,20 @@ class SteinerForests:
         if bad := mask & self.bad:
             u, v = self.pairs[(bad & -bad).bit_length() - 1]
             raise DisconnectedError(f"pair ({u!r}, {v!r}) not connected in graph")
+        if len(self.groups) > 1 and len(parts := [mask & g for g in self.groups if mask & g]) > 1:
+            cost = sum(map(self.cost, parts))  # one forest per component
+            F[mask] = (cost, sum(F[part][1] for part in parts))  # components share no edge
+            return cost
         first = mask & -mask
         rest = sub = mask ^ first
         best = None  # (cost, block)
         while True:  # every block first | sub, sub a subset of rest
             block = first | sub
-            tree = trees[block] if block in trees else self._tree(block)
-            if tree is not None:
-                done = F.get(rest ^ sub)
-                cost = tree[0] + (done[0] if done else self.cost(rest ^ sub))
-                if best is None or cost < best[0] or cost == best[0] and _earlier(block, best[1]):
-                    best = (cost, block)
+            tree = trees.get(block) or self._tree(block)
+            done = F.get(rest ^ sub)
+            cost = tree[0] + (done[0] if done else self.cost(rest ^ sub))
+            if best is None or cost < best[0] or cost == best[0] and _earlier(block, best[1]):
+                best = (cost, block)
             if not sub:
                 break
             sub = (sub - 1) & rest
@@ -497,13 +499,11 @@ class SteinerForests:
         F[mask] = (cost, trees[block][1] | F[mask ^ block][1])
         return cost
 
-    def _tree(self, block: int) -> Optional[tuple[int, int]]:
+    def _tree(self, block: int) -> tuple[int, int]:
         ends = 0
         for j in _bits(block):
             ends |= self.ends[j]
-        one_component = not ends & ~self.table._comp_mask[(ends & -ends).bit_length() - 1]
-        tree = self.trees[block] = self.table.span(ends) if one_component else None
-        return tree
+        return self.trees.setdefault(block, self.table.span(ends))
 
 
 def _earlier(a: int, b: int) -> bool:

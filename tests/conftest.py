@@ -517,16 +517,16 @@ def steiner_forest_edges_reference(g: Graph, pairs) -> EdgeSet:
     pair_list = sorted({edge_key(u, v) for u, v in pairs if u != v})
     if not pair_list:
         return EdgeSet(edges=frozenset(), cost=Fraction(0))
-    table = g._steiner
+    table, comp = g._steiner, _components(g.nodes, g.edge_keys())
     for u, v in pair_list:
-        if u not in table.comp or v not in table.comp or table.comp[u] != table.comp[v]:
+        if u not in comp or v not in comp or comp[u] != comp[v]:
             raise DisconnectedError(f"pair ({u!r}, {v!r}) not connected in graph")
     trees: dict = {}
 
     def block_tree(block: int):
         if block not in trees:
             ends = sorted({n for i, p in enumerate(pair_list) if block >> i & 1 for n in p})
-            one_component = len({table.comp[n] for n in ends}) == 1
+            one_component = len({comp[n] for n in ends}) == 1
             if one_component:
                 cost, mask = table.span(sum(1 << table.index[n] for n in ends))
                 trees[block] = (cost, table.edge_set(mask).edges)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netgames import graph_from_costs
+from netgames import games, graph_from_costs
 from netgames.costsharing import steiner_scheme
 from netgames.equilibria import all_strategy_profiles, interim_cost, verify_bne
 from netgames.errors import UnreachableError
@@ -278,6 +278,22 @@ def test_packed_products_at_24_players(D, u):
     column = [D if k % 2 else max(1, D // 3) for k in range(u)] + [0] * (24 - u)
     check_column(D, column, 0)
     check_column(D, column[::-1], 0)
+
+
+@pytest.mark.parametrize("inst", coprime_instances())
+def test_expected_cost_computes_no_packed_product(inst, monkeypatch):
+    """The cost term P(N >= 1) is priced alone: `expected_social_cost`
+    computes no `_law_dot` (the `harm` product is the potential's), and
+    still equals the `Fraction` closed form."""
+    calls = []
+    inner = games._law_dot
+    monkeypatch.setattr(games, "_law_dot", lambda *args: calls.append(args[1]) or inner(*args))
+    for s in random_profiles(inst, random.Random(41 + inst.n), 4):
+        assert expected_social_cost(inst, s) == expected_social_cost_reference(inst, s)
+        assert calls == []
+        assert expected_potential(inst, s) == expected_potential_reference(inst, s)
+        assert calls and set(calls) == {"harm"}
+        calls.clear()
 
 
 # ---------------------------------------------------------------------------

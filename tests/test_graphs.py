@@ -415,6 +415,38 @@ class TestSteinerForest:
             with pytest.raises(DisconnectedError):
                 steiner_forest_exact(g, pairs | {(left[0], right[0])})
 
+    def test_components_against_the_recurrence(self):
+        """On graphs of 1-4 components whose node names interleave, with
+        zero-cost edges for ties, the forest solved one component at a time
+        has the cost and edges of the recurrence over every block, and pair
+        sets that cross components raise the same error."""
+        rng = random.Random(73)
+        solved = crossed = spanning = 0
+        for _ in range(600):
+            g, parts = multi_component_graph(rng)
+            for _ in range(6):
+                pairs = []
+                for _ in range(rng.randint(1, 5)):
+                    if rng.random() < 0.1:
+                        pairs.append((rng.choice(g.nodes), rng.choice(g.nodes)))
+                    else:
+                        part = rng.choice([p for p in parts if len(p) > 1] or parts)
+                        pairs.append((rng.choice(part), rng.choice(part)))
+                got = forest_outcome(steiner_forest_exact, g, pairs)
+                assert got == forest_outcome(steiner_forest_edges_reference, fresh(g), pairs)
+                solved += type(got[0]) is Fraction
+                crossed += got[0] is DisconnectedError
+                spanning += len({next(p for p in parts if u in p)[0] for u, v in pairs if u != v}) > 1
+        assert solved > 2000 and crossed > 300 and spanning > 1000
+
+    def test_disjoint_pairs_build_one_tree_each(self):
+        """Ten disjoint unit edges, each pair one edge's ends: the full mask
+        costs 10 and builds ten trees, not one entry per block."""
+        g = graph_from_costs({(f"a{j}", f"b{j}"): 1 for j in range(10)})
+        forests = SteinerForests(g, sorted((f"a{j}", f"b{j}") for j in range(10)))
+        assert forests.cost((1 << 10) - 1) == 10
+        assert len(forests.trees) == 10
+
     def test_unknown_node(self, triangle):
         with pytest.raises(DisconnectedError):
             steiner_forest_exact(triangle, {("a", "x")})
@@ -759,6 +791,31 @@ def wide_graph(rng, n: int, m: int) -> Graph:
     for p in rng.sample(extra, m - len(costs)):
         costs[edge_key(*p)] = rng.choice((0, 1, 2))
     return graph_from_costs(costs, nodes=nodes)
+
+
+def multi_component_graph(rng) -> tuple[Graph, list[list[str]]]:
+    """A graph of 1-4 components, each a path through its nodes plus random
+    chords, with costs in {0, 1/2, 1, 3/2, 2, 3}, and sometimes an isolated
+    node; node names are dealt to the components at random, so their
+    sorted orders interleave.  Returns the graph and its components."""
+    sizes = [rng.randint(2, 4) for _ in range(rng.randint(1, 4))] + [1] * (rng.random() < 0.3)
+    names = rng.sample([f"v{j}" for j in range(sum(sizes))], sum(sizes))
+    parts = [names[sum(sizes[:k]) : sum(sizes[: k + 1])] for k in range(len(sizes))]
+    costs = {}
+    for part in parts:
+        chords = list(itertools.combinations(part, 2))
+        for u, v in list(zip(part, part[1:])) + rng.sample(chords, rng.randint(0, len(chords))):
+            costs[edge_key(u, v)] = rng.choice((0, Fraction(1, 2), 1, Fraction(3, 2), 2, 3))
+    return graph_from_costs(costs, nodes=names), parts
+
+
+def forest_outcome(solve, g, pairs) -> tuple:
+    """(cost, sorted edges) of a forest solver, or its error's class and message."""
+    try:
+        f = solve(g, pairs)
+    except NetgamesError as err:
+        return type(err), str(err)
+    return f.cost, sorted(f.edges)
 
 
 def fresh(g: Graph) -> Graph:
