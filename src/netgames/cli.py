@@ -257,7 +257,7 @@ def main(argv=None) -> int:
                 inst = dataclasses.replace(inst, support_cap=args.cap_support)
             if opts.get("cap_strategies") is not None:
                 inst = dataclasses.replace(inst, strategy_cap=args.cap_strategies)
-            if "needs_multicast" in args and inst.kind != "multicast":
+            if "needs_multicast" in args and not inst.family.rooted:
                 raise NetgamesError(f"{args.command} needs a multicast (rooted) instance")
         if "strategy" in args:
             args.strategy = parse_strategy(inst, _read(args.strategy))

@@ -22,10 +22,9 @@ graph's `graphs.simple_paths`, in its order; no path code runs here.
 
 Game kinds
 ----------
-multicast        players connect a private source to the graph's root
-source-sink      players connect a private (source, sink) node pair
-vertex-cover     players hit a private node pair by buying one endpoint
-hypergraph-cover players hit a private size-d hyperedge by buying one node
+Each kind is one row of `FAMILIES`, read as `GameInstance.family`; code
+reads the row, not the kind's name.  Graph kinds buy edges that join a
+type's two ends (`GameInstance._ends`), cover kinds one node of a type.
 """
 
 from __future__ import annotations
@@ -41,13 +40,33 @@ from .errors import NoFeasibleActionError, SupportTooLargeError, ValidationError
 from . import graphs
 from .graphs import Graph, edge_key
 
-GRAPH_KINDS = ("multicast", "source-sink")
-COVER_KINDS = ("vertex-cover", "hypergraph-cover")
-
 DEFAULT_SUPPORT_CAP = 10 ** 6
 DEFAULT_STRATEGY_CAP = 10 ** 7
 
 EMPTY_ELEMENTS = frozenset()
+
+
+class Family(NamedTuple):
+    """A game kind as data, the row of `FAMILIES` that every per-kind decision reads."""
+
+    graph: bool  # elements are graph edges, else cover nodes
+    rooted: bool = False  # a graph type is a source joined to the root, else a pair
+    arity: Optional[int] = None  # nodes in a type not rooted; None: the game's first type sets it
+
+
+FAMILIES = {
+    "multicast": Family(graph=True, rooted=True),  # join a private source to the root
+    "source-sink": Family(graph=True, arity=2),  # join a private (source, sink) pair
+    "vertex-cover": Family(graph=False, arity=2),  # buy one endpoint of a private pair
+    "hypergraph-cover": Family(graph=False),  # buy one node of a private hyperedge
+}
+
+
+def family_of(kind) -> Family:
+    """The `FAMILIES` row of `kind`, else a ValidationError naming it."""
+    if isinstance(kind, str) and kind in FAMILIES:  # an unhashable kind is unknown too
+        return FAMILIES[kind]
+    raise ValidationError("kind", f"unknown kind {kind!r}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -102,15 +121,15 @@ class GameInstance:
     strategy_cap: int = DEFAULT_STRATEGY_CAP
 
     def __post_init__(self):
-        if self.kind not in GRAPH_KINDS + COVER_KINDS:
-            raise ValidationError("kind", f"unknown kind {self.kind!r}")
+        family = self.family
         if not self.players:
             raise ValidationError("players", "need at least one player")
-        if self.kind in GRAPH_KINDS:
+        if family.graph:
             if self.graph is None:
                 raise ValidationError("graph", f"{self.kind} needs a graph")
-            if self.kind == "multicast" and self.graph.root is None:
-                raise ValidationError("graph.root", "multicast needs a root")
+            if family.rooted and self.graph.root is None:
+                raise ValidationError("graph.root", f"{self.kind} needs a root")
+            known = self.graph._node_set
         else:
             if self.node_costs is None:
                 raise ValidationError("node_costs", f"{self.kind} needs node costs")
@@ -122,69 +141,54 @@ class GameInstance:
             for n, c in self.node_costs:
                 if c < 0:
                     raise ValidationError(f"node_costs.{n}", f"negative cost {c}")
-        self._validate_players()
-
-    def _validate_players(self):
-        hyper_size = None
+            known = self._costs
+        arity = family.arity  # if None, the first type sets it (1 if that type is empty)
         for i, spec in enumerate(self.players):
+            where = f"players[{i}]"
             total = sum((p for _, p in spec.distribution), Fraction(0))
             if total != 1:
-                raise ValidationError(
-                    f"players[{i}]", f"probabilities sum to {total}, not 1"
-                )
-            types = [t for t, _ in spec.distribution]
-            if len(set(types)) != len(types):
-                raise ValidationError(f"players[{i}]", "duplicate support types")
+                raise ValidationError(where, f"probabilities sum to {total}, not 1")
+            if len({t for t, _ in spec.distribution}) != len(spec.distribution):
+                raise ValidationError(where, "duplicate support types")
             for t, p in spec.distribution:
                 if p <= 0 or p > 1:
-                    raise ValidationError(f"players[{i}]", f"probability {p} out of range")
-                self._validate_type(i, t)
-                if self.kind == "hypergraph-cover":
-                    if hyper_size is None:
-                        hyper_size = len(t)
-                    elif len(t) != hyper_size:
-                        raise ValidationError(
-                            f"players[{i}]", "hyperedge sizes must be uniform"
-                        )
-
-    def _validate_type(self, i, t):
-        if self.kind == "multicast":
-            if t not in self.graph._node_set:
-                raise ValidationError(f"players[{i}]", f"unknown source {t!r}")
-        elif self.kind == "source-sink":
-            s, r = t
-            if s not in self.graph._node_set or r not in self.graph._node_set:
-                raise ValidationError(f"players[{i}]", f"unknown node in pair {t!r}")
-        elif self.kind == "vertex-cover" and len(t) != 2:
-            raise ValidationError(f"players[{i}]", f"pair type {t!r} must have 2 nodes")
-        elif len(t) < 1:
-            raise ValidationError(f"players[{i}]", "empty hyperedge type")
-        else:
-            for n in t:
-                if n not in self._cover_costs:
-                    raise ValidationError(f"players[{i}]", f"unknown cover node {n!r}")
+                    raise ValidationError(where, f"probability {p} out of range")
+                if not family.rooted and len(t) != (arity := arity or len(t) or 1):
+                    raise ValidationError(where, f"type {t!r} has {len(t)} nodes, not {arity}")
+                for n in self._ends(t):
+                    if n not in known:
+                        raise ValidationError(where, f"unknown node {n!r} in type {t!r}")
 
     @property
     def n(self) -> int:
         return len(self.players)
 
     @functools.cached_property
-    def _cover_costs(self) -> dict:
-        return dict(self.node_costs)
+    def family(self) -> Family:
+        return family_of(self.kind)
+
+    @functools.cached_property
+    def _costs(self) -> dict:
+        """Element -> cost: the graph's edge costs or the cover's node costs."""
+        return self.graph._cost if self.family.graph else dict(self.node_costs)
+
+    def _ends(self, t) -> tuple:
+        """The nodes type t names: (t, root) when rooted, else t itself (the
+        pair that a graph type joins, or a cover type's node set)."""
+        return (t, self.graph.root) if self.family.rooted else t
 
     @functools.cached_property
     def _scale(self) -> _Scale:
         n = self.n
         probs = [[Fraction(p) for _, p in spec.distribution] for spec in self.players]
         D = math.lcm(*(p.denominator for row in probs for p in row))
-        costs = dict(self.graph.edges if self.kind in GRAPH_KINDS else self.node_costs)
-        C = math.lcm(*(c.denominator for c in costs.values()))
+        C = math.lcm(*(c.denominator for c in self._costs.values()))
         L = math.lcm(*range(1, n + 1))
         return _Scale(
             D=D,
             weights=tuple(tuple(int(p * D) for p in row) for row in probs),
             C=C,
-            costs={e: int(c * C) for e, c in costs.items()},
+            costs={e: int(c * C) for e, c in self._costs.items()},
             L=L,
             inv=tuple(L // (k + 1) for k in range(n)),
             harm=tuple(itertools.accumulate((L // k for k in range(1, n + 1)), initial=0)),
@@ -204,9 +208,7 @@ class GameInstance:
         return tuple(tuple((t, built[t]) for t, _ in spec.distribution) for spec in self.players)
 
     def element_cost(self, e) -> Fraction:
-        if self.kind in GRAPH_KINDS:
-            return self.graph.cost(e)
-        return self._cover_costs[e]
+        return self._costs[e]
 
     def support_size(self) -> int:
         return math.prod(len(spec.distribution) for spec in self.players)
@@ -215,18 +217,16 @@ class GameInstance:
 def feasible_actions(inst: GameInstance, i: int, t) -> list[Action]:
     """All minimal feasible actions at type t, for any player i, by sorted
     element tuple: paths in the order that `graphs.simple_paths` owns."""
-    if inst.kind in GRAPH_KINDS:
-        g = inst.graph
-        s, r = (t, g.root) if inst.kind == "multicast" else t
-        if s == r:
-            return [EMPTY_ACTION]
-        paths = graphs.simple_paths(g, s, r)
-        if not paths:
-            where = "root" if inst.kind == "multicast" else repr(r)
-            raise NoFeasibleActionError(f"no path from {s!r} to {where}")
-        return [Action(elements=p.edges, cost=p.cost) for p in paths]
-    costs = inst._cover_costs
-    return [Action(elements=frozenset([n]), cost=costs[n]) for n in sorted(set(t))]
+    if not inst.family.graph:
+        return [Action(elements=frozenset([n]), cost=inst._costs[n]) for n in sorted(set(t))]
+    s, r = inst._ends(t)
+    if s == r:
+        return [EMPTY_ACTION]
+    paths = graphs.simple_paths(inst.graph, s, r)
+    if not paths:
+        where = "root" if inst.family.rooted else repr(r)
+        raise NoFeasibleActionError(f"no path from {s!r} to {where}")
+    return [Action(elements=p.edges, cost=p.cost) for p in paths]
 
 
 def congestion(profile: Iterable[Action]) -> dict:
@@ -399,23 +399,23 @@ def _terminal(inst: GameInstance, t):
     """What type t asks the ex-post optimum to connect or hit: a non-root
     source (multicast), a pair with s != r (source-sink) or a sorted
     hyperedge (cover kinds); None when it asks for nothing."""
-    if inst.kind == "multicast":
-        return None if t == inst.graph.root else t
-    if inst.kind == "source-sink":
-        s, r = t
-        return None if s == r else edge_key(s, r)
-    return tuple(sorted(set(t)))
+    if not inst.family.graph:
+        return tuple(sorted(set(t)))
+    s, r = inst._ends(t)
+    if s == r:
+        return None
+    return s if inst.family.rooted else edge_key(s, r)
 
 
 def ex_post_opt(inst: GameInstance, type_profile: tuple) -> tuple[frozenset, Fraction]:
     """Optimal joint element set for one realized type profile, via the exact
     combinatorial solver matching the game kind."""
-    if inst.kind in COVER_KINDS:
-        return graphs.cover_exact(inst._cover_costs, [tuple(t) for t in type_profile])
+    if not inst.family.graph:
+        return graphs.cover_exact(inst._costs, [tuple(t) for t in type_profile])
     terminals = {_terminal(inst, t) for t in type_profile} - {None}
     if not terminals:
         return EMPTY_ELEMENTS, Fraction(0)
-    if inst.kind == "multicast":
+    if inst.family.rooted:
         solved = graphs.steiner_tree_exact(inst.graph, terminals | {inst.graph.root})
     else:
         solved = graphs.steiner_forest_exact(inst.graph, terminals)
@@ -458,13 +458,13 @@ def expected_opt(inst: GameInstance) -> Fraction:
     _check_support(inst, inst.support_size(), "product support")
     sc = inst._scale
     terms, law = _terminal_law(inst)
-    if inst.kind == "multicast":
+    if not inst.family.graph:
+        opt = graphs.cover_cost_dp(sc.costs, terms)
+    elif inst.family.rooted:
         g, root = inst.graph, {inst.graph.root}
         tree = lambda S: graphs.steiner_tree_exact(g, _members(terms, S) | root).cost
         opt = lambda S: int(tree(S) * sc.C) if S else 0
-    elif inst.kind == "source-sink":
+    else:
         # Over the Steiner table's scale, which is C (same edge cost denominators).
         opt = graphs.SteinerForests(inst.graph, terms).cost
-    else:
-        opt = graphs.cover_cost_dp(sc.costs, terms)
     return Fraction(sum(w * opt(S) for S, w in law.items()), sc.C * sc.D_pow[inst.n])

@@ -13,9 +13,9 @@ integer) strings:
       "caps": {"support": 1000000, "strategies": 10000000}
     }
 
+"kind" is a `games.FAMILIES` key, checked before anything else is read.
 Cover kinds replace "graph" with "cover": {"node_costs": {"u": "1", ...}}.
-Types are strings (multicast), two-element lists (source-sink and
-vertex-cover), or node lists (hypergraph-cover).
+A type is a node name if the kind's row is rooted, else a list of nodes.
 
 A strategy file gives every player one action for each type in its
 support, in the same type encoding:
@@ -36,12 +36,12 @@ from fractions import Fraction
 
 from .errors import NetgamesError, ParseError, PreconditionError, ValidationError
 from .games import (
-    COVER_KINDS,
     DEFAULT_STRATEGY_CAP,
     DEFAULT_SUPPORT_CAP,
-    GRAPH_KINDS,
+    FAMILIES,
     GameInstance,
     PlayerSpec,
+    family_of,
 )
 from .graphs import Graph, edge_key
 
@@ -80,20 +80,20 @@ def _expect(value, cls: type, field: str):
 
 
 def _decode_type(kind: str, raw):
-    if kind == "multicast":
-        return _expect(raw, str, "players")
-    nodes = isinstance(raw, list) and all(isinstance(n, str) for n in raw)
-    if kind == "source-sink":
-        if not (nodes and len(raw) == 2):
-            raise ValidationError("players", f"source-sink type must be a pair: {raw!r}")
-        return (raw[0], raw[1])
-    if not (nodes and raw):
-        raise ValidationError("players", f"cover type must be a node list: {raw!r}")
-    return tuple(sorted(raw))
+    """A type of `kind`: a node name when rooted, else a non-empty node list
+    of the row's arity, kept in order for a graph pair, sorted for a cover."""
+    family = FAMILIES[kind]
+    if family.rooted and isinstance(raw, str):
+        return raw
+    nodes = isinstance(raw, list) and raw and all(isinstance(n, str) for n in raw)
+    if nodes and not family.rooted and family.arity in (None, len(raw)):
+        return tuple(raw) if family.graph else tuple(sorted(raw))
+    raise ValidationError("players", f"not a {kind} type: {raw!r}")
 
 
-def _encode_type(kind: str, t):
-    return t if kind == "multicast" else list(t)
+def _encode(x):
+    """A type or an element in JSON: a node name, else a list of nodes."""
+    return x if isinstance(x, str) else list(x)
 
 
 def _load_json(text: str, what: str):
@@ -116,6 +116,7 @@ def parse_instance(text: str) -> GameInstance:
     if doc.get("version") != FORMAT_VERSION:
         raise ValidationError("version", f"expected {FORMAT_VERSION}")
     kind = doc.get("kind")
+    family_of(kind)  # before any type is decoded by its kind
     caps = _expect(doc.get("caps") or {}, dict, "caps")
     support_cap = _cap(caps, "support", DEFAULT_SUPPORT_CAP)
     strategy_cap = _cap(caps, "strategies", DEFAULT_STRATEGY_CAP)
@@ -182,7 +183,7 @@ def serialize_instance(inst: GameInstance) -> str:
     doc["players"] = [
         {
             "distribution": [
-                {"type": _encode_type(inst.kind, t), "prob": str(p)}
+                {"type": _encode(t), "prob": str(p)}
                 for t, p in spec.distribution
             ]
         }
@@ -192,16 +193,12 @@ def serialize_instance(inst: GameInstance) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _encode_element(inst: GameInstance, e):
-    return [e[0], e[1]] if inst.kind in GRAPH_KINDS else e
-
-
 def _decode_element(inst: GameInstance, raw):
-    pair = isinstance(raw, list) and len(raw) == 2 and all(isinstance(n, str) for n in raw)
-    if inst.kind in GRAPH_KINDS and pair:
-        return tuple(sorted(raw))
-    if inst.kind in COVER_KINDS and isinstance(raw, str):
+    if not inst.family.graph and isinstance(raw, str):
         return raw
+    pair = isinstance(raw, list) and len(raw) == 2 and all(isinstance(n, str) for n in raw)
+    if inst.family.graph and pair:
+        return tuple(sorted(raw))
     raise ValidationError("action", f"not a {inst.kind} element: {raw!r}")
 
 
@@ -212,9 +209,8 @@ def encode_profile(inst: GameInstance, s: tuple) -> list:
         entries = []
         for t, _ in spec.distribution:
             a = strat[t]
-            action = sorted(_encode_element(inst, e) for e in a.elements)
-            t_doc = _encode_type(inst.kind, t)
-            entries.append({"type": t_doc, "action": action, "cost": str(a.cost)})
+            action = sorted(_encode(e) for e in a.elements)
+            entries.append({"type": _encode(t), "action": action, "cost": str(a.cost)})
         out.append({"strategies": entries})
     return out
 
@@ -297,18 +293,20 @@ def gen_instance(
     root (the independent-decisions model)."""
     if kind not in GEN_KINDS:
         raise PreconditionError(f"generator does not support kind {kind!r}")
+    family = FAMILIES[kind]
+    root_mass = root_mass and family.rooted  # ignored by the other kinds
     # the root (and a non-root node for root mass), or two nodes for a pair
-    need = 1 if kind == "multicast" and not root_mass else 2
+    need = 1 if family.rooted and not root_mass else 2
     if n_nodes < need:
         raise PreconditionError(f"{kind} generator needs n_nodes >= {need}, got {n_nodes}")
     if n_players < 1:
         raise PreconditionError(f"generator needs n_players >= 1, got {n_players}")
-    if n_types < 1 and not (kind == "multicast" and root_mass):  # root mass ignores it
+    if n_types < 1 and not root_mass:  # root mass ignores it
         raise PreconditionError(f"generator needs n_types >= 1, got {n_types}")
     rng = random.Random(seed)
     graph = node_costs = None
-    if kind in GRAPH_KINDS:
-        graph = _random_graph(rng, n_nodes, rooted=(kind == "multicast"))
+    if family.graph:
+        graph = _random_graph(rng, n_nodes, rooted=family.rooted)
         nodes = list(graph.nodes)
     else:
         nodes = [f"v{j}" for j in range(n_nodes)]
@@ -318,11 +316,11 @@ def gen_instance(
     pairs = [(a, b) for a in nodes for b in nodes if a < b]
 
     def random_dist():
-        if kind == "multicast" and root_mass:
+        if root_mass:
             node = rng.choice([n for n in nodes if n != graph.root])
             p = Fraction(rng.randint(1, 5), 6)
             return ((node, p), (graph.root, 1 - p))
-        types = nodes if kind == "multicast" else pairs
+        types = nodes if family.rooted else pairs
         k = min(n_types, len(types))
         support = rng.sample(types, k)
         return tuple(zip(support, _random_probs(rng, k)))

@@ -72,8 +72,8 @@ def _draw_players(inst: GameInstance, scheme: CostSharingScheme, variant: str) -
     whose distribution each position of the shared draw D samples: n - 1
     times the first (i.i.d., identical distributions only) or each player
     once (non-i.i.d., cross-monotone schemes only).  A game that is not
-    multicast is rejected first, before `scheme` or `inst.graph` is read."""
-    if inst.kind != "multicast":
+    rooted is rejected first, before `scheme` or `inst.graph` is read."""
+    if not inst.family.rooted:
         raise PreconditionError(
             "sampling constructions are implemented for multicast games only"
         )
@@ -103,9 +103,9 @@ def _augmented(
     inst: GameInstance, scheme: CostSharingScheme, base: EdgeSet, t
 ) -> tuple[EdgeSet, Action]:
     """(B(base, t), cheapest action inside base | B(base, t)) for type t: the
-    graph's least t->root route over those edges."""
+    graph's least route between t's ends over those edges."""
     aug = scheme.augment(base, t)
-    path = graphs.route(inst.graph, t, inst.graph.root, base.edges | aug.edges)
+    path = graphs.route(inst.graph, *inst._ends(t), base.edges | aug.edges)
     return aug, Action(elements=path.edges, cost=path.cost)
 
 

@@ -56,6 +56,23 @@ def triangle():
     )
 
 
+# A hand-written hypergraph-cover game, the kind that `gen` does not draw:
+# 3-node hyperedges, 3 players, two types each.  BPoS is 261/158 and IG 123/79.
+HYPERGRAPH_COVER = {
+    "version": 1,
+    "kind": "hypergraph-cover",
+    "cover": {"node_costs": {"a": "3", "b": "2", "c": "5/2", "d": "1", "e": "7/3"}},
+    "players": [
+        {"distribution": [{"type": ["a", "b", "c"], "prob": "1/3"},
+                          {"type": ["b", "d", "e"], "prob": "2/3"}]},
+        {"distribution": [{"type": ["a", "c", "e"], "prob": "1/2"},
+                          {"type": ["b", "c", "d"], "prob": "1/2"}]},
+        {"distribution": [{"type": ["a", "b", "e"], "prob": "3/4"},
+                          {"type": ["c", "d", "e"], "prob": "1/4"}]},
+    ],
+}
+
+
 def point_mass(t):
     return PlayerSpec(distribution=((t, Fraction(1)),))
 

@@ -4,7 +4,8 @@ Any change to the printed answers, their formatting or an exit code fails
 here.  The digests were recorded before the expectations moved to integer
 arithmetic and must not be re-recorded for a speed change.  `MORE_GOLDEN`
 below adds stderr and covers `eval`, `scheme-check`, Monte Carlo `sample`,
-CSV output, `gen` and the error paths."""
+CSV output, `gen` and the error paths, and `HYPERGRAPH_GOLDEN` a
+hand-written hypergraph-cover game."""
 
 import csv
 import hashlib
@@ -13,6 +14,7 @@ import json
 
 import pytest
 
+from conftest import HYPERGRAPH_COVER
 from netgames.cli import main
 from netgames.instances import gen_instance, serialize_instance
 
@@ -188,6 +190,28 @@ MORE_GOLDEN = {  # case id -> (exit code, sha256 of stdout, sha256 of stderr)
 )
 def test_more_cli_output_and_exit_codes_are_unchanged(tmp_path, monkeypatch, capsys, gen, argvs, expected):
     assert run_calls(tmp_path, monkeypatch, capsys, gen, argvs) == expected
+
+
+# `gen` draws no hypergraph-cover game, so these digest the hand-written
+# `HYPERGRAPH_COVER`.  They were recorded before the per-kind decisions moved
+# into `games.FAMILIES`.
+HYPERGRAPH_GOLDEN = {  # command -> (exit code, sha256 of stdout, sha256 of stderr)
+    "bne": (0, "18c430fced6e423b6b495a2885f92b4b2a7a2d6563b167e82f5c77d9c76dd918", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "bpos": (0, "fc8419d8e5f82c7722e8e0483cf02d43bf8a3b7d5acbd8951904642c618b9b74", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "ig": (0, "e3b7fbc265fa482b4142f8e395350c38660d459fce65fce42db1e784ae91750b", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "certify": (0, "8e78beed0a8e84dce5361a28ad383ee0df54119393c6e1bddbf41efdf985b393", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "eval": (0, "bb95626b53436b0d983cbafb05c6e23e9d4dba6027e9ccb12e5eb87ff132cd58", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(HYPERGRAPH_GOLDEN))
+def test_hypergraph_cover_output_is_unchanged(tmp_path, monkeypatch, capsys, command):
+    (tmp_path / "inst.json").write_text(json.dumps(HYPERGRAPH_COVER), encoding="utf-8")
+    inst = ["--instance", "inst.json"]
+    argvs = [[command, *inst]]
+    if command == "eval":
+        argvs = [["bne", *inst, "--out", "strat.json"], ["eval", *inst, "--strategy", "strat.json"]]
+    assert run_calls(tmp_path, monkeypatch, capsys, None, argvs) == HYPERGRAPH_GOLDEN[command]
 
 
 @pytest.mark.parametrize("kind", ["multicast", "source-sink", "vertex-cover"])

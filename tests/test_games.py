@@ -435,6 +435,26 @@ class TestValidation:
                 graph=triangle,
             )
 
+    @pytest.mark.parametrize("kind", ["foo", None, ["multicast"], {"a": 1}])
+    def test_unknown_kind_rejected(self, triangle, kind):
+        """An unhashable kind is a ValidationError too, not a TypeError."""
+        with pytest.raises(ValidationError, match=r"^kind: unknown kind "):
+            GameInstance(kind=kind, players=(point_mass("a"),), graph=triangle)
+
+    @pytest.mark.parametrize(
+        "types, message",
+        [
+            ([(), ("a",)], r"type \(\) has 0 nodes, not 1"),
+            ([("a", "b"), ("a",)], r"type \('a',\) has 1 nodes, not 2"),
+            ([("a", "z")], "unknown node 'z' in type"),
+        ],
+    )
+    def test_hyperedges_are_uniform_and_name_cover_nodes(self, types, message):
+        players = tuple(point_mass(t) for t in types)
+        costs = (("a", Fraction(1)), ("b", Fraction(2)))
+        with pytest.raises(ValidationError, match=message):
+            GameInstance(kind="hypergraph-cover", players=players, node_costs=costs)
+
     def test_multicast_needs_root(self):
         g = graph_from_costs({("a", "b"): Fraction(1)})
         with pytest.raises(ValidationError):

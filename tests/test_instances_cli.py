@@ -1,3 +1,4 @@
+import copy
 import errno
 import json
 import os
@@ -15,7 +16,7 @@ from netgames import graphs, instances
 from netgames.errors import ParseError, PreconditionError, ValidationError
 from netgames.instances import gen_instance, parse_instance, serialize_instance
 
-from conftest import long_path_game
+from conftest import HYPERGRAPH_COVER, long_path_game
 
 MINIMAL = """
 {
@@ -116,6 +117,62 @@ class TestParse:
         doc = json.loads(MINIMAL)
         doc["caps"] = {"support": value}
         with pytest.raises(ValidationError, match=f"^caps.support: {re.escape(message)}$"):
+            parse_instance(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "edit, shown",
+        [
+            pytest.param(lambda d: d.update(kind="foo"), "'foo'", id="string"),
+            pytest.param(lambda d: d.pop("kind"), "None", id="missing"),
+            pytest.param(lambda d: d.update(kind=["multicast"]), "['multicast']", id="list"),
+            pytest.param(lambda d: d.update(kind={"a": 1}), "{'a': 1}", id="object"),
+        ],
+    )
+    def test_an_unknown_kind_is_named_before_any_type_is_read(
+        self, tmp_path, capsys, edit, shown
+    ):
+        """MINIMAL's string types are no cover kind's types, so a type error
+        would hide the fault: the kind is checked first, and an unhashable
+        kind is a ValidationError too."""
+        message = f"kind: unknown kind {shown}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            parse_instance(_minimal_with(edit))
+        path = tmp_path / "inst.json"
+        path.write_text(_minimal_with(edit))
+        capsys.readouterr()
+        assert main(["certify", "--instance", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", json.dumps({"error": message}) + "\n")
+
+    @pytest.mark.parametrize(
+        "kind, player, t, message",
+        [
+            ("multicast", 0, 5, "players: not a multicast type: 5"),
+            ("multicast", 0, "z", "players[0]: unknown node 'z' in type 'z'"),
+            ("source-sink", 0, ["a"], "players: not a source-sink type: ['a']"),
+            ("source-sink", 0, ["a", "z"], "players[0]: unknown node 'z' in type ('a', 'z')"),
+            ("vertex-cover", 0, ["a", "b", "c"], "players: not a vertex-cover type: ['a', 'b', 'c']"),
+            ("vertex-cover", 0, ["a", "z"], "players[0]: unknown node 'z' in type ('a', 'z')"),
+            ("hypergraph-cover", 0, [], "players: not a hypergraph-cover type: []"),
+            ("hypergraph-cover", 1, ["b", "a"], "players[1]: type ('a', 'b') has 2 nodes, not 3"),
+        ],
+        ids=[
+            "multicast-not-a-name", "multicast-unknown-node", "source-sink-not-a-pair",
+            "source-sink-unknown-node", "vertex-cover-not-a-pair", "vertex-cover-unknown-node",
+            "hypergraph-cover-empty", "hypergraph-cover-not-uniform",
+        ],
+    )
+    def test_a_malformed_type_is_named_with_its_field(self, kind, player, t, message):
+        doc = json.loads(MINIMAL)
+        if kind == "hypergraph-cover":
+            doc = copy.deepcopy(HYPERGRAPH_COVER)
+        elif kind != "multicast":
+            doc["kind"] = kind
+            doc["players"][0]["distribution"][0]["type"] = ["a", "b"]
+            if kind == "vertex-cover":
+                doc["cover"] = {"node_costs": {"a": "1", "b": "1", "c": "1"}}
+        doc["players"][player]["distribution"][0]["type"] = t
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             parse_instance(json.dumps(doc))
 
 

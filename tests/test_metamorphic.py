@@ -1,0 +1,106 @@
+"""Metamorphic checks: the paper's invariances as relations between the
+answers on two related games.  They need no oracle, so they hold wherever the
+exact answers can be computed at all.  Games are `gen` instances of every
+kind that `gen` draws, plus the hand-written `HYPERGRAPH_COVER`.
+
+- Scaling every cost by 7/3 scales C(s*), Phi(s*) and E[OPT] by 7/3 and
+  leaves BPoS, IG and s* (as element sets) unchanged: every tie rule
+  compares costs only with each other.
+- Permuting the players leaves BPoS, IG and E[OPT] unchanged.
+- Adding a multicast player whose only type is the root leaves C(s*),
+  Phi(s*), E[OPT], BPoS and IG unchanged; only n and H_n move.
+
+Each game's strategy cap is lowered to `STRATEGY_CAP` to keep the sweeps
+short.  None of the changes alters the strategy space's size, so a game over
+the cap must raise the same error on both sides."""
+
+import dataclasses
+import json
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import HYPERGRAPH_COVER, point_mass
+from netgames.equilibria import bpos_exact, information_gap_exact, min_potential_profile
+from netgames.errors import StrategySpaceTooLargeError
+from netgames.games import GameInstance, expected_opt, expected_potential, expected_social_cost
+from netgames.graphs import Graph
+from netgames.instances import GEN_KINDS, gen_instance, parse_instance
+
+SCALE = Fraction(7, 3)
+SHAPES = ((4, 2, 2), (5, 3, 2), (5, 2, 3))  # nodes, players, types
+STRATEGY_CAP = 10 ** 5
+
+
+def generated(kinds):
+    return st.builds(
+        lambda kind, shape, seed, iid: dataclasses.replace(
+            gen_instance(kind, *shape, seed=seed, iid=iid), strategy_cap=STRATEGY_CAP
+        ),
+        st.sampled_from(kinds),
+        st.sampled_from(SHAPES),
+        st.integers(0, 10 ** 6),
+        st.booleans(),
+    )
+
+
+games = st.one_of(generated(GEN_KINDS), st.just(parse_instance(json.dumps(HYPERGRAPH_COVER))))
+FEW = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def answers(inst: GameInstance, keys=None) -> dict:
+    """C(s*), Phi(s*), E[OPT], the element sets of s*, and BPoS and IG when
+    E[OPT] > 0 (both are undefined otherwise), restricted to `keys`; or the
+    one key "error" when the strategy space is over the cap."""
+    try:
+        s = min_potential_profile(inst)
+    except StrategySpaceTooLargeError as exc:
+        return {"error": str(exc)}
+    out = {
+        "C": expected_social_cost(inst, s),
+        "Phi": expected_potential(inst, s),
+        "E[OPT]": expected_opt(inst),
+        "s*": [{t: a.elements for t, a in strategy.items()} for strategy in s],
+    }
+    if out["E[OPT]"]:
+        out["BPoS"], out["IG"] = bpos_exact(inst), information_gap_exact(inst)
+    return {k: v for k, v in out.items() if keys is None or k in keys}
+
+
+def scaled(inst: GameInstance, k: Fraction) -> GameInstance:
+    if inst.graph is not None:
+        g = inst.graph
+        graph = Graph(nodes=g.nodes, edges=tuple((e, c * k) for e, c in g.edges), root=g.root)
+        return dataclasses.replace(inst, graph=graph)
+    return dataclasses.replace(inst, node_costs=tuple((v, c * k) for v, c in inst.node_costs))
+
+
+@FEW
+@given(games)
+def test_scaling_the_costs_scales_the_costs_and_keeps_the_ratios(inst):
+    before, after = answers(inst), answers(scaled(inst, SCALE))
+    for key in ("C", "Phi", "E[OPT]"):
+        if key in before:
+            assert after.pop(key) == SCALE * before.pop(key), key
+    assert after == before
+
+
+@FEW
+@given(games, st.randoms(use_true_random=False))
+def test_permuting_the_players_keeps_the_ratios_and_the_optimum(inst, rng):
+    players = list(inst.players)
+    rng.shuffle(players)
+    keys = ("E[OPT]", "BPoS", "IG", "error")
+    permuted = dataclasses.replace(inst, players=tuple(players))
+    assert answers(permuted, keys) == answers(inst, keys)
+
+
+@FEW
+@given(generated(["multicast"]), st.data())
+def test_a_player_at_the_root_changes_no_cost_or_ratio(inst, data):
+    players = list(inst.players)
+    players.insert(data.draw(st.integers(0, len(players))), point_mass(inst.graph.root))
+    keys = ("C", "Phi", "E[OPT]", "BPoS", "IG", "error")
+    grown = dataclasses.replace(inst, players=tuple(players))
+    assert answers(grown, keys) == answers(inst, keys)
