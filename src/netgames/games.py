@@ -129,7 +129,7 @@ class GameInstance:
                 raise ValidationError("graph", f"{self.kind} needs a graph")
             if family.rooted and self.graph.root is None:
                 raise ValidationError("graph.root", f"{self.kind} needs a root")
-            known = self.graph._node_set
+            known = self.graph.index
         else:
             if self.node_costs is None:
                 raise ValidationError("node_costs", f"{self.kind} needs node costs")

@@ -3,16 +3,17 @@ combinatorial solvers (shortest paths, metric closure, Steiner tree and
 forest, hitting sets) that the game layer uses as its optimum.
 
 Costs are `fractions.Fraction` at the interface; every argmin is broken
-lexicographically under the canonical (sorted) node/edge ordering so
-results are reproducible.  A `Graph`'s one adjacency is the node-indexed
-link list of its lazily filled integer path model (`_SteinerTable`), which
-no other module reads: `nearest` (the scheme's augmentation, and its shares
-through `metric_closure`'s distance function), `route` (the sampler's
-restricted action), `simple_paths` (path menus) and the Steiner solvers all
-query it here, on one Dijkstra kernel that returns edge masks.
-`shortest_path` (on `Fraction` link lists of its own), the edge-capped
-`min_feasible_subset_bruteforce` and `cover_exact` are module-level test
-oracles, not package exports.  The Dreyfus-Wagner labels
+lexicographically under the canonical (sorted) node/edge ordering so results
+are reproducible.  A `Graph` indexes its nodes once, by sorted position
+(`index`), and every solver here reads that index.  Its one adjacency is the
+node-indexed link list of its lazily filled integer path model
+(`_SteinerTable`), which no other module reads: `nearest` (the scheme's
+augmentation, and its shares through `metric_closure`'s distance function),
+`route` (the sampler's restricted action), `simple_paths` (path menus) and
+the Steiner solvers all query it here, on one Dijkstra kernel that returns
+edge masks.  `shortest_path` (on `Fraction` link lists of its own), the
+edge-capped `min_feasible_subset_bruteforce` and `cover_exact` are
+module-level test oracles, not package exports.  The Dreyfus-Wagner labels
 and the forests are integers: terminal sets are masks of the sorted nodes
 and edge sets masks of the sorted edges.  The tie rule (`_sorts_before`),
 the relaxation heap's key and the menu order (`_tuple_key`, which
@@ -62,7 +63,10 @@ class Graph:
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(sorted(self.nodes)))
-        object.__setattr__(self, "_node_set", frozenset(self.nodes))
+        object.__setattr__(self, "index", {n: i for i, n in enumerate(self.nodes)})
+        if len(self.index) < len(self.nodes):  # name the least repeated node
+            dup = next(a for a, b in zip(self.nodes, self.nodes[1:]) if a == b)
+            raise PreconditionError(f"duplicate node {dup!r}")
         seen = set()
         canon = []
         for (u, v), c in self.edges:
@@ -71,7 +75,7 @@ class Graph:
             k = edge_key(u, v)
             if k in seen:
                 raise PreconditionError(f"duplicate edge {k}")
-            if u not in self._node_set or v not in self._node_set:
+            if u not in self.index or v not in self.index:
                 raise PreconditionError(f"edge {k} references unknown node")
             c = Fraction(c)
             if c < 0:
@@ -79,7 +83,7 @@ class Graph:
             seen.add(k)
             canon.append((k, c))
         object.__setattr__(self, "edges", tuple(sorted(canon)))
-        if self.root is not None and self.root not in self._node_set:
+        if self.root is not None and self.root not in self.index:
             raise PreconditionError(f"root {self.root!r} not a node")
         object.__setattr__(self, "_cost", dict(self.edges))
 
@@ -139,9 +143,9 @@ def shortest_path(g: Graph, u: str, v: str) -> Path:
     """Cheapest simple u-v path; ties go to the lexicographically smallest
     node sequence.  The Dijkstra stops at v, on `Fraction` link lists of its
     own rather than the Steiner table's integer ones."""
-    if u not in g._node_set or v not in g._node_set:
+    index = g.index
+    if u not in index or v not in index:
         raise UnreachableError(u, v)
-    index = {n: i for i, n in enumerate(g.nodes)}
     reached = _lex_dijkstra(_link_lists(index, g.edges), index[u], index[v])
     if index[v] not in reached:
         raise UnreachableError(u, v)
@@ -156,7 +160,7 @@ def simple_paths(g: Graph, s: str, target: str) -> list[EdgeSet]:
     stack, so no length meets the recursion limit.  A menu can hold 10^5
     paths, so they stay out of the table's `edge_set` memo."""
     table = g._steiner
-    start, stop = table.index[s], table.index.get(target)
+    start, stop = g.index[s], g.index.get(target)
     out, stack = [], [(start, 1 << start, 0, 0)]
     while stack:
         v, seen, cost, mask = stack.pop()
@@ -176,10 +180,10 @@ def nearest(g: Graph, x: str, targets: Collection[str]) -> EdgeSet:
     target); targets that x does not reach raise KeyError(least of them)."""
     if not targets:
         raise PreconditionError("target set must be nonempty")
-    if x not in g._node_set:
+    if x not in g.index:
         raise UnreachableError(x, min(targets))
-    table = g._steiner
-    index, reached, best = table.index, table.paths(table.index[x]), None
+    table, index = g._steiner, g.index
+    reached, best = table.paths(index[x]), None
     for t in targets:
         if (path := reached.get(index.get(t))) is None:
             raise KeyError(min(u for u in targets if reached.get(index.get(u)) is None))
@@ -193,12 +197,12 @@ def route(g: Graph, source: str, target: str, allowed: frozenset) -> EdgeSet:
     of `allowed` (edges not in the graph are ignored), by one Dijkstra
     stopped at target.  An unknown source or unreachable target raises
     UnreachableError."""
-    if source not in g._node_set:
+    if source not in g.index:
         raise UnreachableError(source, target)
     table = g._steiner
     mask = sum(1 << j for e in allowed if (j := table._edge_index.get(e)) is not None)
-    stop = table.index.get(target)
-    reached = _lex_dijkstra(table._links, table.index[source], stop, mask)
+    stop = g.index.get(target)
+    reached = _lex_dijkstra(table._links, g.index[source], stop, mask)
     if stop not in reached:
         raise UnreachableError(source, target)
     return table.edge_set(reached[stop][2])
@@ -284,7 +288,6 @@ class _SteinerTable:
         self.edges = [e for e, _ in g.edges]
         self.scale = math.lcm(*(c.denominator for _, c in g.edges))
         self.cost = {e: int(c * self.scale) for e, c in g.edges}
-        self.index = {v: i for i, v in enumerate(self.nodes)}
         roots = _components(g.nodes, self.cost)
         masks: dict[str, int] = {}  # root -> its component's node mask
         for i, v in enumerate(self.nodes):
@@ -292,7 +295,7 @@ class _SteinerTable:
         self.comp = [masks[roots[v]] for v in self.nodes]
         self._edge_index = {e: j for j, e in enumerate(self.edges)}
         # (neighbour index, integer cost, edge bit)
-        self._links = _link_lists(self.index, self.cost.items())
+        self._links = _link_lists(g.index, self.cost.items())
         self._paths: dict[int, dict[int, tuple]] = {}
         self.dp: dict[int, list[Optional[tuple[int, int]]]] = {}
         self._edge_sets: dict[int, EdgeSet] = {}
@@ -428,14 +431,13 @@ def steiner_tree_exact(g: Graph, terminals: Iterable[str]) -> EdgeSet:
     DP's labels live in the graph's shared table, so a call only builds the
     subsets that no earlier call on the same graph has built.  More than
     STEINER_TERMINAL_CAP distinct terminals raise TooLargeError."""
-    terms = sorted(set(terminals))
+    terms, index = set(terminals), g.index
     if not terms:
         raise PreconditionError("terminal set must be nonempty")
+    if unknown := terms - index.keys():
+        raise DisconnectedError(f"terminal {min(unknown)!r} not in graph")
     table = g._steiner
-    for t in terms:
-        if t not in table.index:
-            raise DisconnectedError(f"terminal {t!r} not in graph")
-    mask = sum(1 << table.index[t] for t in terms)
+    mask = sum(1 << index[t] for t in terms)
     if mask & ~table.comp[(mask & -mask).bit_length() - 1]:
         raise DisconnectedError("terminals not mutually reachable")
     return table.edge_set(table.span(mask)[1])
@@ -456,7 +458,7 @@ class SteinerForests:
 
     def __init__(self, g: Graph, pairs: list[Edge]):
         self.pairs, self.table = pairs, g._steiner
-        comp, index = self.table.comp, self.table.index
+        comp, index = self.table.comp, g.index
         self.ends, groups = [], {}  # each pair's node mask; component mask -> its pairs
         for j, (u, v) in enumerate(pairs):
             a, b = index.get(u), index.get(v)

@@ -15,6 +15,7 @@ integer) strings:
 
 "kind" is a `games.FAMILIES` key, checked before anything else is read.
 Cover kinds replace "graph" with "cover": {"node_costs": {"u": "1", ...}}.
+A block that the kind does not read is ignored like an unknown key.
 A type is a node name if the kind's row is rooted, else a list of nodes.
 
 A strategy file gives every player one action for each type in its
@@ -116,14 +117,13 @@ def parse_instance(text: str) -> GameInstance:
     if doc.get("version") != FORMAT_VERSION:
         raise ValidationError("version", f"expected {FORMAT_VERSION}")
     kind = doc.get("kind")
-    family_of(kind)  # before any type is decoded by its kind
+    family = family_of(kind)  # before any type is decoded by its kind
     caps = _expect(doc.get("caps") or {}, dict, "caps")
     support_cap = _cap(caps, "support", DEFAULT_SUPPORT_CAP)
     strategy_cap = _cap(caps, "strategies", DEFAULT_STRATEGY_CAP)
 
-    graph = None
-    node_costs = None
-    if "graph" in doc:
+    graph = node_costs = None  # only the block the kind reads is parsed
+    if family.graph and "graph" in doc:
         gdoc = _expect(doc["graph"], dict, "graph")
         edges = []
         for e in _expect(gdoc.get("edges", []), list, "graph.edges"):
@@ -132,15 +132,16 @@ def parse_instance(text: str) -> GameInstance:
             u, v = (_expect(e[k], str, f"graph.edges.{k}") for k in "uv")
             edges.append(((u, v), _rational(e.get("cost"), "graph.edges.cost")))
         nodes = _expect(gdoc.get("nodes", []), list, "graph.nodes")
+        root = gdoc.get("root")
         try:
             graph = Graph(
                 nodes=tuple(_expect(n, str, "graph.nodes") for n in nodes),
                 edges=tuple(edges),
-                root=gdoc.get("root"),
+                root=root if root is None else _expect(root, str, "graph.root"),
             )
         except ValueError as exc:
             raise ValidationError("graph", str(exc))
-    if "cover" in doc:
+    elif not family.graph and "cover" in doc:
         cdoc = _expect(doc["cover"], dict, "cover")
         costs = _expect(cdoc.get("node_costs", {}), dict, "cover.node_costs")
         node_costs = tuple(
@@ -170,7 +171,7 @@ def parse_instance(text: str) -> GameInstance:
 
 def serialize_instance(inst: GameInstance) -> str:
     doc: dict = {"version": FORMAT_VERSION, "kind": inst.kind}
-    if inst.graph is not None:
+    if inst.family.graph:
         doc["graph"] = {
             "nodes": list(inst.graph.nodes),
             "root": inst.graph.root,
@@ -178,7 +179,7 @@ def serialize_instance(inst: GameInstance) -> str:
                 {"u": u, "v": v, "cost": str(c)} for (u, v), c in inst.graph.edges
             ],
         }
-    if inst.node_costs is not None:
+    else:
         doc["cover"] = {"node_costs": {n: str(c) for n, c in inst.node_costs}}
     doc["players"] = [
         {

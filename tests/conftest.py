@@ -545,7 +545,7 @@ def steiner_forest_edges_reference(g: Graph, pairs) -> EdgeSet:
             ends = sorted({n for i, p in enumerate(pair_list) if block >> i & 1 for n in p})
             one_component = len({comp[n] for n in ends}) == 1
             if one_component:
-                cost, mask = table.span(sum(1 << table.index[n] for n in ends))
+                cost, mask = table.span(sum(1 << g.index[n] for n in ends))
                 trees[block] = (cost, table.edge_set(mask).edges)
             else:
                 trees[block] = None

@@ -13,7 +13,7 @@ from netgames import (
     steiner_scheme,
     steiner_tree_exact,
 )
-from netgames.errors import DisconnectedError, TooLargeError
+from netgames.errors import DisconnectedError, PreconditionError, TooLargeError
 from netgames.graphs import (
     STEINER_TERMINAL_CAP,
     EdgeSet,
@@ -45,6 +45,11 @@ class TestSteinerScheme:
     def test_declared_constants(self, scheme):
         assert scheme.alpha == 1 and scheme.beta == 2
         assert scheme.cross_monotone
+
+    def test_an_unrooted_graph_is_rejected(self):
+        g = graph_from_costs({("a", "b"): Fraction(1)})
+        with pytest.raises(PreconditionError, match="^steiner scheme needs a rooted graph$"):
+            steiner_scheme(g)
 
     @pytest.mark.parametrize("call", ["share", "augment"])
     @pytest.mark.parametrize("seed", range(10))
@@ -196,6 +201,10 @@ class TestCrossMonotonicity:
     def test_requires_nesting(self, scheme):
         with pytest.raises(ValueError):
             check_cross_monotonicity(scheme, {"a"}, {"b"}, "a")
+
+    def test_requires_the_client_in_the_smaller_set(self, scheme):
+        with pytest.raises(PreconditionError, match="^client must belong to the smaller set$"):
+            check_cross_monotonicity(scheme, {"a"}, {"a", "b"}, "b")
 
 
 class TestSubAdditivity:

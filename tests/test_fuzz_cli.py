@@ -9,7 +9,7 @@ import json
 import os
 import tempfile
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from netgames.cli import encode_profile, main
@@ -46,7 +46,9 @@ json_values = st.recursive(
 
 
 def mutate(data, doc):
-    """Replace or delete one value at a random path, or swap the whole doc."""
+    """Change one value at a random path: delete or replace it, repeat it in
+    its list, or put a list or an object where a string was; or swap the
+    whole doc."""
     doc = copy.deepcopy(doc)
     if data.draw(st.integers(0, 9)) == 0:
         return data.draw(json_values)
@@ -57,12 +59,19 @@ def mutate(data, doc):
         child = node[key]
         if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
             node = child
-        elif data.draw(st.booleans()):
+            continue
+        edits = ["delete", "replace"]
+        edits += ["repeat"] * isinstance(node, list) + ["wrap"] * isinstance(child, str)
+        edit = data.draw(st.sampled_from(edits))
+        if edit == "delete":
             del node[key]
-            break
+        elif edit == "repeat":
+            node.insert(key, copy.deepcopy(child))
+        elif edit == "wrap":
+            node[key] = data.draw(st.sampled_from([[child], {child: child}]))
         else:
             node[key] = data.draw(json_values)
-            break
+        break
     return doc
 
 
@@ -86,9 +95,18 @@ def run(command, instance_text, strategy_text):
     return code, err.getvalue()
 
 
+def pinned(edit):
+    """An example on the first instance as `edit` changes it, mutated no further."""
+    instance, strategy = copy.deepcopy(DOCS[0])
+    edit(instance)
+    return example(
+        data=None, docs=(instance, strategy), command="bpos", target=None, truncate=False
+    )
+
+
 @settings(
     derandomize=True,
-    max_examples=150,
+    max_examples=300,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
@@ -99,11 +117,14 @@ def run(command, instance_text, strategy_text):
     target=st.sampled_from(["instance", "strategy", "both"]),
     truncate=st.booleans(),
 )
+@pinned(lambda d: d["graph"]["nodes"].append(d["graph"]["nodes"][0]))
+@pinned(lambda d: d["graph"].update(root=[d["graph"]["root"]]))
+@pinned(lambda d: d["graph"].update(root={d["graph"]["root"]: d["graph"]["root"]}))
 def test_mutated_input_keeps_the_exit_contract(data, docs, command, target, truncate):
     instance, strategy = docs
-    if target != "strategy":
+    if target in ("instance", "both"):
         instance = mutate(data, instance)
-    if target != "instance":
+    if target in ("strategy", "both"):
         strategy = mutate(data, strategy)
     instance_text, strategy_text = json.dumps(instance), json.dumps(strategy)
     if truncate:

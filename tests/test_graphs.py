@@ -300,6 +300,10 @@ class TestSteinerTree:
         with pytest.raises(DisconnectedError):
             steiner_tree_exact(g, {"a", "z"})
 
+    def test_unknown_terminal(self, triangle):
+        with pytest.raises(DisconnectedError, match=r"^terminal 'zz' not in graph$"):
+            steiner_tree_exact(triangle, {"a", "zz"})
+
     def test_oracle_agreement_random(self):
         rng = random.Random(5)
         for _ in range(60):
@@ -620,11 +624,11 @@ class TestSteinerTable:
                 least[t, v] = (cost, edges)
             table = g._steiner
             for t in g.nodes:
-                labels = table.labels(1 << table.index[t])
-                assert labels[table.index[t]] == (0, 0)
+                labels = table.labels(1 << g.index[t])
+                assert labels[g.index[t]] == (0, 0)
                 for v in g.nodes:
                     if v != t:
-                        cost, mask = labels[table.index[v]]
+                        cost, mask = labels[g.index[v]]
                         got = (Fraction(cost, table.scale), table.edge_set(mask).edges)
                         assert got == least[t, v]
             for t, v in itertools.combinations(g.nodes, 2):
@@ -743,7 +747,7 @@ class TestSteinerTable:
             table, ref = g._steiner, SteinerLabelsReference(g)
             for r in range(1, len(pool) + 1):
                 for X in itertools.combinations(pool, r):
-                    got = table.labels(sum(1 << table.index[t] for t in X))
+                    got = table.labels(sum(1 << g.index[t] for t in X))
                     assert len(got) == len(g.nodes)
                     labels = {v: (l[0], table.edge_set(l[1]).edges) for v, l in zip(g.nodes, got) if l}
                     assert labels == ref.labels(frozenset(X))

@@ -175,6 +175,56 @@ class TestParse:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             parse_instance(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(
+                lambda g: g["nodes"].append("a"), "graph: duplicate node 'a'", id="repeated-node"
+            ),
+            pytest.param(
+                lambda g: g.update(root=["r"]), "graph.root: not a string: ['r']", id="root-a-list"
+            ),
+            pytest.param(
+                lambda g: g.update(root={"a": 1}), "graph.root: not a string: {'a': 1}",
+                id="root-an-object",
+            ),
+        ],
+    )
+    def test_a_malformed_graph_is_named_with_its_field(self, edit, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            parse_instance(_minimal_with(lambda d: edit(d["graph"])))
+
+    @pytest.mark.parametrize(
+        "inst, block, stray",
+        [
+            pytest.param(
+                gen_instance("vertex-cover", 5, 2, 2, seed=1), "graph",
+                {"nodes": ["q"], "root": ["q"], "edges": [{"u": "q", "v": "x", "cost": "-1"}]},
+                id="vertex-cover-with-a-graph",
+            ),
+            pytest.param(
+                gen_instance("multicast", 5, 2, 2, seed=1), "cover", {"node_costs": {"q": "x"}},
+                id="multicast-with-a-cover",
+            ),
+        ],
+    )
+    def test_a_block_the_kind_does_not_read_is_ignored(self, tmp_path, capsys, inst, block, stray):
+        """The kind's family names the one element block that is parsed and
+        written; the other is skipped like an unknown key, even if invalid."""
+        doc = json.loads(serialize_instance(inst))
+        assert block not in doc
+        plain, edited = tmp_path / "plain.json", tmp_path / "edited.json"
+        plain.write_text(json.dumps(doc))
+        edited.write_text(json.dumps({**doc, block: stray}))
+        assert parse_instance(edited.read_text()) == inst
+        assert block not in json.loads(serialize_instance(parse_instance(edited.read_text())))
+        for command in ("certify", "bne"):
+            outputs = []
+            for path in (plain, edited):
+                capsys.readouterr()
+                outputs.append((main([command, "--instance", str(path)]), capsys.readouterr()))
+            assert outputs[0] == outputs[1] and outputs[0][0] == 0, command
+
 
 class TestGen:
     def test_deterministic(self):
@@ -590,6 +640,18 @@ TWO_POINT_MASSES = _minimal_with(
         pytest.param(
             _minimal_with(lambda d: d["graph"]["nodes"].append(["c"])),
             None, ["bpos"], id="node-not-a-string",
+        ),
+        pytest.param(
+            _minimal_with(lambda d: d["graph"].update(root=["r"])),
+            None, ["certify"], id="root-a-list",
+        ),
+        pytest.param(
+            _minimal_with(lambda d: d["graph"].update(root={"a": 1})),
+            None, ["certify"], id="root-an-object",
+        ),
+        pytest.param(
+            _minimal_with(lambda d: d["graph"]["nodes"].append("a")),
+            None, ["certify"], id="repeated-node",
         ),
         pytest.param(
             _minimal_with(lambda d: d.update(graph=[1])),

@@ -9,12 +9,18 @@ kind that `gen` draws, plus the hand-written `HYPERGRAPH_COVER`.
 - Permuting the players leaves BPoS, IG and E[OPT] unchanged.
 - Adding a multicast player whose only type is the root leaves C(s*),
   Phi(s*), E[OPT], BPoS and IG unchanged; only n and H_n move.
+- Prefixing every node name with one string keeps the names' order, so
+  the CLI's stdout of `bne`, `bpos`, `ig`, `certify` and `eval` is the same
+  bytes once the prefix is stripped: no answer reads a name beyond its
+  place among the sorted nodes.
 
 Each game's strategy cap is lowered to `STRATEGY_CAP` to keep the sweeps
 short.  None of the changes alters the strategy space's size, so a game over
 the cap must raise the same error on both sides."""
 
+import contextlib
 import dataclasses
+import io
 import json
 from fractions import Fraction
 
@@ -22,11 +28,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import HYPERGRAPH_COVER, point_mass
+from netgames.cli import main
 from netgames.equilibria import bpos_exact, information_gap_exact, min_potential_profile
 from netgames.errors import StrategySpaceTooLargeError
 from netgames.games import GameInstance, expected_opt, expected_potential, expected_social_cost
 from netgames.graphs import Graph
-from netgames.instances import GEN_KINDS, gen_instance, parse_instance
+from netgames.instances import (
+    GEN_KINDS,
+    encode_profile,
+    gen_instance,
+    parse_instance,
+    serialize_instance,
+)
 
 SCALE = Fraction(7, 3)
 SHAPES = ((4, 2, 2), (5, 3, 2), (5, 2, 3))  # nodes, players, types
@@ -104,3 +117,50 @@ def test_a_player_at_the_root_changes_no_cost_or_ratio(inst, data):
     keys = ("C", "Phi", "E[OPT]", "BPoS", "IG", "error")
     grown = dataclasses.replace(inst, players=tuple(players))
     assert answers(grown, keys) == answers(inst, keys)
+
+
+PREFIX = "node:"
+
+
+def renamed(doc, names: set):
+    """A JSON document with every node name n, as a value or an object key,
+    written PREFIX + n."""
+    if isinstance(doc, dict):
+        return {PREFIX + k if k in names else k: renamed(v, names) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [renamed(x, names) for x in doc]
+    return PREFIX + doc if isinstance(doc, str) and doc in names else doc
+
+
+def cli_runs(tmp: str, instance: dict, strategy: dict) -> list:
+    """(exit code, stdout, stderr) of each command on the instance file, and
+    of `eval` on the strategy file too."""
+    paths = []
+    for name, doc in (("instance", instance), ("strategy", strategy)):
+        paths.append(f"{tmp}/{name}.json")
+        with open(paths[-1], "w", encoding="utf-8") as f:
+            json.dump(doc, f)
+    out = []
+    for command in ("bne", "bpos", "ig", "certify", "eval"):
+        argv = [command, "--instance", paths[0]] + ["--strategy", paths[1]] * (command == "eval")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        out.append((code, stdout.getvalue(), stderr.getvalue()))
+    return out
+
+
+@FEW
+@given(games)
+def test_prefixing_the_node_names_changes_no_output_but_the_names(tmp_path_factory, inst):
+    doc = json.loads(serialize_instance(inst))
+    names = set(inst.graph.nodes) if inst.graph else {n for n, _ in inst.node_costs}
+    try:
+        strategy = {"players": encode_profile(inst, min_potential_profile(inst))}
+    except StrategySpaceTooLargeError:
+        strategy = {"players": []}  # `eval` rejects it on both sides
+    tmp = tmp_path_factory.mktemp("renamed")
+    before = cli_runs(str(tmp), doc, strategy)
+    after = cli_runs(str(tmp), renamed(doc, names), renamed(strategy, names))
+    assert not any(PREFIX in text for run in before for text in run[1:])
+    assert [(code, out.replace(PREFIX, ""), err.replace(PREFIX, "")) for code, out, err in after] == before
