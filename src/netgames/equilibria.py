@@ -162,7 +162,8 @@ def _sweep(inst: GameInstance) -> _Sweep:
     and joined with the other players' entries, which never change.
     Elements whose other entries agree share one memo from code to those
     terms, and each distinct sorted non-zero column is priced once per call.
-    The last slot's options are priced in one loop, with no step per leaf.
+    An option is priced from its parent's state before anything is copied,
+    so an option the bound prunes copies nothing.
 
     s* is a BNE and C(s*) <= Phi(s*), so the cheapest BNE costs at most the
     running minimum potential; only profiles within it are candidates.  A
@@ -215,47 +216,39 @@ def _sweep(inst: GameInstance) -> _Sweep:
     # With no multi-action slot, the start state is the one leaf.
     leaves = [] if slots else [(cost, pot, ())]
     s_star = leaves[0] if leaves else None  # (cost, potential, digits)
-    *inner, last = slots or [[]]
-    depth = len(inner)
-    digits = [-1] * depth  # action index per inner slot
+    depth = len(slots) - 1  # the last slot's index
+    digits = [-1] * len(slots)  # action index per slot
     states = [(cost, pot, code, term)] + [None] * depth  # before each slot is played
-    k = 0
+    k = 0 if slots else -1
     while k >= 0:
-        if k == depth:  # price the last slot's options from this state
-            cost_k, pot_k, code, term = states[k]
-            for j, option in enumerate(last):
-                cost, pot = cost_k, pot_k
-                for x, step, memo, ce in option:
-                    c = code[x] + step
-                    new = memo.get(c) or price(x, c)
-                    old = term[x]
-                    cost += ce * (new[0] - old[0])
-                    pot += ce * (new[1] - old[1])
-                # A leaf is kept only if cost * L is at most the least
-                # potential before it, or its own potential (Phi >= C).
-                if s_star is None or cost * L <= s_star[1]:
-                    leaf = (cost, pot, (*digits, j))
-                    if s_star is None or pot < s_star[1]:
-                        s_star = leaf
-                    leaves.append(leaf)
-            k -= 1
-            continue
         j = digits[k] = digits[k] + 1
-        if j == len(inner[k]):
+        if j == len(slots[k]):
             digits[k] = -1
             k -= 1
             continue
         cost, pot, code, term = states[k]
-        code, term = code.copy(), term.copy()
-        for x, step, memo, ce in inner[k][j]:
-            c = code[x] = code[x] + step
+        for x, step, memo, ce in (option := slots[k][j]):  # from the parent's state
+            c = code[x] + step
             new = memo.get(c) or price(x, c)
-            old, term[x] = term[x], new
+            old = term[x]
             cost += ce * (new[0] - old[0])
             pot += ce * (new[1] - old[1])
-        if s_star is None or cost * L <= s_star[1]:
+        # Skip an option once cost * L exceeds the least potential so far:
+        # then so does its potential (Phi >= C), at a leaf and below it.
+        if s_star is not None and cost * L > s_star[1]:
+            continue
+        if k < depth:  # descend: copy the state and apply the priced option
+            code, term = code.copy(), term.copy()
+            for x, step, memo, _ in option:
+                c = code[x] = code[x] + step
+                term[x] = memo[c]
             states[k + 1] = (cost, pot, code, term)
             k += 1
+        else:
+            leaf = (cost, pot, tuple(digits))
+            if s_star is None or pot < s_star[1]:
+                s_star = leaf
+            leaves.append(leaf)
 
     cost_den, pot_den = sc.C * sc.D_pow[n], sc.C * L * sc.D_pow[n]
 

@@ -16,7 +16,9 @@ kind that `gen` draws, plus the hand-written `HYPERGRAPH_COVER`.
 
 Each game's strategy cap is lowered to `STRATEGY_CAP` to keep the sweeps
 short.  None of the changes alters the strategy space's size, so a game over
-the cap must raise the same error on both sides."""
+the cap must raise the same error on both sides.  Two more games, of 10^6
+profiles and more, take the scaling and permuting relations past the
+per-profile oracle of `conftest.sweep_reference`."""
 
 import contextlib
 import dataclasses
@@ -24,12 +26,20 @@ import io
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import HYPERGRAPH_COVER, point_mass
 from netgames.cli import main
-from netgames.equilibria import bpos_exact, information_gap_exact, min_potential_profile
+from netgames.equilibria import (
+    bpos_exact,
+    information_gap_exact,
+    min_potential_profile,
+    potential_method_certificate,
+    strategy_space_size,
+    verify_bne,
+)
 from netgames.errors import StrategySpaceTooLargeError
 from netgames.games import GameInstance, expected_opt, expected_potential, expected_social_cost
 from netgames.graphs import Graph
@@ -117,6 +127,48 @@ def test_a_player_at_the_root_changes_no_cost_or_ratio(inst, data):
     keys = ("C", "Phi", "E[OPT]", "BPoS", "IG", "error")
     grown = dataclasses.replace(inst, players=tuple(players))
     assert answers(grown, keys) == answers(inst, keys)
+
+
+# (kind, nodes, players, types, seed) -> the strategy space's size and the
+# certificate's values.  In both, C(s~) < the cheapest BNE's cost < C(s*).
+PAST_THE_ORACLE = {
+    ("multicast", 6, 3, 2, 290): (1_048_576, {
+        "bpos": Fraction(329, 291),
+        "information_gap": Fraction(595, 582),
+        "expected_opt": Fraction(97, 28),
+        "K_min_potential": Fraction(701, 168),
+        "K_min_cost": Fraction(85, 24),
+    }),
+    ("source-sink", 5, 3, 2, 106): (1_610_510, {
+        "bpos": Fraction(1826, 1693),
+        "information_gap": Fraction(1718, 1693),
+        "expected_opt": Fraction(1693, 528),
+        "K_min_potential": Fraction(949, 264),
+        "K_min_cost": Fraction(859, 264),
+    }),
+}
+
+
+@pytest.mark.parametrize("game", PAST_THE_ORACLE, ids=lambda game: game[0])
+def test_scaling_and_reversing_past_the_oracle(game):
+    inst = gen_instance(*game[:4], seed=game[4])
+    profiles, pinned = PAST_THE_ORACLE[game]
+    assert strategy_space_size(inst) == profiles
+    report = potential_method_certificate(inst)
+    values = report.values
+    assert {k: values[k] for k in pinned} == pinned
+    assert values["K_min_cost"] < values["bpos"] * values["expected_opt"] < values["K_min_potential"]
+    assert report.all_hold
+    assert verify_bne(inst, min_potential_profile(inst)).is_bne
+    ratios = ("lambda", "mu", "bpos", "information_gap")
+    assert potential_method_certificate(scaled(inst, SCALE)).values == {
+        k: v if k in ratios else SCALE * v for k, v in values.items()
+    }
+    reversed_values = potential_method_certificate(
+        dataclasses.replace(inst, players=inst.players[::-1])
+    ).values
+    keys = ("bpos", "information_gap", "expected_opt")
+    assert [reversed_values[k] for k in keys] == [values[k] for k in keys]
 
 
 PREFIX = "node:"

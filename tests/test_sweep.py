@@ -349,8 +349,9 @@ def kernel_case(inst) -> tuple:
 
 
 def test_the_reference_checks_every_kernel_case():
-    """The sweep's special paths: no search (no multi-action slot), only the
-    leaf loop (one slot), codes wider than 64 bits, and pinned entries."""
+    """The sweep's special paths: no search (no multi-action slot), one slot
+    (its first slot is its last), codes wider than 64 bits, and pinned
+    entries."""
     cases = [kernel_case(p.values[0]) for p in DIFFERENTIAL]
     assert {depth for depth, _, _ in cases} == {0, 1, 2}
     assert any(wide for _, wide, _ in cases)
