@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
@@ -155,13 +155,12 @@ def _sweep(inst: GameInstance) -> _Sweep:
     the (player, type) slots in canonical order, last slot fastest.  The
     state is integer and changes one slot at a time: the running numerators
     of expected cost (over C*D^n) and potential (over C*L*D^n), and each
-    touched element's column code, sum of q_p(e) * (D+1)^p over the movers p
-    (players with a multi-action slot, whose entries are at most D), so a
-    slot option is a tuple of (element index, code increment).  An element's
-    terms are c_e times `games.column_terms` of its column: the code decoded
-    and joined with the other players' entries, which never change.
-    Elements whose other entries agree share one memo from code to those
-    terms, and each distinct sorted non-zero column is priced once per call.
+    touched element's column code, sum of q_i(e) * (D+1)^i over every player
+    i (each entry is at most D), so a slot option is a tuple of (element
+    index, code increment).  An element's terms are c_e times
+    `games.column_terms` of its column, the code decoded; one memo from code
+    to those terms serves every element, and each distinct sorted non-zero
+    column is priced once per call.
     An option is priced from its parent's state before anything is copied,
     so an option the bound prunes copies nothing.
 
@@ -179,38 +178,35 @@ def _sweep(inst: GameInstance) -> _Sweep:
     _check_strategy_space(inst)
     sc = inst._scale
     n, L, base = inst.n, sc.L, sc.D + 1
-    fixed: dict = defaultdict(Counter)  # element -> player -> entry of the single-action slots
-    slots = []  # (player, weight, element sets of the actions)
+    fixed: dict = defaultdict(int)  # element -> code of the single-action slots' entries
+    slots = []  # (code step, element sets of the actions)
     for i, entries in enumerate(inst.menus):
         for (_, menu), w in zip(entries, sc.weights[i]):
             if len(menu) == 1:
                 for e in menu[0].elements:
-                    fixed[e][i] += w
+                    fixed[e] += w * base**i
             else:
-                slots.append((i, w, [a.elements for a in menu]))
-    movers = {i: base**p for p, i in enumerate(sorted({s[0] for s in slots}))}  # -> digit weight
-    elements = sorted(fixed.keys() | {e for _, _, options in slots for a in options for e in a})
+                slots.append((w * base**i, [a.elements for a in menu]))
+    elements = sorted(fixed.keys() | {e for _, options in slots for a in options for e in a})
     index = {e: x for x, e in enumerate(elements)}
-    pinned = [sorted(a for i, a in fixed[e].items() if i not in movers) for e in elements]
     costs = [sc.costs[e] for e in elements]
     laws: dict = {}  # sorted non-zero column -> column_terms
-    groups: dict = {}  # pinned entries -> {column code -> column_terms}
-    memos = [groups.setdefault(tuple(p), {}) for p in pinned]  # per element: its group's memo
+    memo: dict = {}  # column code -> column_terms
 
-    def price(x, code):
-        entries, rest = pinned[x].copy(), code
+    def price(code):
+        entries, rest = [], code
         while rest:
             if a := rest % base:
                 entries.append(a)
             rest //= base
         key = tuple(sorted(entries))
         law = laws.get(key) or laws.setdefault(key, column_terms(inst, key))
-        return memos[x].setdefault(code, law)
+        return memo.setdefault(code, law)
 
-    code = [sum(a * movers[i] for i, a in fixed[e].items() if i in movers) for e in elements]
-    term = [price(x, c) for x, c in enumerate(code)]  # per element: its current column_terms
-    slots = [[tuple([(x, w * movers[i], memos[x], costs[x]) for x in map(index.get, a)])
-              for a in options] for i, w, options in slots]  # (element, code step, memo, cost)
+    code = [fixed[e] for e in elements]
+    term = [price(c) for c in code]  # per element: its current column_terms
+    slots = [[tuple([(x, step, costs[x]) for x in map(index.get, a)]) for a in options]
+             for step, options in slots]  # (element, code step, cost)
 
     cost, pot = (sum(c * t[k] for c, t in zip(costs, term)) for k in (0, 1))
     # With no multi-action slot, the start state is the one leaf.
@@ -227,9 +223,9 @@ def _sweep(inst: GameInstance) -> _Sweep:
             k -= 1
             continue
         cost, pot, code, term = states[k]
-        for x, step, memo, ce in (option := slots[k][j]):  # from the parent's state
+        for x, step, ce in (option := slots[k][j]):  # from the parent's state
             c = code[x] + step
-            new = memo.get(c) or price(x, c)
+            new = memo.get(c) or price(c)
             old = term[x]
             cost += ce * (new[0] - old[0])
             pot += ce * (new[1] - old[1])
@@ -239,7 +235,7 @@ def _sweep(inst: GameInstance) -> _Sweep:
             continue
         if k < depth:  # descend: copy the state and apply the priced option
             code, term = code.copy(), term.copy()
-            for x, step, memo, _ in option:
+            for x, step, _ in option:
                 c = code[x] = code[x] + step
                 term[x] = memo[c]
             states[k + 1] = (cost, pot, code, term)

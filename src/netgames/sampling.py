@@ -260,28 +260,21 @@ def evaluate_construction_mc(
     draws = [players[i] for i in positions]
     sc = inst._scale
     rng = random.Random(seed)
-    # client set -> (A(D), its cost, type -> (augmentation cost, action edges));
-    # every cost and sum below is an integer over the cost scale C.
-    steps: dict = {}
+    steps: dict = {}  # client set -> its `_draw_step`, a type's pair added when realized
     values = []
     first_stage = augmentation = 0
     for _ in range(samples):
         D = tuple(draw(rng) for draw in draws)
         realized = tuple(draw(rng) for draw in players)
         clients = _clients(inst, D)
-        step = steps.get(clients)
-        if step is None:
-            base = scheme.approx(clients)
-            step = steps[clients] = (base, _over(sc.C, base.cost), {})
-        base, base_cost, menu = step
+        base, menu = steps[clients] = steps.get(clients) or _draw_step(inst, scheme, clients, ())
+        first_stage += _over(sc.C, base.cost)
         for t in realized:
             if t not in menu:
-                aug, action = _augmented(inst, scheme, base, t)
-                menu[t] = (_over(sc.C, aug.cost), action.elements)
-        used = frozenset().union(*(menu[t][1] for t in realized))
+                menu[t] = _augmented(inst, scheme, base, t)
+        used = frozenset().union(*(menu[t][1].elements for t in realized))
         values.append(sum(sc.costs[e] for e in used))
-        first_stage += base_cost
-        augmentation += sum(menu[t][0] for t in realized)
+        augmentation += sum(_over(sc.C, menu[t][0].cost) for t in realized)
     unit = samples * sc.C
     total = sum(values)
     mean = Fraction(total, unit)

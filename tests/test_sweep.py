@@ -335,9 +335,10 @@ def test_sweep_equals_the_per_profile_reference(inst):
 
 
 def kernel_case(inst) -> tuple:
-    """(multi-action slots, capped at 2; whether a column code can pass 64
-    bits; whether a mover's option shares an element with another player's
-    single action, so pinned entries join the law key)."""
+    """(multi-action slots, capped at 2; whether a code over the movers
+    alone, the players with a multi-action slot, can pass 64 bits; whether a
+    mover's option shares an element with another player's single action,
+    so a column's code holds digits that no slot changes)."""
     slots = [(i, menu) for i, entries in enumerate(inst.menus) for _, menu in entries if len(menu) > 1]
     movers = {i for i, _ in slots}
     pinned = {
@@ -350,8 +351,8 @@ def kernel_case(inst) -> tuple:
 
 def test_the_reference_checks_every_kernel_case():
     """The sweep's special paths: no search (no multi-action slot), one slot
-    (its first slot is its last), codes wider than 64 bits, and pinned
-    entries."""
+    (its first slot is its last), codes wider than 64 bits, and columns
+    whose codes mix a mover's digit with digits no slot changes."""
     cases = [kernel_case(p.values[0]) for p in DIFFERENTIAL]
     assert {depth for depth, _, _ in cases} == {0, 1, 2}
     assert any(wide for _, wide, _ in cases)
@@ -366,15 +367,27 @@ def test_many_single_action_players(triangle):
     assert potential_method_certificate(inst).all_hold
 
 
-def test_many_single_action_players_on_a_shared_path():
+@pytest.mark.parametrize(
+    "two_types",
+    [
+        pytest.param(uniform(["x", "r"]), id="halves"),
+        pytest.param(
+            PlayerSpec(distribution=(("x", Fraction(1, 999_983)), ("r", Fraction(999_982, 999_983)))),
+            id="wide-codes",
+        ),
+    ],
+)
+def test_many_single_action_players_on_a_shared_path(two_types):
     """150 players whose only action at every type is the bridge (r, x) or
     nothing, interleaved with three movers whose routes all cross it; one
-    mover also has a single-action type.  The sweep keys its columns by the
-    movers' entries, so each law must merge in the pinned ones."""
+    mover also has a single-action type.  A column code holds every player's
+    entry, so each law decodes the single-action players' digits too.  With
+    `two_types` at 1/999,983, D = 1,999,966 and those digits alone make a
+    code about 3,200 bits wide."""
     g = graph_from_costs(
         {("r", "x"): Fraction(3), ("a", "x"): 1, ("b", "x"): 2, ("a", "b"): 1}, root="r"
     )
-    pinned = [point_mass("x")] * 100 + [uniform(["x", "r"])] * 50
+    pinned = [point_mass("x")] * 100 + [two_types] * 50
     movers = uniform(["a", "b"]), uniform(["x", "a"]), uniform(["b", "r"])
     inst = multicast(g, *pinned[:60], movers[0], *pinned[60:120], movers[1], *pinned[120:], movers[2])
     assert [len(menu) for _, menu in inst.menus[60]] == [2, 2]
