@@ -97,8 +97,10 @@ class PlayerSpec:
 class _Scale(NamedTuple):
     """Integer forms of an instance's numbers over common denominators: type
     probability p is weights[i][j] / D (in support order), element cost c is
-    costs[e] / C, 1/(k+1) is inv[k] / L and H_k is harm[k] / L.  `packed`
-    is `_law_dot`'s table, filled for each user count u when u first occurs."""
+    costs[e] / C, 1/(k+1) is inv[k] / L and H_k is harm[k] / L.  A weight or
+    cost is built as numerator * (D // denominator), with no `Fraction`
+    multiply.  `packed` is `_law_dot`'s table, filled for each user count u
+    when u first occurs."""
 
     D: int
     weights: tuple
@@ -145,13 +147,16 @@ class GameInstance:
         arity = family.arity  # if None, the first type sets it (1 if that type is empty)
         for i, spec in enumerate(self.players):
             where = f"players[{i}]"
-            total = sum((p for _, p in spec.distribution), Fraction(0))
-            if total != 1:
-                raise ValidationError(where, f"probabilities sum to {total}, not 1")
+            # Exact on Fraction(p), floats too: numerators over their lcm.
+            probs = [Fraction(p) for _, p in spec.distribution]
+            lcm = math.lcm(*(p.denominator for p in probs))
+            nums = [p.numerator * (lcm // p.denominator) for p in probs]
+            if (total := sum(nums)) != lcm:
+                raise ValidationError(where, f"probabilities sum to {Fraction(total, lcm)}, not 1")
             if len({t for t, _ in spec.distribution}) != len(spec.distribution):
                 raise ValidationError(where, "duplicate support types")
-            for t, p in spec.distribution:
-                if p <= 0 or p > 1:
+            for (t, p), a in zip(spec.distribution, nums):
+                if a <= 0 or a > lcm:
                     raise ValidationError(where, f"probability {p} out of range")
                 if not family.rooted and len(t) != (arity := arity or len(t) or 1):
                     raise ValidationError(where, f"type {t!r} has {len(t)} nodes, not {arity}")
@@ -186,9 +191,9 @@ class GameInstance:
         L = math.lcm(*range(1, n + 1))
         return _Scale(
             D=D,
-            weights=tuple(tuple(int(p * D) for p in row) for row in probs),
+            weights=tuple(tuple(p.numerator * (D // p.denominator) for p in row) for row in probs),
             C=C,
-            costs={e: int(c * C) for e, c in self._costs.items()},
+            costs={e: c.numerator * (C // c.denominator) for e, c in self._costs.items()},
             L=L,
             inv=tuple(L // (k + 1) for k in range(n)),
             harm=tuple(itertools.accumulate((L // k for k in range(1, n + 1)), initial=0)),
@@ -368,11 +373,16 @@ def column_terms(inst: GameInstance, entries) -> tuple[int, int]:
     element's use count.  They depend on the multiset of entries only, so
     columns that permute each other share them: D^n minus the lifted product
     of the (D - a), and the lifted `_law_dot` with `harm`."""
-    return _column_term(inst, entries, 0), _column_term(inst, entries, 1)
+    sc = inst._scale
+    lift = sc.D_pow[inst.n - len(entries)]  # the other players, who never use e
+    return (
+        sc.D_pow[inst.n] - lift * math.prod([sc.D - a for a in entries]),
+        lift * _law_dot(sc, "harm", entries),
+    )
 
 
 def _column_term(inst: GameInstance, entries, k: int) -> int:
-    """Term k of `column_terms`, computed alone."""
+    """Term k of `column_terms`, computed alone (`_column_sum` needs one)."""
     sc = inst._scale
     lift = sc.D_pow[inst.n - len(entries)]  # the other players, who never use e
     if k == 0:
@@ -463,7 +473,8 @@ def expected_opt(inst: GameInstance) -> Fraction:
     elif inst.family.rooted:
         g, root = inst.graph, {inst.graph.root}
         tree = lambda S: graphs.steiner_tree_exact(g, _members(terms, S) | root).cost
-        opt = lambda S: int(tree(S) * sc.C) if S else 0
+        # A tree's cost is a Fraction over the Steiner table's scale, which is C.
+        opt = lambda S: (c := tree(S)).numerator * (sc.C // c.denominator) if S else 0
     else:
         # Over the Steiner table's scale, which is C (same edge cost denominators).
         opt = graphs.SteinerForests(inst.graph, terms).cost

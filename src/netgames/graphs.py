@@ -245,7 +245,12 @@ def _lex_dijkstra(links: list, source: int, stop=None, allowed: int = -1) -> dic
 
 def _decode(edges: list, mask: int) -> frozenset:
     """The edges of an edge mask, bit j standing for edges[j]."""
-    return frozenset(edges[j] for j in _bits(mask))
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(edges[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(out)
 
 
 def _bits(mask: int):
@@ -287,7 +292,7 @@ class _SteinerTable:
         self.nodes = g.nodes
         self.edges = [e for e, _ in g.edges]
         self.scale = math.lcm(*(c.denominator for _, c in g.edges))
-        self.cost = {e: int(c * self.scale) for e, c in g.edges}
+        self.cost = {e: c.numerator * (self.scale // c.denominator) for e, c in g.edges}
         roots = _components(g.nodes, self.cost)
         masks: dict[str, int] = {}  # root -> its component's node mask
         for i, v in enumerate(self.nodes):

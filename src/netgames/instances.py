@@ -2,7 +2,10 @@
 generator.
 
 Instances are JSON documents with exact rationals written as "p/q" (or plain
-integer) strings:
+integer) strings.  `_rational` reads such a string of ASCII digits with
+`int()`; any other value that `Fraction(str(value))` accepts (" 3/4 ",
+"+2", "0.75", a JSON number) gives the same `Fraction`, through
+`Fraction` itself:
 
     {
       "version": 1,
@@ -51,8 +54,15 @@ GEN_KINDS = ("multicast", "source-sink", "vertex-cover")  # the kinds gen_instan
 
 
 def _rational(value, field: str) -> Fraction:
+    """`Fraction(str(value))`, with its errors a ValidationError: a
+    canonical "p" or "p/q" of ASCII digits is read with `int()`, and every
+    other spelling, and every error, goes through `Fraction`."""
     try:
-        return Fraction(str(value))
+        text = str(value)
+        p, slash, q = text.partition("/")
+        if p.isascii() and p.isdigit() and (not slash or q.isascii() and q.isdigit()):
+            return Fraction(int(p), int(q)) if slash else Fraction(int(p))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValidationError(field, f"not a rational: {value!r}")
 

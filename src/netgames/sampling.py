@@ -14,7 +14,8 @@ never the draws: per set, its weight and the least draw that yields it.
 One pass (`_priced`) builds and prices each set once; the evaluation
 weights the prices, and `derandomize` returns the least (cost, least draw).
 The Monte-Carlo estimator keeps a per-call memo from client set to its
-step, filling a type's entry the first time that type is realized.  Every
+step, filling a type's entry the first time that type is realized; each
+cost in it is made an integer once, when its entry is built.  Every
 sum is an integer over the instance's cost scale, made one `Fraction` per
 reported number, so a scheme cost that is not a sum of the graph's edge
 costs raises PreconditionError (`_over`).  A restricted action is the
@@ -260,21 +261,27 @@ def evaluate_construction_mc(
     draws = [players[i] for i in positions]
     sc = inst._scale
     rng = random.Random(seed)
-    steps: dict = {}  # client set -> its `_draw_step`, a type's pair added when realized
+    # client set -> (A(D), its cost, type -> (action elements, augmentation cost)), costs over C
+    steps: dict = {}  # a type's entry is added when the type is realized
     values = []
     first_stage = augmentation = 0
     for _ in range(samples):
         D = tuple(draw(rng) for draw in draws)
         realized = tuple(draw(rng) for draw in players)
         clients = _clients(inst, D)
-        base, menu = steps[clients] = steps.get(clients) or _draw_step(inst, scheme, clients, ())
-        first_stage += _over(sc.C, base.cost)
+        step = steps.get(clients)
+        if step is None:
+            base = scheme.approx(clients)
+            step = steps[clients] = (base, _over(sc.C, base.cost), {})
+        base, base_cost, menu = step
+        first_stage += base_cost
         for t in realized:
             if t not in menu:
-                menu[t] = _augmented(inst, scheme, base, t)
-        used = frozenset().union(*(menu[t][1].elements for t in realized))
+                aug, action = _augmented(inst, scheme, base, t)
+                menu[t] = (action.elements, _over(sc.C, aug.cost))
+        used = frozenset().union(*(menu[t][0] for t in realized))
         values.append(sum(sc.costs[e] for e in used))
-        augmentation += sum(_over(sc.C, menu[t][0].cost) for t in realized)
+        augmentation += sum(menu[t][1] for t in realized)
     unit = samples * sc.C
     total = sum(values)
     mean = Fraction(total, unit)

@@ -32,6 +32,7 @@ from netgames.errors import DisconnectedError, NoConvergenceError, NoFeasibleAct
 from netgames.graphs import (
     EdgeSet,
     Graph,
+    _bits,
     _components,
     edge_key,
     shortest_path,
@@ -410,6 +411,41 @@ def random_connected_graph(
         if rng.random() < 0.5:
             edges[(a, b)] = cost()
     return graph_from_costs(edges, nodes=nodes, root=root or nodes[0])
+
+
+# ---------------------------------------------------------------------------
+# The set-up as first written, in `Fraction` arithmetic: the oracle of the
+# integer set-up in `games` and `graphs`.
+
+
+def scale_reference(inst: GameInstance) -> tuple:
+    """(D, weights, C, costs) of `GameInstance._scale`, each weight and cost
+    a `Fraction` times its lcm made an int."""
+    probs = [[Fraction(p) for _, p in spec.distribution] for spec in inst.players]
+    D = math.lcm(*(p.denominator for row in probs for p in row))
+    costs = dict(inst.graph.edges) if inst.family.graph else dict(inst.node_costs)
+    C = math.lcm(*(c.denominator for c in costs.values()))
+    weights = tuple(tuple(int(p * D) for p in row) for row in probs)
+    return D, weights, C, {e: int(c * C) for e, c in costs.items()}
+
+
+def probabilities_error_reference(distribution) -> Optional[str]:
+    """The message with which `GameInstance` rejects the probabilities of a
+    distribution of distinct types, or None: a `Fraction` sum and
+    comparisons on each `Fraction(p)`."""
+    probs = [Fraction(p) for _, p in distribution]
+    total = sum(probs, Fraction(0))
+    if total != 1:
+        return f"probabilities sum to {total}, not 1"
+    for (_, p), exact in zip(distribution, probs):
+        if exact <= 0 or exact > 1:
+            return f"probability {p} out of range"
+    return None
+
+
+def decode_reference(edges: list, mask: int) -> frozenset:
+    """`graphs._decode` as the `_bits` generator reads it."""
+    return frozenset(edges[j] for j in _bits(mask))
 
 
 # ---------------------------------------------------------------------------
